@@ -1,0 +1,183 @@
+"""Golden digests of run artifacts for configurations the benchmark never runs.
+
+Each case is written with run_to_dir and the sha256 of trace.csv,
+summary.json and (when decision particles are designated) decisions.csv is
+compared with the digests recorded below. A refactor that keeps these bytes
+keeps every engine path they exercise: epsilon-greedy exploration, the
+nearest-peer pursuit, round-robin scheduling with both, a lone particle, the
+PSO velocity memory term, and the bundled presets.
+
+To re-record after a deliberate output change:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qswarm.config import config_from_dict
+from qswarm.harness import preset, run_to_dir
+
+SEEDS = (0, 1, 2)
+
+CASES = {
+    "mql-explore": dict(swarm_size=12, iterations=30, snapshot_ticks=[0, 5, 30],
+                        decision_particles=[0, 1, 2], mql={"explore_rate": 0.3}),
+    "mql-recover": dict(swarm_size=10, iterations=40,
+                        mql={"recover_lost": True, "init_span": 70.0}),
+    "mql-explore-recover": dict(swarm_size=10, iterations=40,
+                                mql={"explore_rate": 0.3, "recover_lost": True,
+                                     "init_span": 70.0}),
+    "rr-explore-recover": dict(swarm_size=8, iterations=60, decision_particles=[3],
+                               mql={"schedule": "round_robin", "explore_rate": 0.2,
+                                    "recover_lost": True, "init_span": 50.0}),
+    "mql-single": dict(swarm_size=1, iterations=20, snapshot_ticks=[0, 20]),
+    "pso-canonical": dict(algorithm="pso", swarm_size=10, iterations=30,
+                          snapshot_ticks=[0, 30], pso={"canonical_velocity": True}),
+}
+
+PRESET_RUNS = {
+    "fig3-compare-mql": ("fig3-compare", 0),
+    "fig3-compare-pso": ("fig3-compare", 1),
+    "fig4-individuals": ("fig4-individuals", 0),
+}
+
+
+def _configs():
+    """{run id: SwarmConfig} for every golden run."""
+    runs = {}
+    for name, data in CASES.items():
+        for seed in SEEDS:
+            runs[f"{name}-s{seed}"] = config_from_dict({"algorithm": "mql", **data,
+                                                        "seed": seed})
+    for name, (preset_name, arm) in PRESET_RUNS.items():
+        cfg = preset(preset_name)[arm]
+        runs[f"{name}-s{cfg.seed}"] = cfg
+    return runs
+
+
+def _digests(cfg, out_dir) -> dict[str, str]:
+    paths = run_to_dir(cfg, out_dir)
+    return {key: hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
+            for key in ("trace", "summary", "decisions") if key in paths}
+
+
+GOLDEN = {
+    'fig3-compare-mql-s7': {
+        'trace': '843082db6957632802c614b312a0dcedbf04435505519dab6ec52969ba570eeb',
+        'summary': '970cc2726eb6acac236f65385bddae60332f09e34765ef6853c83f5a786954aa',
+    },
+    'fig3-compare-pso-s7': {
+        'trace': 'aad8ef5c5fe40b8b74a09f2df2dd85f19007c42dc930081b154a66840f252bb5',
+        'summary': '488cd7a9cc7f2246adbb1cc3a08124e0d4905cdf52cf14237b28dceb779013d9',
+    },
+    'fig4-individuals-s7': {
+        'trace': 'fa48df03e4c4366ffa060e35ffa5e850dc9a2b68d6931578f8db082d94562fb3',
+        'summary': '779fe207df55c2896b5bddf9875fe93b60983c69db8eb3a699e8f2088340b768',
+        'decisions': '4ae2ee227bacac9afff123c319d51c697a609f30edeb1f2add55b59e85e9172a',
+    },
+    'mql-explore-recover-s0': {
+        'trace': '9c6414eb81735b3a0d697255831bed17f293dcdc4d35071f97c1807975172fe6',
+        'summary': 'acd5767ec56a38cdf81dcdf3fbd77180e657682adce6f7a615754da7e5532831',
+    },
+    'mql-explore-recover-s1': {
+        'trace': '187b57a15cd77f54c1945ea5784bdd1a44f2f7bcc8ce65d0d7a32ed80919df5b',
+        'summary': 'b91fc4dd74a2824bf9c6cf80c379097abbece8e21a50601b2608c40d37bcc1bb',
+    },
+    'mql-explore-recover-s2': {
+        'trace': '40db770bed8c0e53547e483f165c7b70b5ba2635d329fd138cef90044b1378aa',
+        'summary': '4879b99aca809b497a7db1e98d5e533bf209885b3575f5186d7ff76300bb1f4b',
+    },
+    'mql-explore-s0': {
+        'trace': 'e43ac955fe86e1b72a639452a3c43157f4f0c70250902678db8f31ebde8887c8',
+        'summary': 'cd25f50bd1dfd7c549497707bc256d46a4396882d7d80d912b4a98df181b6e18',
+        'decisions': 'd0c7bed4143fc6a91f71956f452eea85e857bacef396a1b905fcc2e44e3dcc2e',
+    },
+    'mql-explore-s1': {
+        'trace': 'dcb204ec82cbbb6b8a05b359201eb16a0cf8a8b0641cdb7fe4b3268e786b1046',
+        'summary': '3d0b46c249f86ad78fe7f98bf660e90eaf89bdbb453333dd1f957c0e675185f0',
+        'decisions': '1b222a9fe4e40b591bc17fc5fe97ffe3a0e4ced96f3140484335e75fe7e83b9d',
+    },
+    'mql-explore-s2': {
+        'trace': 'ea969db30c5beefe41994656b7209e8f4f9962baa37f19ebe1483c7113e0fd7a',
+        'summary': 'a5acf42929cfc5b8a2cb73a43dbac2bd17d1c58b75a99e8f429e8a12cfb8eebc',
+        'decisions': '4c63f9f75f1bdefb27672842b16e6d5a8fc49fd32d90895acd35b01281e2e5f4',
+    },
+    'mql-recover-s0': {
+        'trace': 'fa8941c4597255ce1e896ad5fd3b7155fbb418c05fd70ee405a5dea2ec07b5c5',
+        'summary': 'a323050d683872097d7590339aa71bbc0a0b2540bc4246b26b0341034eb646a8',
+    },
+    'mql-recover-s1': {
+        'trace': '08e8e0b054238a79ae3c59356cf8c7bfdde9521f3a2ee35e5e8f1fa801b28ad9',
+        'summary': '2c49ea04f6aa1169fb838991e254a8464ddb512901942d9007d4639d67dcc1a2',
+    },
+    'mql-recover-s2': {
+        'trace': '90ebbc67c72cc6f5af4c54a8ce7b8a700c96e1933164ef9ae1ae64790b6a8a8f',
+        'summary': 'fdb11872ed819d42a030db1512413f9471c49e312649a7d6a02511e2faafce22',
+    },
+    'mql-single-s0': {
+        'trace': 'c8b319336db04e6dc902f056f4b233c906316fb545e9b074094a6a0342e128dc',
+        'summary': 'fb76c8d4ea32aed4bcb5bdd66fbd7bb91fbf108b8da61f0b5c4f8d458c856dfc',
+    },
+    'mql-single-s1': {
+        'trace': '1790f406e57252956b707236e5cc12d8b39d095f017cb84a933f3a0bc6f4c32e',
+        'summary': 'aca76264a318aae3ef1d7b9578a6244f1b376f7e236231248a669a6d5730381d',
+    },
+    'mql-single-s2': {
+        'trace': 'ee73c200da58592a343ab08fde2debfdd106d93335341ec3fa8faabae24353ca',
+        'summary': '3afdf444c6daba8fb6f804fce4ad66ca4aed5307ca2f7b334d0243dddf405da7',
+    },
+    'pso-canonical-s0': {
+        'trace': '15993ba94e1b8b6f17aa6151bff8a8a2be374f455c33cf8c9e6254952995917c',
+        'summary': 'd8dfcd10cd1e9a7a0abc9675d13e2286aa9d07131bec3b10820963d0aad0a489',
+    },
+    'pso-canonical-s1': {
+        'trace': '8bf85e4b64f8c2a17ef6414c91af0d6218d5cbf67206e25c4626f7446aab060d',
+        'summary': 'bcfb8e6255032148960e929729c62b1f12cfcfe837a54867f344a84278e8ceba',
+    },
+    'pso-canonical-s2': {
+        'trace': '75b36ac06a87cf84211577f442165ead0df8827404a926f76a7de3de1ad9a812',
+        'summary': 'c96d33349719ccffe65f4ddd568ebd60669f6e4ac720e16dba5293b8d148c8a6',
+    },
+    'rr-explore-recover-s0': {
+        'trace': '2e69f2fedfc92c2d8173b10574c3bdedeaa23a9d7e5599c4e175ab20239db075',
+        'summary': '909a79e56d50baa05e6c1e5ea8159c46f2bb8096dbf8c919e4240931eb4de7de',
+        'decisions': '759124ddad7838a8751d344ba2419c411f2a126944e26cbb478919bdaf0a19aa',
+    },
+    'rr-explore-recover-s1': {
+        'trace': 'ea0d9e51bef9157444d02470190f83e2f094df167cb4c12815517169d776ce0c',
+        'summary': '8d871c968201443bebff684a2bcb28f896a459c41905fbac8840283e95ca49aa',
+        'decisions': 'b6c80f41b4f31a457d096776f2f404ab15123b4389ae3be9859b7b544e5e2e1b',
+    },
+    'rr-explore-recover-s2': {
+        'trace': '373f854b366cce1378afe5eab3ba7b3c68b22a216bbcb890c23c96c1c0366ad9',
+        'summary': '1dc5188193e375688fd571e18c29293efe4b1a93232894ab59cbbd46d2c688d7',
+        'decisions': '793ed95484dffcf8c57f1fc47cb2dc2df6e5cdd0054909f7a89b73c905803656',
+    },
+}
+
+
+RUNS = _configs()
+
+
+@pytest.mark.parametrize("run_id", sorted(RUNS))
+def test_artifacts_match_golden_digests(run_id, tmp_path):
+    assert _digests(RUNS[run_id], tmp_path) == GOLDEN[run_id]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("GOLDEN = {\n")
+        for run_id, cfg in sorted(RUNS.items()):
+            digests = _digests(cfg, Path(tmp) / run_id)
+            sys.stdout.write(f"    {run_id!r}: {{\n")
+            for key, value in digests.items():
+                sys.stdout.write(f"        {key!r}: {value!r},\n")
+            sys.stdout.write("    },\n")
+        sys.stdout.write("}\n")
