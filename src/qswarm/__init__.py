@@ -10,10 +10,10 @@ from .harness import (PRESETS, RunSummary, preset, read_trace_csv, run_experimen
 from .metrics import (TickRecord, classify_decisions, connected_fraction,
                       connectivity_components, cumulative_reward, dispersion,
                       drift_onset)
-from .mql import (ActionSpec, MqlEngine, MqlParams, MqlParticle, StateId,
+from .mql import (ActionSpec, MqlEngine, MqlParams, StateId,
                   apply_action, build_actions, distance_deviation, encode_state,
                   neighborhood, reward, step_scale_pi)
-from .pso import (Objective, PsoEngine, PsoParams, PsoParticle, evaluate_fitness,
+from .pso import (Objective, PsoEngine, PsoParams, PsoParticle,
                   pso_init, pso_step, select_global_best, update_personal_best,
                   velocity_update)
 from .qlearning import LearningParams, QTable

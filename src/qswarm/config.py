@@ -94,6 +94,21 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
+def _integer(value, key: str) -> int:
+    # bools are ints to Python and int() truncates, so both would be echoed
+    # back as a different value than the one written
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_flag(mapping: dict, key: str, section: str) -> None:
+    # a quoted "no" or "false" is a truthy string, not an off switch
+    if key in mapping and not isinstance(mapping[key], bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {mapping[key]!r}")
+
+
 def config_from_dict(data: dict) -> SwarmConfig:
     """Build a validated SwarmConfig from plain nested dicts; every key absent
     from ``data`` takes its documented default."""
@@ -110,6 +125,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
 
     mql_data = dict(_section(data, "mql"))
     _check_keys(mql_data, _MQL_KEYS, "mql")
+    _check_flag(mql_data, "recover_lost", "mql")
     try:
         learning_kwargs = {}
         for key in ("learning_rate", "discount", "explore_rate"):
@@ -129,6 +145,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
 
     pso_data = dict(_section(data, "pso"))
     _check_keys(pso_data, _PSO_KEYS, "pso")
+    _check_flag(pso_data, "canonical_velocity", "pso")
     target_raw = pso_data.pop("target", None)
     pso_target = None
     if target_raw is not None:
@@ -150,10 +167,10 @@ def config_from_dict(data: dict) -> SwarmConfig:
                 kwargs[key] = str(data[key])
         for key in ("swarm_size", "iterations", "seed"):
             if key in data:
-                kwargs[key] = int(data[key])
+                kwargs[key] = _integer(data[key], key)
         for key in ("snapshot_ticks", "decision_particles"):
             if key in data:
-                kwargs[key] = tuple(int(t) for t in data[key])
+                kwargs[key] = tuple(_integer(t, key) for t in data[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

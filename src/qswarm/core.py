@@ -81,7 +81,21 @@ def positions_array(positions) -> np.ndarray:
     return arr
 
 
-def pairwise_distances(arr: np.ndarray) -> np.ndarray:
-    """(M, M) matrix of sqrt(dx^2 + dy^2) distances; zero diagonal."""
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+def pairwise_distances(arr: np.ndarray, rows=None) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) from each particle in ``rows`` (default: all, giving
+    the (M, M) matrix with zero diagonal) to every particle. Built one axis at
+    a time in place, so it holds two (len(rows), M) arrays and nothing larger."""
+    src = arr if rows is None else arr[rows]
+    dx = np.subtract.outer(src[:, 0], arr[:, 0])
+    dy = np.subtract.outer(src[:, 1], arr[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def adjacency_matrix(arr: np.ndarray, epsilon: float) -> np.ndarray:
+    """(M, M) proximity graph: True iff i != k and their distance is < epsilon."""
+    adjacent = pairwise_distances(arr) < epsilon
+    np.fill_diagonal(adjacent, False)
+    return adjacent

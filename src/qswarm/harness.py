@@ -17,6 +17,7 @@ The two bundled experiment presets:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,10 +95,9 @@ def run_experiment(cfg: SwarmConfig):
 
     final_positions = engine.positions()
     if cfg.algorithm == "mql":
-        q_shape = [engine.particles[0].qtable.num_states,
-                   engine.particles[0].qtable.num_actions]
-        q_tables = [p.qtable.to_flat_list() for p in engine.particles]
-        rewards = [p.cumulative_reward for p in engine.particles]
+        q_shape = list(engine.q.shape[1:])
+        q_tables = engine.q.reshape(cfg.swarm_size, -1).tolist()
+        rewards = engine.cumulative_rewards.tolist()
     else:
         q_shape = None
         q_tables = None
@@ -184,31 +184,46 @@ def write_decisions_csv(trace: list[TickRecord], particles, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_atomically(path: Path, write) -> Path:
+    """Call ``write`` on a temp file beside ``path``, then rename it into place,
+    so a crash mid-write never leaves a truncated file under the final name."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def run_to_dir(cfg: SwarmConfig, out_dir) -> dict[str, Path]:
     """Execute a run and write every artifact under ``out_dir``.
 
     Writes trace.csv, snapshot_t{k}.csv per requested snapshot, summary.json,
     effective_config.yaml, and decisions.csv when decision particles are
-    designated. Returns the written paths keyed by artifact name.
+    designated, each one atomically. Returns the written paths keyed by
+    artifact name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace, snapshots, summary = run_experiment(cfg)
 
     paths: dict[str, Path] = {}
-    paths["trace"] = out / "trace.csv"
-    write_trace_csv(trace, paths["trace"])
+    paths["trace"] = _write_atomically(out / "trace.csv",
+                                       lambda p: write_trace_csv(trace, p))
     for t, positions in sorted(snapshots.items()):
         key = f"snapshot_t{t}"
-        paths[key] = out / f"{key}.csv"
-        write_snapshot_csv(positions, paths[key])
-    paths["summary"] = out / "summary.json"
-    write_summary_json(summary, paths["summary"])
-    paths["config"] = out / "effective_config.yaml"
-    paths["config"].write_text(dump_config(cfg))
+        paths[key] = _write_atomically(out / f"{key}.csv",
+                                       lambda p: write_snapshot_csv(positions, p))
+    paths["summary"] = _write_atomically(out / "summary.json",
+                                         lambda p: write_summary_json(summary, p))
+    paths["config"] = _write_atomically(out / "effective_config.yaml",
+                                        lambda p: p.write_text(dump_config(cfg)))
     if cfg.decision_particles:
-        paths["decisions"] = out / "decisions.csv"
-        write_decisions_csv(trace, cfg.decision_particles, paths["decisions"])
+        paths["decisions"] = _write_atomically(
+            out / "decisions.csv",
+            lambda p: write_decisions_csv(trace, cfg.decision_particles, p))
     return paths
 
 

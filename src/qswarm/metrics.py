@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import Vec2, pairwise_distances, positions_array
+from .core import Vec2, adjacency_matrix, positions_array
 
 if TYPE_CHECKING:
     from .mql import StateId
@@ -45,8 +45,7 @@ def connectivity_components(positions, epsilon: float) -> list[int]:
     m = arr.shape[0]
     if m < 1:
         raise ValueError("positions must contain at least one particle")
-    adjacent = pairwise_distances(arr) < epsilon
-    np.fill_diagonal(adjacent, False)
+    adjacent = adjacency_matrix(arr, epsilon)
 
     seen = np.zeros(m, dtype=bool)
     sizes = []
@@ -72,9 +71,7 @@ def connected_fraction(positions, epsilon: float) -> float:
     arr = positions_array(positions)
     if arr.shape[0] < 1:
         raise ValueError("positions must contain at least one particle")
-    adjacent = pairwise_distances(arr) < epsilon
-    np.fill_diagonal(adjacent, False)
-    return float(adjacent.any(axis=1).mean())
+    return float(adjacency_matrix(arr, epsilon).any(axis=1).mean())
 
 
 def dispersion(positions) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Vec2, WorldBounds, clamp_to_world, pairwise_distances, positions_array
 from .metrics import TickRecord
-from .qlearning import LearningParams, QTable
+from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
 
 class StateId(IntEnum):
@@ -118,149 +118,132 @@ class MqlParams:
             raise ValueError(f"mql.init_span must be > 0 or null, got {self.init_span!r}")
 
 
-# --- neighbourhood quantities -------------------------------------------------
+# --- neighbourhood rules ------------------------------------------------------
 #
-# Every judgement below reduces the neighbourhood to three scalars: the
-# neighbour count n, the total neighbour distance, and the smallest neighbour
-# distance. The _branch_* functions hold the actual logic; the public
-# operations extract the scalars from raw positions, while the engine extracts
-# them from a shared pairwise matrix. One code path either way.
+# Every judgement below reduces a particle's neighbourhood to three numbers:
+# the neighbour count n, the total neighbour distance, and the smallest
+# neighbour distance. ``sense`` computes them for a stack of distance rows;
+# each rule is one array function of them. The engine calls these on whole
+# swarms, and the public per-particle operations are one-row calls of the
+# same functions.
 
-def _distances_from(i: int, arr: np.ndarray) -> np.ndarray:
-    d = np.sqrt(((arr - arr[i]) ** 2).sum(axis=1))
-    d[i] = np.inf
-    return d
-
-
-def _neighbor_dists(i: int, positions, epsilon: float) -> np.ndarray:
-    d = _distances_from(i, positions_array(positions))
-    return d[d < epsilon]
+def _neighbor_mask(dist_rows: np.ndarray, rows, epsilon: float) -> np.ndarray:
+    # a peer at exactly epsilon is out of contact; a particle never neighbours itself
+    mask = dist_rows < epsilon
+    mask[np.arange(len(mask)), rows] = False
+    return mask
 
 
-def _summarize(neighbor_dists) -> tuple[int, float, float]:
-    """(n, total distance, smallest distance); (0, 0.0, inf) when alone.
+def sense(dist_rows: np.ndarray, rows, epsilon: float):
+    """(n, total, lowest) arrays for particles ``rows``, given their (K, M)
+    distance rows; a neighbourless row gets (0, 0.0, inf).
 
-    The total is a plain left-to-right sum in ascending peer order, so it is
-    bit-reproducible against any independent accumulation in the same order.
+    Each total is a left-to-right sum in ascending peer order (a running sum
+    in which non-neighbours add 0.0), so it is bit-reproducible against any
+    independent accumulation in the same order.
     """
-    dists = list(neighbor_dists)
-    if not dists:
-        return 0, 0.0, math.inf
-    return len(dists), sum(dists), min(dists)
+    mask = _neighbor_mask(dist_rows, rows, epsilon)
+    n = mask.sum(axis=1)
+    masked = np.where(mask, dist_rows, np.inf)
+    lowest = masked.min(axis=1)
+    masked[~mask] = 0.0
+    total = np.cumsum(masked, axis=1, out=masked)[:, -1].copy()
+    return n, total, lowest
+
+
+def deviation(n, total, epsilon: float):
+    """D = total neighbour distance - n * epsilon."""
+    return total - n * epsilon
+
+
+def encode_states(n, total, lowest, params: MqlParams) -> np.ndarray:
+    """Coarse observation: disconnection and overlap first, then the relative
+    deviation rho = D / (n * epsilon) against tau_s."""
+    rho = deviation(n, total, params.epsilon) / (np.maximum(n, 1) * params.epsilon)
+    return np.select(
+        [n == 0, lowest < params.d_min, np.abs(rho) <= params.tau_s, rho < 0],
+        [StateId.DISCONNECTED, StateId.TOO_CLOSE, StateId.IDEAL, StateId.NEAR],
+        StateId.FAR)
+
+
+def step_scales(n, total, epsilon: float) -> np.ndarray:
+    """Mobility multiplier pi = min(1, |D| / (n * epsilon)); 1 when neighbourless."""
+    pi = np.minimum(1.0, np.abs(deviation(n, total, epsilon)) / (np.maximum(n, 1) * epsilon))
+    return np.where(n == 0, 1.0, pi)
+
+
+def rewards(n, total, lowest, params: MqlParams) -> np.ndarray:
+    """-reward_max for lost contact or any overlap, +reward_max inside the rim
+    tolerance band, else -|D| capped at reward_max."""
+    dev = np.abs(deviation(n, total, params.epsilon))
+    r = np.where(dev <= params.tau_r * n * params.epsilon,
+                 params.reward_max, -np.minimum(dev, params.reward_max))
+    return np.where((n == 0) | (lowest < params.d_min), -params.reward_max, r)
+
+
+def move(pos_rows: np.ndarray, axis, direction, magnitude, pi,
+         world: WorldBounds) -> np.ndarray:
+    """Displace each row by pi * magnitude * direction along its axis, then
+    clamp both coordinates into the world."""
+    out = pos_rows.copy()
+    out[np.arange(len(out)), axis] += pi * magnitude * direction
+    return np.minimum(np.maximum(out, (world.x_min, world.y_min)), (world.x_max, world.y_max))
+
+
+def _sense_one(i: int, positions, epsilon: float):
+    return sense(pairwise_distances(positions_array(positions), [i]), [i], epsilon)
 
 
 def neighborhood(i: int, positions, epsilon: float) -> set[int]:
     """Ids of the peers strictly within ``epsilon`` of particle ``i``
     (a peer at exactly epsilon is out of contact). Never contains ``i``."""
-    d = _distances_from(i, positions_array(positions))
-    return set(int(k) for k in np.flatnonzero(d < epsilon))
-
-
-def _branch_deviation(n: int, total: float, epsilon: float) -> float:
-    return total - n * epsilon
-
-
-def _branch_state(n: int, total: float, lowest: float, params: MqlParams) -> StateId:
-    if n == 0:
-        return StateId.DISCONNECTED
-    if lowest < params.d_min:
-        return StateId.TOO_CLOSE
-    rho = _branch_deviation(n, total, params.epsilon) / (n * params.epsilon)
-    if abs(rho) <= params.tau_s:
-        return StateId.IDEAL
-    return StateId.NEAR if rho < 0 else StateId.FAR
-
-
-def _branch_pi(n: int, total: float, epsilon: float) -> float:
-    if n == 0:
-        return 1.0
-    return min(1.0, abs(_branch_deviation(n, total, epsilon)) / (n * epsilon))
-
-
-def _branch_reward(n: int, total: float, lowest: float, params: MqlParams) -> float:
-    if n == 0:
-        return -params.reward_max
-    if lowest < params.d_min:
-        return -params.reward_max
-    dev = abs(_branch_deviation(n, total, params.epsilon))
-    if dev <= params.tau_r * n * params.epsilon:
-        return params.reward_max
-    return -min(dev, params.reward_max)
-
-
-def _deviation_from_dists(neighbor_dists, epsilon: float) -> float:
-    n, total, _ = _summarize(neighbor_dists)
-    return _branch_deviation(n, total, epsilon)
-
-
-def _encode_from_dists(neighbor_dists, params: MqlParams) -> StateId:
-    return _branch_state(*_summarize(neighbor_dists), params)
-
-
-def _pi_from_dists(neighbor_dists, epsilon: float) -> float:
-    n, total, _ = _summarize(neighbor_dists)
-    return _branch_pi(n, total, epsilon)
-
-
-def _reward_from_dists(neighbor_dists, params: MqlParams) -> float:
-    return _branch_reward(*_summarize(neighbor_dists), params)
+    d = pairwise_distances(positions_array(positions), [i])
+    return set(np.flatnonzero(_neighbor_mask(d, [i], epsilon)[0]).tolist())
 
 
 def distance_deviation(i: int, positions, epsilon: float) -> tuple[float | None, int]:
     """(D, n) where D = sum of neighbour distances - n * epsilon. D is None for
     a neighbourless particle. D < 0 whenever n > 0, since every neighbour sits
     strictly inside the sensing radius."""
-    n, total, _ = _summarize(_neighbor_dists(i, positions, epsilon))
-    if n == 0:
+    n, total, _ = _sense_one(i, positions, epsilon)
+    if n[0] == 0:
         return None, 0
-    return _branch_deviation(n, total, epsilon), n
+    return float(deviation(n, total, epsilon)[0]), int(n[0])
 
 
 def encode_state(i: int, positions, params: MqlParams) -> StateId:
-    """Coarse observation for particle ``i``: disconnection and overlap first,
-    then the relative deviation rho = D / (n * epsilon) against tau_s."""
-    return _branch_state(*_summarize(_neighbor_dists(i, positions, params.epsilon)), params)
+    """Coarse observation for particle ``i`` (see ``encode_states``)."""
+    return StateId(int(encode_states(*_sense_one(i, positions, params.epsilon), params)[0]))
 
 
 def step_scale_pi(i: int, positions, params: MqlParams) -> float:
     """Mobility multiplier in [0, 1]: full when neighbourless, shrinking to 0
     as the neighbourhood reaches the ideal total distance."""
-    n, total, _ = _summarize(_neighbor_dists(i, positions, params.epsilon))
-    return _branch_pi(n, total, params.epsilon)
+    n, total, _ = _sense_one(i, positions, params.epsilon)
+    return float(step_scales(n, total, params.epsilon)[0])
 
 
 def apply_action(pos: Vec2, action: ActionSpec, pi: float, world: WorldBounds) -> Vec2:
     """Displace ``pos`` by pi * magnitude along the action's axis and clamp."""
-    delta = pi * action.magnitude * action.direction
-    if action.axis == 0:
-        return clamp_to_world(Vec2(pos.x + delta, pos.y), world)
-    return clamp_to_world(Vec2(pos.x, pos.y + delta), world)
+    x, y = move(np.array([pos.as_tuple()], dtype=float), action.axis, action.direction,
+                action.magnitude, pi, world)[0].tolist()
+    return Vec2(x, y)
 
 
 def reward(i: int, positions, params: MqlParams) -> float:
     """Score particle ``i`` on (post-move) positions: -reward_max for lost
     contact or any overlap, +reward_max inside the rim tolerance band, else
     -|D| capped at reward_max. Always within [-reward_max, +reward_max]."""
-    return _branch_reward(*_summarize(_neighbor_dists(i, positions, params.epsilon)), params)
+    return float(rewards(*_sense_one(i, positions, params.epsilon), params)[0])
 
 
-@dataclass
-class MqlParticle:
-    position: Vec2
-    qtable: QTable
-    last_state: StateId | None = None
-    last_action: int | None = None
-    cumulative_reward: float = 0.0
-
-
-def _row_summary(dist_matrix: np.ndarray, i: int, epsilon: float) -> tuple[int, float, float]:
-    mask = dist_matrix[i] < epsilon
-    mask[i] = False
-    return _summarize(dist_matrix[i][mask])
+_STATES = tuple(StateId)
 
 
 class MqlEngine:
-    """Stateful learning swarm with a fixed particle count.
+    """Stateful learning swarm with a fixed particle count, held as arrays:
+    positions ``pos`` (M, 2), every utility table in ``q`` (M, states,
+    actions), and ``cumulative_rewards`` (M,).
 
     Random draws are consumed in a documented order: first 2*M uniform draws
     for the initial positions (particle order, x then y), then per tick the
@@ -277,6 +260,9 @@ class MqlEngine:
         self.world = world
         self.rng = rng
         self.actions = build_actions(params.step_set)
+        self._axis = np.array([a.axis for a in self.actions])
+        self._direction = np.array([a.direction for a in self.actions])
+        self._magnitude = np.array([a.magnitude for a in self.actions])
         self.tick_index = 0
 
         if initial_positions is not None:
@@ -284,136 +270,82 @@ class MqlEngine:
                 raise ValueError(
                     f"initial_positions has {len(initial_positions)} entries for swarm size {m}"
                 )
-            positions = [clamp_to_world(p, world) for p in initial_positions]
+            self.pos = positions_array([clamp_to_world(p, world) for p in initial_positions])
         else:
             span = params.init_span
             if span is None:
                 span = params.epsilon * math.sqrt(m) / 2.0
             span = min(span, world.width, world.height)
             center = world.center()
-            x_lo = center.x - span / 2.0
-            y_lo = center.y - span / 2.0
-            positions = [
-                Vec2(x_lo + span * rng.random(), y_lo + span * rng.random())
-                for _ in range(m)
-            ]
-
-        self.particles = [
-            MqlParticle(position=p, qtable=QTable(NUM_STATES, len(self.actions)))
-            for p in positions
-        ]
+            low = np.array([center.x - span / 2.0, center.y - span / 2.0])
+            self.pos = low + span * rng.random((m, 2))
+        self.q = np.zeros((m, NUM_STATES, len(self.actions)))
+        self.cumulative_rewards = np.zeros(m)
 
     @property
     def m(self) -> int:
-        return len(self.particles)
+        return len(self.pos)
 
     def positions(self) -> list[Vec2]:
-        return [p.position for p in self.particles]
+        return [Vec2(x, y) for x, y in self.pos.tolist()]
 
-    def _positions_arr(self) -> np.ndarray:
-        return positions_array(self.positions())
+    def _select(self, states, n, dist_rows, movers) -> np.ndarray:
+        actions = np.empty(len(movers), dtype=np.int64)
+        pursuing = (n == 0) & self.params.recover_lost & (self.m > 1)
+        if pursuing.any():
+            actions[pursuing] = self._pursuit_actions(dist_rows[pursuing], movers[pursuing])
+        learning = ~pursuing
+        actions[learning] = epsilon_greedy_actions(
+            self.q[movers[learning], states[learning]],
+            self.params.learning.explore_rate, self.rng)
+        return actions
 
-    def q_tables(self) -> list[QTable]:
-        return [p.qtable for p in self.particles]
-
-    def _choose(self, particle: MqlParticle, state: StateId, neighbor_count: int,
-                arr: np.ndarray, i: int) -> int:
-        if self.params.recover_lost and neighbor_count == 0 and self.m > 1:
-            return self._pursuit_action(arr, i)
-        return particle.qtable.epsilon_greedy_action(
-            int(state), self.params.learning.explore_rate, self.rng)
-
-    def _pursuit_action(self, arr: np.ndarray, i: int) -> int:
+    def _pursuit_actions(self, dist_rows, rows) -> np.ndarray:
         # crude homing: longest step along the dominant axis towards the
-        # nearest peer (recover_lost only; no learning signal involved)
-        d = _distances_from(i, arr)
-        nearest = int(np.argmin(d))
-        dx = arr[nearest, 0] - arr[i, 0]
-        dy = arr[nearest, 1] - arr[i, 1]
-        axis = 0 if abs(dx) >= abs(dy) else 1
-        direction = 1 if (dx if axis == 0 else dy) >= 0 else -1
-        longest = max(range(len(self.actions)),
-                      key=lambda a: self.actions[a].magnitude
-                      if (self.actions[a].axis, self.actions[a].direction) == (axis, direction)
-                      else -1.0)
-        return longest
+        # nearest peer (recover_lost only; no learning signal, no draws)
+        d = dist_rows.copy()
+        d[np.arange(len(rows)), rows] = np.inf
+        delta = self.pos[d.argmin(axis=1)] - self.pos[rows]
+        axis = (np.abs(delta[:, 0]) < np.abs(delta[:, 1])).astype(np.int64)
+        backward = delta[np.arange(len(rows)), axis] < 0
+        # build_actions order: axis outer, direction (+1, -1) middle, magnitude inner
+        return 6 * axis + 3 * backward + 2
 
     def tick(self) -> list[TickRecord]:
-        if self.params.schedule == "round_robin":
-            records = self._tick_round_robin()
+        """One step of the movers: every particle (simultaneous) or particle
+        tick % M (round_robin). Movers sense and choose on the positions at
+        the start of the tick, move together, and are scored and updated on
+        the swarm sensed once after the move."""
+        prm = self.params
+        if prm.schedule == "round_robin":
+            movers = np.array([self.tick_index % self.m])
         else:
-            records = self._tick_simultaneous()
+            movers = np.arange(self.m)
+
+        dist_rows = pairwise_distances(self.pos, movers)
+        n, total, lowest = sense(dist_rows, movers, prm.epsilon)
+        states = encode_states(n, total, lowest, prm)
+        actions = self._select(states, n, dist_rows, movers)
+        del dist_rows  # release it before the post-move matrix is built
+        self.pos[movers] = move(self.pos[movers], self._axis[actions],
+                                self._direction[actions], self._magnitude[actions],
+                                step_scales(n, total, prm.epsilon), self.world)
+
+        n1, total1, lowest1 = sense(pairwise_distances(self.pos), np.arange(self.m),
+                                    prm.epsilon)
+        next_states = encode_states(n1, total1, lowest1, prm)
+        r = rewards(n1[movers], total1[movers], lowest1[movers], prm)
+        td_update(self.q, movers, states, actions, r, next_states[movers], prm.learning)
+        self.cumulative_rewards[movers] += r
+
+        # a mover's row carries its decision; every other row its current state
+        decided = dict(zip(movers.tolist(), zip(states.tolist(), actions.tolist(), r.tolist())))
+        records = []
+        for i, ((x, y), s, c) in enumerate(zip(self.pos.tolist(), next_states.tolist(),
+                                                n1.tolist())):
+            s, a, ri = decided.get(i, (s, None, None))
+            records.append(TickRecord(tick=self.tick_index, particle=i, position=Vec2(x, y),
+                                      state=_STATES[s], action=a, reward=ri,
+                                      neighbor_count=c))
         self.tick_index += 1
-        return records
-
-    def _tick_simultaneous(self) -> list[TickRecord]:
-        prm = self.params
-        arr = self._positions_arr()
-        dist0 = pairwise_distances(arr)
-
-        states: list[StateId] = []
-        chosen: list[int] = []
-        new_positions: list[Vec2] = []
-        for i, particle in enumerate(self.particles):
-            n, total, lowest = _row_summary(dist0, i, prm.epsilon)
-            state = _branch_state(n, total, lowest, prm)
-            action_id = self._choose(particle, state, n, arr, i)
-            pi = _branch_pi(n, total, prm.epsilon)
-            states.append(state)
-            chosen.append(action_id)
-            new_positions.append(
-                apply_action(particle.position, self.actions[action_id], pi, self.world))
-
-        dist1 = pairwise_distances(positions_array(new_positions))
-        records = []
-        for i, particle in enumerate(self.particles):
-            n1, total1, lowest1 = _row_summary(dist1, i, prm.epsilon)
-            r = _branch_reward(n1, total1, lowest1, prm)
-            next_state = _branch_state(n1, total1, lowest1, prm)
-            particle.qtable.update(int(states[i]), chosen[i], r, int(next_state), prm.learning)
-            particle.position = new_positions[i]
-            particle.last_state = states[i]
-            particle.last_action = chosen[i]
-            particle.cumulative_reward += r
-            records.append(TickRecord(
-                tick=self.tick_index, particle=i, position=particle.position,
-                state=states[i], action=chosen[i], reward=r,
-                neighbor_count=n1))
-        return records
-
-    def _tick_round_robin(self) -> list[TickRecord]:
-        prm = self.params
-        mover = self.tick_index % self.m
-        particle = self.particles[mover]
-        arr = self._positions_arr()
-
-        n, total, lowest = _row_summary(pairwise_distances(arr), mover, prm.epsilon)
-        state = _branch_state(n, total, lowest, prm)
-        action_id = self._choose(particle, state, n, arr, mover)
-        pi = _branch_pi(n, total, prm.epsilon)
-        particle.position = apply_action(particle.position, self.actions[action_id],
-                                         pi, self.world)
-
-        dist1 = pairwise_distances(self._positions_arr())
-        n1, total1, lowest1 = _row_summary(dist1, mover, prm.epsilon)
-        r = _branch_reward(n1, total1, lowest1, prm)
-        next_state = _branch_state(n1, total1, lowest1, prm)
-        particle.qtable.update(int(state), action_id, r, int(next_state), prm.learning)
-        particle.last_state = state
-        particle.last_action = action_id
-        particle.cumulative_reward += r
-
-        records = []
-        for i, p in enumerate(self.particles):
-            n_i, total_i, lowest_i = _row_summary(dist1, i, prm.epsilon)
-            if i == mover:
-                records.append(TickRecord(
-                    tick=self.tick_index, particle=i, position=p.position,
-                    state=state, action=action_id, reward=r,
-                    neighbor_count=n_i))
-            else:
-                records.append(TickRecord(
-                    tick=self.tick_index, particle=i, position=p.position,
-                    state=_branch_state(n_i, total_i, lowest_i, prm),
-                    action=None, reward=None, neighbor_count=n_i))
         return records

@@ -18,30 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, clamp_to_world, euclidean_distance, pairwise_distances, positions_array
+from .core import Vec2, WorldBounds, adjacency_matrix, clamp_to_world, euclidean_distance, positions_array
 from .metrics import TickRecord
 
 
 @dataclass(frozen=True)
 class Objective:
-    """Cost function over positions: default mode measures the Euclidean
-    distance to ``target``; a callable overrides it."""
+    """Cost function over positions: the Euclidean distance to ``target``."""
 
     target: Vec2 = Vec2(50.0, 50.0)
-    func: Callable[[Vec2], float] | None = None
 
     def evaluate(self, p: Vec2) -> float:
-        if self.func is not None:
-            return float(self.func(p))
         return euclidean_distance(p, self.target)
-
-
-def evaluate_fitness(x: Vec2, objective: Objective) -> float:
-    return objective.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -194,10 +185,8 @@ class PsoEngine:
     def tick(self) -> list[TickRecord]:
         self.inertia = pso_step(self.swarm, self.objective, self.inertia,
                                 self.params, self.rng)
-        arr = positions_array(self.positions())
-        adjacent = pairwise_distances(arr) < self.sensing_radius
-        np.fill_diagonal(adjacent, False)
-        neighbor_counts = adjacent.sum(axis=1)
+        neighbor_counts = adjacency_matrix(positions_array(self.positions()),
+                                           self.sensing_radius).sum(axis=1)
         records = [
             TickRecord(tick=self.tick_index, particle=i, position=p.position,
                        state=None, action=None, reward=None,

@@ -3,8 +3,9 @@ with uniform random tie-breaking, and the one-cell temporal-difference update
 
     Q'(s, a) = Q(s, a) + learning_rate * (r + discount * max_a' Q(s', a') - Q(s, a))
 
-Each particle owns exactly one table; nothing here is shared or thread-unsafe
-as long as a table has a single owner.
+The rules work on stacks of rows, so a whole swarm's tables can be one
+(M, states, actions) tensor; ``QTable`` is the one-table view of the same
+functions.
 """
 
 from __future__ import annotations
@@ -31,8 +32,55 @@ class LearningParams:
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
 
 
+def greedy_actions(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """For each row of utilities (K, A), an action achieving the row maximum.
+
+    Ties are broken uniformly at random: one draw per tied row, in row order,
+    all taken in a single ``rng.integers`` call. That call yields the same
+    values and leaves the generator in the same state as one scalar
+    ``rng.integers(ties)`` call per tied row.
+    """
+    ties = rows == rows.max(axis=1, keepdims=True)
+    counts = ties.sum(axis=1)
+    pick = np.zeros(len(rows), dtype=np.int64)
+    tied = counts > 1
+    pick[tied] = rng.integers(counts[tied])
+    # the pick-th (0-based) tied column of each row
+    return np.argmax(np.cumsum(ties, axis=1) > pick[:, None], axis=1)
+
+
+def epsilon_greedy_actions(rows: np.ndarray, explore_rate: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Greedy selection per row, except with probability ``explore_rate`` a
+    uniformly random action is taken instead. Rate 0 never draws for
+    exploration; otherwise each row draws its exploration coin before its
+    tie-break, row by row."""
+    if explore_rate <= 0.0:
+        return greedy_actions(rows, rng)
+    out = np.empty(len(rows), dtype=np.int64)
+    for k in range(len(rows)):
+        if rng.random() < explore_rate:
+            out[k] = rng.integers(rows.shape[1])
+        else:
+            out[k] = greedy_actions(rows[k:k + 1], rng)[0]
+    return out
+
+
+def td_update(q: np.ndarray, rows, states, actions, rewards,
+              next_states, params: LearningParams) -> np.ndarray:
+    """Apply the temporal-difference update to cell (states[k], actions[k]) of
+    table q[rows[k]] for every k and return the new values. Each lookahead
+    reads its table as it was before the write."""
+    best_next = q[rows, next_states].max(axis=1)
+    old = q[rows, states, actions]
+    new = old + params.learning_rate * (rewards + params.discount * best_next - old)
+    q[rows, states, actions] = new
+    return new
+
+
 class QTable:
-    """A fixed-shape state x action utility matrix, initialised to all zeros."""
+    """A fixed-shape state x action utility matrix, initialised to all zeros.
+    Its selection and update are one-row calls of the array functions above."""
 
     def __init__(self, num_states: int, num_actions: int):
         if num_states < 1 or num_actions < 1:
@@ -61,20 +109,15 @@ class QTable:
 
     def greedy_action(self, state: int, rng: np.random.Generator) -> int:
         """An action achieving max_q; ties are broken uniformly at random."""
-        row = self.values[self._check_state(state)]
-        ties = np.flatnonzero(row == row.max())
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[rng.integers(ties.size)])
+        s = self._check_state(state)
+        return int(greedy_actions(self.values[s:s + 1], rng)[0])
 
     def epsilon_greedy_action(self, state: int, explore_rate: float,
                               rng: np.random.Generator) -> int:
         """Greedy selection, except with probability ``explore_rate`` a uniformly
         random action is taken instead. Rate 0 never draws for exploration."""
-        self._check_state(state)
-        if explore_rate > 0.0 and rng.random() < explore_rate:
-            return int(rng.integers(self.num_actions))
-        return self.greedy_action(state, rng)
+        s = self._check_state(state)
+        return int(epsilon_greedy_actions(self.values[s:s + 1], explore_rate, rng)[0])
 
     def update(self, state: int, action: int, reward: float, next_state: int,
                params: LearningParams) -> float:
@@ -85,17 +128,5 @@ class QTable:
         a = self._check_action(action)
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")
-        best_next = self.max_q(next_state)
-        old = float(self.values[s, a])
-        new = old + params.learning_rate * (reward + params.discount * best_next - old)
-        self.values[s, a] = new
-        return new
-
-    def to_flat_list(self) -> list[float]:
-        """Row-major list of all entries, for the JSON run summary."""
-        return [float(v) for v in self.values.ravel()]
-
-    def copy(self) -> "QTable":
-        out = QTable(self.num_states, self.num_actions)
-        out.values[:] = self.values
-        return out
+        return float(td_update(self.values[None], [0], [s], [a], [reward],
+                               [self._check_state(next_state)], params)[0])

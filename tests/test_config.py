@@ -74,6 +74,28 @@ def test_invalid_values_name_their_key(tmp_path):
             load_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("text, key", [
+    ("swarm_size: 2.5\n", "swarm_size"),
+    ("seed: 3.9\n", "seed"),
+    ("iterations: true\n", "iterations"),
+    ("swarm_size: '20'\n", "swarm_size"),
+    ("snapshot_ticks: [1.7]\n", "snapshot_ticks"),
+    ("decision_particles: [false]\n", "decision_particles"),
+    ("mql: {recover_lost: 'no'}\n", "recover_lost"),
+    ("mql: {recover_lost: 1}\n", "recover_lost"),
+    ("pso: {canonical_velocity: 'false'}\n", "canonical_velocity"),
+])
+def test_coercible_values_rejected_by_name(tmp_path, text, key):
+    # each of these used to be silently truncated or kept as a truthy string
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_cfg(tmp_path, text))
+
+
+def test_integral_float_is_the_same_integer(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, "swarm_size: 12.0\nsnapshot_ticks: [3.0]\n"))
+    assert cfg.swarm_size == 12 and cfg.snapshot_ticks == (3,)
+
+
 def test_round_trip_is_exact(tmp_path):
     text = """
 algorithm: pso

@@ -188,3 +188,16 @@ def test_preset_fig4_shape():
 def test_unknown_preset_lists_valid_names():
     with pytest.raises(ValueError, match="fig3-compare"):
         preset("fig9")
+
+
+def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    import qswarm.harness as harness
+
+    def crashing_writer(trace, path):
+        path.write_text("tick,particle,x")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(harness, "write_trace_csv", crashing_writer)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_to_dir(small_cfg(), tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -5,15 +5,24 @@ import pytest
 
 from qswarm.core import Vec2, WorldBounds
 from qswarm.mql import (ActionSpec, MqlEngine, MqlParams, StateId, apply_action,
-                        build_actions, distance_deviation, encode_state,
-                        neighborhood, reward, step_scale_pi,
-                        _deviation_from_dists, _pi_from_dists, _reward_from_dists)
+                        build_actions, deviation, distance_deviation, encode_state,
+                        encode_states, neighborhood, reward, rewards, sense,
+                        step_scale_pi, step_scales)
 
 
 def make_params(**over):
     defaults = dict(epsilon=5.0, d_min=1.0, tau_r=0.02, tau_s=0.05)
     defaults.update(over)
     return MqlParams(**defaults)
+
+
+def rim_summary(dists):
+    """(n, total, lowest) from the sensing kernel for particle 0 with peers
+    at ``dists``. Sensed with a radius one ulp wider than the farthest peer,
+    so peers at exactly the rules' radius count; raw positions under the
+    strict neighbourhood cannot reach these formula-level cases."""
+    row = np.array([[0.0, *dists]])
+    return sense(row, [0], np.nextafter(max(dists), np.inf))
 
 
 # --- action catalogue ----------------------------------------------------------
@@ -79,7 +88,8 @@ def test_deviation_none_when_disconnected():
 def test_deviation_zero_at_the_rim_formula_level():
     # two neighbours exactly at the radius give D = 0; unreachable from raw
     # positions (strict < radius), so asserted on the formula itself
-    assert _deviation_from_dists(np.array([5.0, 5.0]), 5.0) == 0.0
+    n, total, _ = rim_summary([5.0, 5.0])
+    assert deviation(n, total, 5.0)[0] == 0.0
 
 
 def test_encode_state_cases():
@@ -99,9 +109,8 @@ def test_encode_state_cases():
 
 def test_encode_state_rim_and_far_formula_level():
     params = make_params()
-    from qswarm.mql import _encode_from_dists
-    assert _encode_from_dists(np.array([5.0, 5.0]), params) == StateId.IDEAL
-    assert _encode_from_dists(np.array([6.0, 6.0]), params) == StateId.FAR
+    assert encode_states(*rim_summary([5.0, 5.0]), params)[0] == StateId.IDEAL
+    assert encode_states(*rim_summary([6.0, 6.0]), params)[0] == StateId.FAR
 
 
 def test_step_scale_hand_value():
@@ -114,9 +123,9 @@ def test_step_scale_boundary_cases():
     # disconnected -> full mobility
     assert step_scale_pi(0, [Vec2(0, 0), Vec2(50, 50)], params) == 1.0
     # zero deviation -> holds position (formula level, rim distances)
-    assert _pi_from_dists(np.array([5.0, 5.0]), 5.0) == 0.0
+    assert step_scales(*rim_summary([5.0, 5.0])[:2], 5.0)[0] == 0.0
     # the cap binds exactly when every neighbour distance is zero
-    assert _pi_from_dists(np.array([0.0, 0.0]), 5.0) == 1.0
+    assert step_scales(*rim_summary([0.0, 0.0])[:2], 5.0)[0] == 1.0
 
 
 def test_step_scale_in_unit_interval_random():
@@ -168,7 +177,7 @@ def test_reward_disconnected_is_full_penalty():
 def test_reward_full_at_the_rim_formula_level():
     # whole reward for total distance at n * radius; unreachable from raw
     # positions under the strict neighbourhood, so asserted on the formula
-    assert _reward_from_dists(np.array([5.0, 5.0]), make_params()) == 100.0
+    assert rewards(*rim_summary([5.0, 5.0]), make_params())[0] == 100.0
 
 
 def test_reward_inside_tolerance_band():
@@ -190,8 +199,7 @@ def test_reward_overlap_penalty():
 def test_reward_penalty_capped():
     # 40 neighbours each ~1.5 away: |D| = 40 * 3.5 = 140 -> capped at 100
     params = make_params(epsilon=5.0, d_min=1.0)
-    nd = np.full(40, 1.5)
-    assert _reward_from_dists(nd, params) == -100.0
+    assert rewards(*rim_summary([1.5] * 40), params)[0] == -100.0
 
 
 def test_reward_always_within_scale_random():
@@ -248,7 +256,7 @@ def test_singleton_swarm_flatlines():
         assert rec.state == StateId.DISCONNECTED
         assert rec.reward == -100.0
         assert rec.neighbor_count == 0
-    assert engine.particles[0].cumulative_reward == -100.0 * 10
+    assert engine.cumulative_rewards[0] == -100.0 * 10
 
 
 def test_simultaneous_tick_emits_m_records():
@@ -349,8 +357,8 @@ def test_cumulative_reward_tracks_trace():
     for _ in range(25):
         for r in engine.tick():
             totals[r.particle] += r.reward
-    for i, p in enumerate(engine.particles):
-        assert p.cumulative_reward == pytest.approx(totals[i], abs=1e-9)
+    for i in range(4):
+        assert engine.cumulative_rewards[i] == pytest.approx(totals[i], abs=1e-9)
 
 
 def test_initial_cluster_starts_connected():

@@ -3,9 +3,8 @@ import pytest
 
 from qswarm.core import Vec2, WorldBounds
 from qswarm.pso import (Objective, PsoEngine, PsoParams, PsoParticle,
-                        evaluate_fitness, pso_init, pso_step,
-                        select_global_best, update_personal_best,
-                        velocity_update)
+                        pso_init, pso_step, select_global_best,
+                        update_personal_best, velocity_update)
 
 
 class FakeRng:
@@ -57,11 +56,11 @@ def test_init_rejects_empty_swarm():
 
 def test_fitness_examples():
     obj = Objective(target=Vec2(0, 0))
-    assert evaluate_fitness(Vec2(0, 0), obj) == 0.0
-    assert evaluate_fitness(Vec2(3, 4), obj) == 5.0
+    assert obj.evaluate(Vec2(0, 0)) == 0.0
+    assert obj.evaluate(Vec2(3, 4)) == 5.0
     rng = np.random.default_rng(1)
     for _ in range(100):
-        assert evaluate_fitness(Vec2(*rng.uniform(-50, 50, 2)), obj) >= 0.0
+        assert obj.evaluate(Vec2(*rng.uniform(-50, 50, 2))) >= 0.0
 
 
 def test_personal_best_update_rules():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qswarm.qlearning import LearningParams, QTable
+from qswarm.qlearning import LearningParams, QTable, greedy_actions, td_update
 
 
 def make_table(rows):
@@ -183,3 +183,35 @@ def test_epsilon_greedy_explores_at_full_rate():
     rng = np.random.default_rng(13)
     seen = {t.epsilon_greedy_action(0, 1.0, rng) for _ in range(300)}
     assert seen == {0, 1, 2}
+
+
+def test_batched_tie_draws_match_per_row_draws():
+    # the engine draws all tie-breaks of a tick in one call; that must give
+    # the same actions and generator state as one scalar draw per tied row
+    for trial in range(200):
+        rows = np.random.default_rng(trial).integers(0, 3, (30, 12)).astype(float)
+        batched, looped = np.random.default_rng(trial), np.random.default_rng(trial)
+        expected = []
+        for row in rows:
+            ties = np.flatnonzero(row == row.max())
+            expected.append(ties[0] if ties.size == 1 else ties[looped.integers(ties.size)])
+        assert greedy_actions(rows, batched).tolist() == expected
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+
+def test_td_update_over_many_tables_matches_the_rule_per_table():
+    rng = np.random.default_rng(10)
+    before = rng.uniform(-5, 5, (6, 3, 4))
+    q = before.copy()
+    states, actions = rng.integers(3, size=6), rng.integers(4, size=6)
+    rewards, next_states = rng.uniform(-100, 100, 6), rng.integers(3, size=6)
+    td_update(q, np.arange(6), states, actions, rewards, next_states,
+              LearningParams(learning_rate=0.3, discount=0.8))
+    for k in range(6):
+        s, a = states[k], actions[k]
+        old = float(before[k, s, a])
+        expected = old + 0.3 * (float(rewards[k]) + 0.8 * float(before[k, next_states[k]].max()) - old)
+        assert q[k, s, a] == expected
+        others = np.ones((3, 4), dtype=bool)
+        others[s, a] = False
+        assert (q[k][others] == before[k][others]).all()
