@@ -6,6 +6,7 @@ effective config reproduces its run byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import yaml
@@ -103,6 +104,22 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str, nullable: bool = False):
+    # float() would take True as 1.0 and "10" as 10.0; the value is returned
+    # unchanged so an integer stays an integer in the echo
+    if value is None and nullable:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return list(value)
+
+
 def _check_flag(mapping: dict, key: str, section: str) -> None:
     # a quoted "no" or "false" is a truthy string, not an off switch
     if key in mapping and not isinstance(mapping[key], bool):
@@ -118,14 +135,23 @@ def config_from_dict(data: dict) -> SwarmConfig:
 
     world_data = _section(data, "world")
     _check_keys(world_data, _WORLD_KEYS, "world")
+    world_kwargs = {k: float(_real(v, f"world.{k}")) for k, v in world_data.items()}
     try:
-        world = WorldBounds(**{k: float(v) for k, v in world_data.items()})
+        world = WorldBounds(**world_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     mql_data = dict(_section(data, "mql"))
     _check_keys(mql_data, _MQL_KEYS, "mql")
     _check_flag(mql_data, "recover_lost", "mql")
+    for key in ("epsilon", "d_min", "tau_r", "tau_s", "reward_max", "learning_rate",
+                "discount", "explore_rate", "init_span"):
+        if key in mql_data:
+            # a null d_min or init_span means "derive it"
+            _real(mql_data[key], f"mql.{key}", nullable=key in ("d_min", "init_span"))
+    if "step_set" in mql_data:
+        mql_data["step_set"] = tuple(float(_real(s, "mql.step_set entry"))
+                                     for s in _list(mql_data["step_set"], "mql.step_set"))
     try:
         learning_kwargs = {}
         for key in ("learning_rate", "discount", "explore_rate"):
@@ -135,8 +161,6 @@ def config_from_dict(data: dict) -> SwarmConfig:
             learning = LearningParams(**learning_kwargs)
         except ValueError as exc:
             raise ConfigError(f"mql.{exc}") from exc
-        if "step_set" in mql_data:
-            mql_data["step_set"] = tuple(float(s) for s in mql_data["step_set"])
         mql = MqlParams(learning=learning, **mql_data)
     except ConfigError:
         raise
@@ -146,13 +170,18 @@ def config_from_dict(data: dict) -> SwarmConfig:
     pso_data = dict(_section(data, "pso"))
     _check_keys(pso_data, _PSO_KEYS, "pso")
     _check_flag(pso_data, "canonical_velocity", "pso")
+    for key in ("c1", "c2", "inertia_w0", "inertia_decrement", "constriction",
+                "v_min", "v_max"):
+        if key in pso_data:
+            _real(pso_data[key], f"pso.{key}")
     target_raw = pso_data.pop("target", None)
     pso_target = None
     if target_raw is not None:
         if not (isinstance(target_raw, (list, tuple)) and len(target_raw) == 2):
             raise ConfigError(f"pso.target must be a [x, y] pair, got {target_raw!r}")
+        x, y = (float(_real(v, "pso.target entry")) for v in target_raw)
         try:
-            pso_target = Vec2(float(target_raw[0]), float(target_raw[1]))
+            pso_target = Vec2(x, y)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"pso.target: {exc}") from exc
     try:
@@ -170,7 +199,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
                 kwargs[key] = _integer(data[key], key)
         for key in ("snapshot_ticks", "decision_particles"):
             if key in data:
-                kwargs[key] = tuple(_integer(t, key) for t in data[key])
+                kwargs[key] = tuple(_integer(t, key) for t in _list(data[key], key))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -17,17 +17,18 @@ The two bundled experiment presets:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import SwarmConfig, config_to_dict, dump_config
+from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
 from .core import Vec2
-from .metrics import (TickRecord, classify_decisions, connected_fraction,
-                      connectivity_components, cumulative_reward, dispersion,
-                      drift_onset)
+from .metrics import (Trace, as_trace, classify_decisions, connected_fraction,
+                      connectivity_components, cumulative_rewards, dispersion,
+                      drift_onsets)
 from .mql import MqlEngine, StateId
 from .pso import PsoEngine
 
@@ -35,6 +36,12 @@ TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
                  "neighbor_count")
 
 PRESETS = ("fig3-compare", "fig4-individuals")
+
+# Memory a run needs at least: the dense (M, M) sensing arrays (a float64
+# distance matrix, its masked copy and two boolean masks) plus the trace
+# columns (48 bytes a row), held twice while the per-tick rows are stacked.
+SENSING_BYTES_PER_PAIR = 18
+TRACE_BYTES_PER_ROW = 2 * 48
 
 
 @dataclass
@@ -71,13 +78,31 @@ def _build_engine(cfg: SwarmConfig, rng: np.random.Generator):
     return MqlEngine(cfg.swarm_size, cfg.mql, cfg.world, rng)
 
 
+def check_memory(cfg: SwarmConfig) -> None:
+    """Raise ConfigError if the run's estimated memory exceeds the machine's
+    physical memory, before anything is allocated."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
+        return
+    m, t = cfg.swarm_size, cfg.iterations
+    need = SENSING_BYTES_PER_PAIR * m * m + TRACE_BYTES_PER_ROW * m * t
+    if need > physical:
+        raise ConfigError(
+            f"swarm_size={m} with iterations={t} needs about {need / 2**30:.3g} GiB "
+            f"(dense M x M sensing plus the trace), more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory")
+
+
 def run_experiment(cfg: SwarmConfig):
     """Run cfg.iterations ticks from the seeded initial swarm.
 
-    Returns (trace, snapshots, summary): the flat list of TickRecords ordered
-    by (tick, particle), a {tick: positions} dict for each requested snapshot
-    (tick 0 meaning the initial scatter), and the RunSummary.
+    Returns (trace, snapshots, summary): the Trace of every (tick, particle)
+    row, a {tick: positions} dict for each requested snapshot (tick 0 meaning
+    the initial scatter), and the RunSummary. Raises ConfigError without
+    starting if the run cannot fit in memory (see ``check_memory``).
     """
+    check_memory(cfg)
     rng = np.random.default_rng(cfg.seed)
     engine = _build_engine(cfg, rng)
     epsilon = cfg.mql.epsilon
@@ -87,26 +112,26 @@ def run_experiment(cfg: SwarmConfig):
         snapshots[0] = engine.positions()
     initial_dispersion = dispersion(engine.positions())
 
-    trace: list[TickRecord] = []
+    ticks = []
     for t in range(cfg.iterations):
-        trace.extend(engine.tick())
+        ticks.append(engine.tick())
         if (t + 1) in cfg.snapshot_ticks:
             snapshots[t + 1] = engine.positions()
+    trace = Trace.concat(ticks)
+    del ticks  # the stacked columns replace the per-tick ones
 
     final_positions = engine.positions()
     if cfg.algorithm == "mql":
         q_shape = list(engine.q.shape[1:])
         q_tables = engine.q.reshape(cfg.swarm_size, -1).tolist()
-        rewards = engine.cumulative_rewards.tolist()
     else:
         q_shape = None
         q_tables = None
-        rewards = [cumulative_reward(trace, i) for i in range(cfg.swarm_size)]
 
     summary = RunSummary(
         config=config_to_dict(cfg),
-        cumulative_rewards=rewards,
-        drift_onsets=[drift_onset(trace, i) for i in range(cfg.swarm_size)],
+        cumulative_rewards=cumulative_rewards(trace),
+        drift_onsets=drift_onsets(trace),
         initial_dispersion=initial_dispersion,
         final_dispersion=dispersion(final_positions),
         final_connected_fraction=connected_fraction(final_positions, epsilon),
@@ -124,41 +149,40 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def write_trace_csv(trace: list[TickRecord], path) -> None:
-    """Header + one row per (tick, particle); state/action/reward cells are
-    empty when the record carries no decision."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in sorted(trace, key=lambda r: (r.tick, r.particle)):
-        lines.append(",".join((
-            str(r.tick),
-            str(r.particle),
-            _fmt(r.position.x),
-            _fmt(r.position.y),
-            "" if r.state is None else r.state.name,
-            "" if r.action is None else str(r.action),
-            "" if r.reward is None else _fmt(r.reward),
-            str(r.neighbor_count),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n")
+_STATE_CELLS = {-1: "", **{int(s): s.name for s in StateId}}
+_STATE_IDS = {name: s for s, name in _STATE_CELLS.items()}
 
 
-def read_trace_csv(path) -> list[TickRecord]:
+def write_trace_csv(trace, path) -> None:
+    """Header + one row per (tick, particle) of a Trace or a TickRecord
+    sequence; state/action/reward cells are empty when the row carries no
+    decision. Written one tick at a time."""
+    tr = as_trace(trace)
+    particles = range(tr.shape[1])
+    with open(path, "w") as f:
+        f.write(",".join(TRACE_COLUMNS) + "\n")
+        for tick, *columns in zip(tr.ticks.tolist(), tr.positions, tr.state, tr.action,
+                                  tr.reward, tr.neighbor_count):
+            f.writelines(
+                f"{tick},{i},{_fmt(x)},{_fmt(y)},{_STATE_CELLS[s]},{'' if a < 0 else a},"
+                f"{'' if math.isnan(r) else _fmt(r)},{c}\n"
+                for i, (x, y), s, a, r, c in zip(particles, *(col.tolist() for col in columns)))
+
+
+def read_trace_csv(path) -> Trace:
     """Inverse of write_trace_csv at the printed precision."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path} does not carry the expected trace header")
-    trace = []
-    for line in lines[1:]:
-        tick, particle, x, y, state, action, reward, ncount = line.split(",")
-        trace.append(TickRecord(
-            tick=int(tick), particle=int(particle),
-            position=Vec2(float(x), float(y)),
-            state=None if state == "" else StateId[state],
-            action=None if action == "" else int(action),
-            reward=None if reward == "" else float(reward),
-            neighbor_count=int(ncount),
-        ))
-    return trace
+    cols = list(zip(*(line.split(",") for line in lines[1:]))) or [()] * len(TRACE_COLUMNS)
+    tick, particle, x, y, state, action, reward, ncount = cols
+    return Trace.from_rows(
+        np.array(tick, dtype=np.int64), np.array(particle, dtype=np.int64),
+        np.column_stack([np.array(x, dtype=float), np.array(y, dtype=float)]),
+        [_STATE_IDS[s] for s in state],
+        [-1 if a == "" else int(a) for a in action],
+        [np.nan if r == "" else float(r) for r in reward],
+        np.array(ncount, dtype=np.int64))
 
 
 def write_snapshot_csv(positions: list[Vec2], path) -> None:
@@ -172,15 +196,16 @@ def write_summary_json(summary: RunSummary, path) -> None:
     Path(path).write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def write_decisions_csv(trace: list[TickRecord], particles, path) -> None:
+def write_decisions_csv(trace, particles, path) -> None:
     """Per-tick decision series (reward sign) for the designated particles."""
+    tr = as_trace(trace)
     lines = ["particle,tick,reward,decision"]
     for i in particles:
-        rows = sorted((r for r in trace if r.particle == i and r.reward is not None),
-                      key=lambda r: r.tick)
-        decisions = classify_decisions(trace, i)
-        for r, d in zip(rows, decisions):
-            lines.append(f"{i},{r.tick},{_fmt(r.reward)},{d}")
+        rewards = tr.column(i).reward[:, 0]
+        acted = ~np.isnan(rewards)
+        for tick, r, d in zip(tr.ticks[acted].tolist(), rewards[acted].tolist(),
+                              classify_decisions(tr, i)):
+            lines.append(f"{i},{tick},{_fmt(r)},{d}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

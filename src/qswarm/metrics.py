@@ -1,15 +1,23 @@
 """Trace records and swarm-level measurements.
 
-Everything here is a pure function over immutable inputs: proximity-graph
-components, cohesion fractions, centroid spread, reward bookkeeping, decision
-quality, and permanent-disconnection onset.
+A run's trace is a ``Trace``: (T, M) columns with one row per tick and one
+column per particle. The per-particle outcomes (drift onset, reward total,
+decision series) are each computed for the whole swarm in one pass over those
+columns; the per-particle functions are one-column calls of the same
+functions, and every one of them accepts a ``Trace`` or a sequence of
+``TickRecord``s (see ``as_trace``). The rest are pure functions of positions:
+proximity-graph components, cohesion fractions and centroid spread.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +44,132 @@ class TickRecord:
     action: int | None
     reward: float | None
     neighbor_count: int
+
+
+_COLUMNS = ("ticks", "positions", "state", "action", "reward", "neighbor_count")
+
+
+class Trace(Sequence):
+    """Log rows held as columns: ``ticks`` (T,) labels the rows, and
+    ``positions`` (T, M, 2), ``state``, ``action``, ``reward`` and
+    ``neighbor_count`` (T, M) hold one entry per tick and particle. A row
+    without a decision has state and action -1 and reward NaN.
+
+    As a ``Sequence[TickRecord]`` it lists the rows in (tick, particle) order
+    and builds each record only when it is read.
+    """
+
+    __slots__ = _COLUMNS
+    __hash__ = None
+
+    def __init__(self, ticks, positions, state, action, reward, neighbor_count):
+        self.ticks = np.asarray(ticks, dtype=np.int64)
+        self.positions = np.asarray(positions, dtype=float)
+        self.state = np.asarray(state, dtype=np.int64)
+        self.action = np.asarray(action, dtype=np.int64)
+        self.reward = np.asarray(reward, dtype=float)
+        self.neighbor_count = np.asarray(neighbor_count, dtype=np.int64)
+        shape = self.state.shape
+        if len(shape) != 2 or self.ticks.shape != shape[:1] \
+                or self.positions.shape != (*shape, 2) \
+                or any(getattr(self, c).shape != shape for c in _COLUMNS[3:]):
+            raise ValueError("trace columns must be ticks (T,), positions (T, M, 2) "
+                             "and (T, M) for the rest")
+
+    @classmethod
+    def from_rows(cls, tick, particle, positions, state, action, reward,
+                  neighbor_count) -> Trace:
+        """A Trace from flat per-row columns in any order; the rows must hold
+        particles 0..M-1 at every tick, once each."""
+        tick = np.asarray(tick, dtype=np.int64)
+        particle = np.asarray(particle, dtype=np.int64)
+        order = np.lexsort((particle, tick))
+        ticks = np.unique(tick)
+        m = len(tick) // max(len(ticks), 1)
+        if not (np.array_equal(tick[order], np.repeat(ticks, m))
+                and np.array_equal(particle[order], np.tile(np.arange(m), len(ticks)))):
+            raise ValueError("trace rows must hold particles 0..M-1 at every tick, once each")
+        shape = (len(ticks), m)
+        return cls(ticks, np.asarray(positions, dtype=float)[order].reshape(*shape, 2),
+                   *(np.asarray(col)[order].reshape(shape)
+                     for col in (state, action, reward, neighbor_count)))
+
+    @classmethod
+    def from_records(cls, records) -> Trace:
+        """A Trace from TickRecords in any order (see ``from_rows``)."""
+        records = list(records)
+        return cls.from_rows(
+            [r.tick for r in records], [r.particle for r in records],
+            np.array([(r.position.x, r.position.y) for r in records], dtype=float),
+            [-1 if r.state is None else int(r.state) for r in records],
+            [-1 if r.action is None else r.action for r in records],
+            [np.nan if r.reward is None else r.reward for r in records],
+            [r.neighbor_count for r in records])
+
+    @classmethod
+    def concat(cls, traces) -> Trace:
+        """The traces' rows one after another (all must have the same M)."""
+        return cls(*(np.concatenate([getattr(t, c) for t in traces]) for c in _COLUMNS))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(T, M): ticks by particles."""
+        return self.state.shape
+
+    def column(self, particle: int) -> Trace:
+        """The (T, 1) trace of one particle."""
+        if not 0 <= particle < self.shape[1]:
+            raise ValueError(f"trace contains no rows for particle {particle}")
+        one = slice(particle, particle + 1)
+        return Trace(self.ticks, *(getattr(self, c)[:, one] for c in _COLUMNS[1:]))
+
+    def __len__(self) -> int:
+        t, m = self.shape
+        return t * m
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"trace index {index} out of range for {len(self)} rows")
+        k %= len(self)
+        return next(self._records(k, k + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def _records(self, start: int, stop: int):
+        states = _state_ids()
+        ticks = self.ticks.tolist()
+        m = self.shape[1]
+        rows = zip(range(start, stop),
+                   *(getattr(self, c).reshape(-1)[start:stop].tolist()
+                     for c in _COLUMNS[2:]),
+                   self.positions.reshape(-1, 2)[start:stop].tolist())
+        for k, s, a, r, c, (x, y) in rows:
+            t, i = divmod(k, m)
+            # tick, particle, position, state, action, reward, neighbor_count
+            yield TickRecord(ticks[t], i, Vec2(x, y), None if s < 0 else states[s],
+                             None if a < 0 else a, None if math.isnan(r) else r, c)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c),
+                                  equal_nan=c == "reward") for c in _COLUMNS)
+
+
+@lru_cache(maxsize=None)
+def _state_ids() -> tuple[StateId, ...]:
+    from .mql import StateId  # mql imports this module
+
+    return tuple(StateId)
+
+
+def as_trace(trace) -> Trace:
+    """A Trace from a Trace (returned as is) or a sequence of TickRecords."""
+    return trace if isinstance(trace, Trace) else Trace.from_records(trace)
 
 
 def connectivity_components(positions, epsilon: float) -> list[int]:
@@ -83,36 +217,51 @@ def dispersion(positions) -> float:
     return float(np.sqrt(((arr - centroid) ** 2).sum(axis=1)).mean())
 
 
-def _particle_rows(trace: Iterable[TickRecord], particle: int) -> list[TickRecord]:
-    rows = sorted((r for r in trace if r.particle == particle), key=lambda r: r.tick)
-    if not rows:
-        raise ValueError(f"trace contains no rows for particle {particle}")
-    return rows
+def drift_onsets(trace) -> list[int | None]:
+    """Per particle, the first tick from which it stays neighbourless to the
+    end of the trace (counted in rows from the trace's first tick); None if
+    it ends the trace connected."""
+    tr = as_trace(trace)
+    rows = np.arange(tr.shape[0])[:, None]
+    last_connected = np.where(tr.neighbor_count > 0, rows, -1).max(axis=0, initial=-1)
+    return [None if k == tr.shape[0] - 1 else k + 1 for k in last_connected.tolist()]
 
 
-def cumulative_reward(trace: Sequence[TickRecord], particle: int) -> float:
-    """Sum of all rewards the particle received over the trace (0.0 if none)."""
-    rows = _particle_rows(trace, particle)
-    return float(sum(r.reward for r in rows if r.reward is not None))
+def cumulative_rewards(trace) -> list[float]:
+    """Per particle, the sum of its rewards in tick order (0.0 if none).
 
-
-def classify_decisions(trace: Sequence[TickRecord], particle: int) -> list[str]:
-    """Per acting tick: "good" iff the reward was strictly positive, else "bad".
-
-    Rows without a reward (non-moving round-robin ticks) carry no decision and
-    are skipped; in simultaneous scheduling every tick has one.
+    A running sum from 0.0 in which rows without a reward add 0.0, so each
+    total equals the left-to-right ``sum`` of the particle's rewards bit for
+    bit (a pairwise ``.sum()`` would not).
     """
-    rows = _particle_rows(trace, particle)
-    return ["good" if r.reward > 0 else "bad" for r in rows if r.reward is not None]
+    tr = as_trace(trace)
+    steps = np.where(np.isnan(tr.reward), 0.0, tr.reward)
+    return np.cumsum(np.vstack([np.zeros((1, tr.shape[1])), steps]), axis=0)[-1].tolist()
 
 
-def drift_onset(trace: Sequence[TickRecord], particle: int) -> int | None:
-    """First tick from which the particle stays neighbourless to the end of the
-    trace; None if it ends the run connected."""
-    counts = [r.neighbor_count for r in _particle_rows(trace, particle)]
-    if counts[-1] > 0:
-        return None
-    onset = len(counts) - 1
-    while onset > 0 and counts[onset - 1] == 0:
-        onset -= 1
-    return onset
+def decision_series(trace) -> list[list[str]]:
+    """Per particle, per acting tick: "good" iff the reward was strictly
+    positive, else "bad".
+
+    Rows without a reward (PSO rows, non-moving round-robin ticks) carry no
+    decision and are skipped; in simultaneous scheduling every tick has one.
+    """
+    tr = as_trace(trace)
+    acted = ~np.isnan(tr.reward)
+    good = np.where(tr.reward > 0, "good", "bad")
+    return [g[a].tolist() for g, a in zip(good.T, acted.T)]
+
+
+def drift_onset(trace, particle: int) -> int | None:
+    """``drift_onsets`` of one particle."""
+    return drift_onsets(as_trace(trace).column(particle))[0]
+
+
+def cumulative_reward(trace, particle: int) -> float:
+    """``cumulative_rewards`` of one particle."""
+    return cumulative_rewards(as_trace(trace).column(particle))[0]
+
+
+def classify_decisions(trace, particle: int) -> list[str]:
+    """``decision_series`` of one particle."""
+    return decision_series(as_trace(trace).column(particle))[0]

@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
 from .core import Vec2, WorldBounds, clamp_to_world, pairwise_distances, positions_array
-from .metrics import TickRecord
+from .metrics import Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
 
@@ -62,12 +63,25 @@ class ActionSpec:
 def build_actions(step_set) -> tuple[ActionSpec, ...]:
     """The fixed 12-action enumeration: axes outer, directions middle,
     magnitudes inner, so action ids are stable for a given step set."""
-    return tuple(
-        ActionSpec(axis=axis, direction=direction, magnitude=float(m))
+    return _action_table(tuple(float(m) for m in step_set))[0]
+
+
+@lru_cache(maxsize=32)
+def _action_table(step_set: tuple[float, ...]):
+    # the actions of one step set and their (axis, direction, magnitude)
+    # columns, built once and shared by every engine (the arrays are read-only)
+    actions = tuple(
+        ActionSpec(axis=axis, direction=direction, magnitude=m)
         for axis in (0, 1)
         for direction in (1, -1)
         for m in step_set
     )
+    columns = []
+    for name in ("axis", "direction", "magnitude"):
+        col = np.array([getattr(a, name) for a in actions])
+        col.flags.writeable = False
+        columns.append(col)
+    return (actions, *columns)
 
 
 @dataclass(frozen=True)
@@ -160,10 +174,13 @@ def encode_states(n, total, lowest, params: MqlParams) -> np.ndarray:
     """Coarse observation: disconnection and overlap first, then the relative
     deviation rho = D / (n * epsilon) against tau_s."""
     rho = deviation(n, total, params.epsilon) / (np.maximum(n, 1) * params.epsilon)
-    return np.select(
-        [n == 0, lowest < params.d_min, np.abs(rho) <= params.tau_s, rho < 0],
-        [StateId.DISCONNECTED, StateId.TOO_CLOSE, StateId.IDEAL, StateId.NEAR],
-        StateId.FAR)
+    # lowest priority first, so each later test overrides the earlier ones;
+    # plain ints, because numpy converts enum members slowly
+    states = np.where(rho < 0, StateId.NEAR.value, StateId.FAR.value)
+    states[np.abs(rho) <= params.tau_s] = StateId.IDEAL.value
+    states[lowest < params.d_min] = StateId.TOO_CLOSE.value
+    states[n == 0] = StateId.DISCONNECTED.value
+    return states
 
 
 def step_scales(n, total, epsilon: float) -> np.ndarray:
@@ -237,9 +254,6 @@ def reward(i: int, positions, params: MqlParams) -> float:
     return float(rewards(*_sense_one(i, positions, params.epsilon), params)[0])
 
 
-_STATES = tuple(StateId)
-
-
 class MqlEngine:
     """Stateful learning swarm with a fixed particle count, held as arrays:
     positions ``pos`` (M, 2), every utility table in ``q`` (M, states,
@@ -259,10 +273,8 @@ class MqlEngine:
         self.params = params
         self.world = world
         self.rng = rng
-        self.actions = build_actions(params.step_set)
-        self._axis = np.array([a.axis for a in self.actions])
-        self._direction = np.array([a.direction for a in self.actions])
-        self._magnitude = np.array([a.magnitude for a in self.actions])
+        self.actions, self._axis, self._direction, self._magnitude = \
+            _action_table(params.step_set)
         self.tick_index = 0
 
         if initial_positions is not None:
@@ -290,14 +302,16 @@ class MqlEngine:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
     def _select(self, states, n, dist_rows, movers) -> np.ndarray:
+        explore_rate = self.params.learning.explore_rate
+        if not self.params.recover_lost:
+            return epsilon_greedy_actions(self.q[movers, states], explore_rate, self.rng)
         actions = np.empty(len(movers), dtype=np.int64)
-        pursuing = (n == 0) & self.params.recover_lost & (self.m > 1)
+        pursuing = (n == 0) & (self.m > 1)
         if pursuing.any():
             actions[pursuing] = self._pursuit_actions(dist_rows[pursuing], movers[pursuing])
         learning = ~pursuing
         actions[learning] = epsilon_greedy_actions(
-            self.q[movers[learning], states[learning]],
-            self.params.learning.explore_rate, self.rng)
+            self.q[movers[learning], states[learning]], explore_rate, self.rng)
         return actions
 
     def _pursuit_actions(self, dist_rows, rows) -> np.ndarray:
@@ -311,11 +325,12 @@ class MqlEngine:
         # build_actions order: axis outer, direction (+1, -1) middle, magnitude inner
         return 6 * axis + 3 * backward + 2
 
-    def tick(self) -> list[TickRecord]:
+    def tick(self) -> Trace:
         """One step of the movers: every particle (simultaneous) or particle
         tick % M (round_robin). Movers sense and choose on the positions at
         the start of the tick, move together, and are scored and updated on
-        the swarm sensed once after the move."""
+        the swarm sensed once after the move. Returns the tick's rows as a
+        one-tick Trace."""
         prm = self.params
         if prm.schedule == "round_robin":
             movers = np.array([self.tick_index % self.m])
@@ -338,14 +353,14 @@ class MqlEngine:
         td_update(self.q, movers, states, actions, r, next_states[movers], prm.learning)
         self.cumulative_rewards[movers] += r
 
-        # a mover's row carries its decision; every other row its current state
-        decided = dict(zip(movers.tolist(), zip(states.tolist(), actions.tolist(), r.tolist())))
-        records = []
-        for i, ((x, y), s, c) in enumerate(zip(self.pos.tolist(), next_states.tolist(),
-                                                n1.tolist())):
-            s, a, ri = decided.get(i, (s, None, None))
-            records.append(TickRecord(tick=self.tick_index, particle=i, position=Vec2(x, y),
-                                      state=_STATES[s], action=a, reward=ri,
-                                      neighbor_count=c))
+        # a mover's row carries its decision; every other row its current
+        # state and no action or reward
+        next_states[movers] = states
+        decided = np.full(self.m, -1)
+        decided[movers] = actions
+        scored = np.full(self.m, np.nan)
+        scored[movers] = r
+        rows = Trace([self.tick_index], self.pos[None].copy(), next_states[None],
+                     decided[None], scored[None], n1[None])
         self.tick_index += 1
-        return records
+        return rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Vec2, WorldBounds, adjacency_matrix, clamp_to_world, euclidean_distance, positions_array
-from .metrics import TickRecord
+from .metrics import Trace
 
 
 @dataclass(frozen=True)
@@ -182,16 +182,15 @@ class PsoEngine:
     def positions(self) -> list[Vec2]:
         return [p.position for p in self.swarm]
 
-    def tick(self) -> list[TickRecord]:
+    def tick(self) -> Trace:
+        """Advance the swarm one step; returns its rows as a one-tick Trace,
+        none of which carries a decision."""
         self.inertia = pso_step(self.swarm, self.objective, self.inertia,
                                 self.params, self.rng)
-        neighbor_counts = adjacency_matrix(positions_array(self.positions()),
-                                           self.sensing_radius).sum(axis=1)
-        records = [
-            TickRecord(tick=self.tick_index, particle=i, position=p.position,
-                       state=None, action=None, reward=None,
-                       neighbor_count=int(neighbor_counts[i]))
-            for i, p in enumerate(self.swarm)
-        ]
+        arr = positions_array(self.positions())
+        neighbor_counts = adjacency_matrix(arr, self.sensing_radius).sum(axis=1)
+        m = len(arr)
+        rows = Trace([self.tick_index], arr[None], np.full((1, m), -1), np.full((1, m), -1),
+                     np.full((1, m), np.nan), neighbor_counts[None])
         self.tick_index += 1
-        return records
+        return rows

@@ -45,8 +45,10 @@ def greedy_actions(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     pick = np.zeros(len(rows), dtype=np.int64)
     tied = counts > 1
     pick[tied] = rng.integers(counts[tied])
-    # the pick-th (0-based) tied column of each row
-    return np.argmax(np.cumsum(ties, axis=1) > pick[:, None], axis=1)
+    # the pick-th (0-based) tied column of each row: the row's tied columns
+    # are consecutive, in ascending order, in the row-major nonzero list
+    _, columns = np.nonzero(ties)
+    return columns[np.cumsum(counts) - counts + pick]
 
 
 def epsilon_greedy_actions(rows: np.ndarray, explore_rate: float,

@@ -80,3 +80,11 @@ def test_preset_fig3_runs_both_arms(tmp_path):
 def test_unknown_preset_fails_listing_names(capsys):
     assert main(["preset", "fig9", "--out", "/tmp/x"]) == 1
     assert "fig4-individuals" in capsys.readouterr().err
+
+
+def test_run_too_large_for_memory_is_a_one_line_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "swarm_size: 10000000\niterations: 5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "physical memory" in err
+    assert len(err.strip().splitlines()) == 1

@@ -84,11 +84,33 @@ def test_invalid_values_name_their_key(tmp_path):
     ("mql: {recover_lost: 'no'}\n", "recover_lost"),
     ("mql: {recover_lost: 1}\n", "recover_lost"),
     ("pso: {canonical_velocity: 'false'}\n", "canonical_velocity"),
+    ("mql: {epsilon: true}\n", "mql.epsilon"),
+    ("mql: {epsilon: '10'}\n", "mql.epsilon"),
+    ("mql: {init_span: '5'}\n", "mql.init_span"),
+    ("mql: {learning_rate: '0.1'}\n", "mql.learning_rate"),
+    ("mql: {explore_rate: true}\n", "mql.explore_rate"),
+    ("mql: {step_set: [0.5, '1', 2]}\n", "mql.step_set"),
+    ("mql: {step_set: [0.5, true, 2]}\n", "mql.step_set"),
+    ("mql: {step_set: 2}\n", "mql.step_set"),
+    ("pso: {c1: true}\n", "pso.c1"),
+    ("pso: {v_max: '2'}\n", "pso.v_max"),
+    ("pso: {target: [true, 5]}\n", "pso.target"),
+    ("pso: {target: ['10', 5]}\n", "pso.target"),
+    ("world: {x_max: true}\n", "world.x_max"),
+    ("world: {y_min: '0'}\n", "world.y_min"),
+    ("snapshot_ticks: 5\n", "snapshot_ticks"),
 ])
 def test_coercible_values_rejected_by_name(tmp_path, text, key):
-    # each of these used to be silently truncated or kept as a truthy string
+    # each of these used to be silently truncated, coerced by float(), or
+    # kept as given and echoed back
     with pytest.raises(ConfigError, match=key):
         load_config(write_cfg(tmp_path, text))
+
+
+def test_integer_for_a_float_key_is_echoed_as_written(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, "mql: {epsilon: 12}\npso: {c1: 1}\n"))
+    assert cfg.mql.epsilon == 12.0 and cfg.pso.c1 == 1.0
+    assert load_config(write_cfg(tmp_path, dump_config(cfg))) == cfg
 
 
 def test_integral_float_is_the_same_integer(tmp_path):

@@ -201,3 +201,51 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk full"):
         run_to_dir(small_cfg(), tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    {"mql": {"schedule": "round_robin"}},
+    {"algorithm": "pso"},
+])
+def test_trace_csv_bytes_are_the_same_from_columns_and_from_records(tmp_path, over):
+    cfg = small_cfg(swarm_size=4, iterations=6, snapshot_ticks=[], **over)
+    trace, _, _ = run_experiment(cfg)
+    write_trace_csv(trace, tmp_path / "columns.csv")
+    write_trace_csv(list(trace), tmp_path / "records.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+    # what is read back writes the same bytes again
+    write_trace_csv(read_trace_csv(tmp_path / "columns.csv"), tmp_path / "reread.csv")
+    assert (tmp_path / "reread.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+
+def test_decisions_csv_bytes_are_the_same_from_columns_and_from_records(tmp_path):
+    from qswarm.harness import write_decisions_csv
+
+    trace, _, _ = run_experiment(small_cfg(mql={"schedule": "round_robin"}))
+    write_decisions_csv(trace, [0, 2], tmp_path / "columns.csv")
+    write_decisions_csv(list(trace), [0, 2], tmp_path / "records.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+    assert len((tmp_path / "columns.csv").read_text().splitlines()) == 1 + 4 + 3
+
+
+def test_run_too_large_for_memory_fails_before_allocating(monkeypatch):
+    import tracemalloc
+
+    import qswarm.harness as harness
+    from qswarm.config import ConfigError
+
+    def no_engine(*args):
+        raise AssertionError("the engine must not be built")
+
+    monkeypatch.setattr(harness, "_build_engine", no_engine)
+    cfg = small_cfg(swarm_size=10**7, snapshot_ticks=[])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="swarm_size=10000000") as err:
+            run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(err.value)
+    assert peak < 1 << 20

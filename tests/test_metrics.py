@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswarm.core import Vec2
-from qswarm.metrics import (TickRecord, classify_decisions, connected_fraction,
-                            connectivity_components, cumulative_reward,
-                            dispersion, drift_onset)
+from qswarm.metrics import (TickRecord, Trace, as_trace, classify_decisions,
+                            connected_fraction, connectivity_components,
+                            cumulative_reward, cumulative_rewards, decision_series,
+                            dispersion, drift_onset, drift_onsets)
 from qswarm.mql import StateId
 
 
@@ -122,3 +125,127 @@ def test_drift_onset_disconnected_from_start():
 def test_drift_onset_last_tick_only():
     trace = trace_from_rewards([0.0] * 3, neighbors=[1, 1, 0])
     assert drift_onset(trace, 0) == 2
+
+
+# --- the column trace and the one-pass summary -----------------------------------
+#
+# The reference functions below are the per-particle list scans the summary
+# used before it became one pass over the columns; they are the oracle.
+
+def _particle_rows(records, particle):
+    rows = sorted((r for r in records if r.particle == particle), key=lambda r: r.tick)
+    if not rows:
+        raise ValueError(f"trace contains no rows for particle {particle}")
+    return rows
+
+
+def reference_cumulative_reward(records, particle):
+    rows = _particle_rows(records, particle)
+    return float(sum(r.reward for r in rows if r.reward is not None))
+
+
+def reference_decisions(records, particle):
+    rows = _particle_rows(records, particle)
+    return ["good" if r.reward > 0 else "bad" for r in rows if r.reward is not None]
+
+
+def reference_drift_onset(records, particle):
+    counts = [r.neighbor_count for r in _particle_rows(records, particle)]
+    if counts[-1] > 0:
+        return None
+    onset = len(counts) - 1
+    while onset > 0 and counts[onset - 1] == 0:
+        onset -= 1
+    return onset
+
+
+@st.composite
+def traces(draw):
+    """(T, M) count and reward columns; a row has no reward either at random
+    or, as under round-robin, everywhere but on particle tick % M."""
+    t = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 3), min_size=t * m, max_size=t * m))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=t * m, max_size=t * m))
+    if draw(st.booleans()):
+        acted = np.arange(m)[None, :] == (np.arange(t) % m)[:, None]
+    else:
+        acted = np.array(draw(st.lists(st.booleans(), min_size=t * m,
+                                       max_size=t * m))).reshape(t, m)
+    reward = np.where(acted, np.array(values).reshape(t, m), np.nan)
+    return Trace(np.arange(t), np.zeros((t, m, 2)), np.where(acted, 2, -1),
+                 np.where(acted, 0, -1), reward, np.array(counts).reshape(t, m))
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces())
+def test_one_pass_summary_matches_the_per_particle_scans(trace):
+    records = list(trace)
+    m = trace.shape[1]
+    assert drift_onsets(trace) == [reference_drift_onset(records, i) for i in range(m)]
+    # bit-equal, not approximately equal: the totals are left-to-right sums
+    assert bits(cumulative_rewards(trace)) == \
+        bits([reference_cumulative_reward(records, i) for i in range(m)])
+    assert decision_series(trace) == [reference_decisions(records, i) for i in range(m)]
+    for i in range(m):
+        assert drift_onset(records, i) == reference_drift_onset(records, i)
+        assert bits([cumulative_reward(records, i)]) == \
+            bits([reference_cumulative_reward(records, i)])
+        assert classify_decisions(records, i) == reference_decisions(records, i)
+
+
+def test_totals_are_not_pairwise_sums():
+    # values chosen so that numpy's pairwise .sum() differs from a running sum
+    values = np.array([1e16, 1.0, -1e16, 1.0] * 5 + [3.0] * 12)
+    trace = Trace(np.arange(len(values)), np.zeros((len(values), 1, 2)),
+                  np.zeros((len(values), 1)), np.zeros((len(values), 1)),
+                  values[:, None], np.ones((len(values), 1)))
+    assert cumulative_rewards(trace) == [sum(values.tolist())]
+
+
+def two_tick_trace():
+    return Trace([4, 5], [[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, 7.0]]],
+                 [[3, -1], [0, 1]], [[7, -1], [2, 11]],
+                 [[100.0, np.nan], [-100.0, 0.5]], [[1, 0], [0, 2]])
+
+
+def test_trace_is_a_sequence_of_records_in_tick_particle_order():
+    trace = two_tick_trace()
+    assert len(trace) == 4 and trace.shape == (2, 2)
+    assert [(r.tick, r.particle) for r in trace] == [(4, 0), (4, 1), (5, 0), (5, 1)]
+    assert trace[0] == TickRecord(tick=4, particle=0, position=Vec2(0.0, 1.0),
+                                  state=StateId.IDEAL, action=7, reward=100.0,
+                                  neighbor_count=1)
+    assert trace[1] == TickRecord(tick=4, particle=1, position=Vec2(2.0, 3.0), state=None,
+                                  action=None, reward=None, neighbor_count=0)
+    assert trace[-1] == list(trace)[3]
+    assert trace[1:3] == list(trace)[1:3]
+    with pytest.raises(IndexError):
+        trace[4]
+    rows = []
+    rows.extend(trace)
+    assert rows == list(trace)
+
+
+def test_trace_equality_is_column_wise_and_round_trips_through_records():
+    trace = two_tick_trace()
+    assert trace == two_tick_trace()
+    assert Trace.from_records(list(trace)) == trace
+    assert Trace.from_records(reversed(list(trace))) == trace
+    assert as_trace(trace) is trace
+    other = two_tick_trace()
+    other.reward[1, 1] = 0.25
+    assert trace != other
+    assert Trace.concat([trace, trace]).shape == (4, 2)
+
+
+def test_records_must_cover_every_particle_at_every_tick():
+    trace = list(two_tick_trace())
+    with pytest.raises(ValueError, match="every tick"):
+        Trace.from_records(trace[:3])
+    with pytest.raises(ValueError, match="every tick"):
+        Trace.from_records(trace + trace[:2])

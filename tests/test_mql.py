@@ -390,3 +390,35 @@ def test_params_validation():
         MqlParams(reward_max=-5.0)
     # d_min defaults to a fifth of the sensing radius
     assert MqlParams(epsilon=10.0).d_min == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("schedule", ["simultaneous", "round_robin"])
+def test_tick_returns_columns_without_building_records(monkeypatch, schedule):
+    import qswarm.core
+    import qswarm.metrics
+    from qswarm.metrics import Trace
+
+    def not_in_tick(self, *args, **kwargs):
+        raise AssertionError("tick() must not build per-row objects")
+
+    engine = MqlEngine(5, MqlParams(schedule=schedule), WorldBounds(),
+                       np.random.default_rng(36))
+    with monkeypatch.context() as patch:
+        patch.setattr(qswarm.metrics.TickRecord, "__init__", not_in_tick)
+        patch.setattr(qswarm.core.Vec2, "__init__", not_in_tick)
+        rows = engine.tick()
+    assert isinstance(rows, Trace) and rows.shape == (1, 5)
+    assert rows.ticks.tolist() == [0]
+    assert np.array_equal(rows.positions[0], engine.pos)
+    acted = ~np.isnan(rows.reward[0])
+    assert acted.sum() == (5 if schedule == "simultaneous" else 1)
+    assert (rows.action[0][acted] >= 0).all() and (rows.action[0][~acted] == -1).all()
+    assert (rows.state[0] >= 0).all()
+
+
+def test_build_actions_accepts_any_sequence_and_is_shared():
+    assert build_actions([0.5, 1, 2.0]) == build_actions((0.5, 1.0, 2.0))
+    assert build_actions(np.array([0.5, 1.0, 2.0])) is build_actions((0.5, 1.0, 2.0))
+    a = MqlEngine(2, MqlParams(), WorldBounds(), np.random.default_rng(37))
+    b = MqlEngine(3, MqlParams(), WorldBounds(), np.random.default_rng(37))
+    assert a.actions is b.actions

@@ -202,6 +202,24 @@ def test_engine_trace_rows_have_no_decisions():
         assert r.neighbor_count >= 0
 
 
+def test_engine_tick_returns_columns_without_building_records(monkeypatch):
+    import qswarm.metrics
+    from qswarm.metrics import Trace
+
+    def not_in_tick(self, *args, **kwargs):
+        raise AssertionError("tick() must not build TickRecords")
+
+    engine = PsoEngine(4, PsoParams(bounds=WorldBounds()), Objective(),
+                       sensing_radius=10.0, rng=np.random.default_rng(7))
+    with monkeypatch.context() as patch:
+        patch.setattr(qswarm.metrics.TickRecord, "__init__", not_in_tick)
+        rows = engine.tick()
+    assert isinstance(rows, Trace) and rows.shape == (1, 4)
+    assert rows.positions[0].tolist() == [[p.x, p.y] for p in engine.positions()]
+    assert (rows.state == -1).all() and (rows.action == -1).all()
+    assert np.isnan(rows.reward).all()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(v_min=2.0, v_max=-2.0)
