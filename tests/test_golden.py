@@ -4,8 +4,8 @@ Each case is written with run_to_dir and the sha256 of trace.csv,
 summary.json and (when decision particles are designated) decisions.csv is
 compared with the digests recorded below. A refactor that keeps these bytes
 keeps every engine path they exercise: epsilon-greedy exploration, the
-nearest-peer pursuit, round-robin scheduling with both, a lone particle, the
-PSO velocity memory term, and the bundled presets.
+nearest-peer pursuit, round-robin scheduling with both and with neither (at
+M=40), a lone particle, the PSO velocity memory term, and the bundled presets.
 
 To re-record after a deliberate output change:
 
@@ -37,6 +37,7 @@ CASES = {
     "rr-explore-recover": dict(swarm_size=8, iterations=60, decision_particles=[3],
                                mql={"schedule": "round_robin", "explore_rate": 0.2,
                                     "recover_lost": True, "init_span": 50.0}),
+    "rr-plain": dict(swarm_size=40, iterations=200, mql={"schedule": "round_robin"}),
     "mql-single": dict(swarm_size=1, iterations=20, snapshot_ticks=[0, 20]),
     "pso-canonical": dict(algorithm="pso", swarm_size=10, iterations=30,
                           snapshot_ticks=[0, 30], pso={"canonical_velocity": True}),
@@ -159,6 +160,18 @@ GOLDEN = {
         'trace': '373f854b366cce1378afe5eab3ba7b3c68b22a216bbcb890c23c96c1c0366ad9',
         'summary': '1dc5188193e375688fd571e18c29293efe4b1a93232894ab59cbbd46d2c688d7',
         'decisions': '793ed95484dffcf8c57f1fc47cb2dc2df6e5cdd0054909f7a89b73c905803656',
+    },
+    'rr-plain-s0': {
+        'trace': 'cf03a345a644d1f05c57dca1c98c19849c472e483bb39cb417e587f5837b7872',
+        'summary': '339963f9b7f74a90f56776fd01aed4da175be5be40f817c277b89f165db844a3',
+    },
+    'rr-plain-s1': {
+        'trace': '5fae813f9452611f520a0847b715405201adfb5ceff686ceecb74b6d501352ad',
+        'summary': '8ec76f2a0c97466145456c98ea8d9b98cdea4e565cbba540607e99aea18861d9',
+    },
+    'rr-plain-s2': {
+        'trace': '5e52715cc66d13d65f3ea32b5001cca5d855ebb98f48f3446dac252f4e984f94',
+        'summary': '4320bd8cfab56bf5339af86febf3af152698918ddd8f95d1c593daa272918fb0',
     },
 }
 
