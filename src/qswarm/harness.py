@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
 from .core import Vec2
-from .metrics import (Trace, as_trace, classify_decisions, connected_fraction,
-                      connectivity_components, cumulative_rewards, dispersion,
-                      drift_onsets)
+from .metrics import (Trace, as_trace, classify_decisions, connectivity_components,
+                      cumulative_rewards, dispersion, drift_onsets)
 from .mql import MqlEngine, StateId
 from .pso import PsoEngine
 
@@ -134,7 +133,9 @@ def run_experiment(cfg: SwarmConfig):
         drift_onsets=drift_onsets(trace),
         initial_dispersion=initial_dispersion,
         final_dispersion=dispersion(final_positions),
-        final_connected_fraction=connected_fraction(final_positions, epsilon),
+        # the last tick's neighbour counts are the final positions' proximity
+        # graph, so this is connected_fraction(final_positions, epsilon)
+        final_connected_fraction=float((trace.neighbor_count[-1] > 0).mean()),
         snapshot_components={t: connectivity_components(pos, epsilon)
                              for t, pos in sorted(snapshots.items())},
         q_table_shape=q_shape,

@@ -48,6 +48,10 @@ class StateId(IntEnum):
 
 NUM_STATES = len(StateId)
 
+# the states as plain ints for array code: numpy converts enum members slowly,
+# and even reading a member's value costs a descriptor call
+_DISCONNECTED, _TOO_CLOSE, _NEAR, _IDEAL, _FAR = (s.value for s in StateId)
+
 SCHEDULES = ("simultaneous", "round_robin")
 
 
@@ -174,12 +178,11 @@ def encode_states(n, total, lowest, params: MqlParams) -> np.ndarray:
     """Coarse observation: disconnection and overlap first, then the relative
     deviation rho = D / (n * epsilon) against tau_s."""
     rho = deviation(n, total, params.epsilon) / (np.maximum(n, 1) * params.epsilon)
-    # lowest priority first, so each later test overrides the earlier ones;
-    # plain ints, because numpy converts enum members slowly
-    states = np.where(rho < 0, StateId.NEAR.value, StateId.FAR.value)
-    states[np.abs(rho) <= params.tau_s] = StateId.IDEAL.value
-    states[lowest < params.d_min] = StateId.TOO_CLOSE.value
-    states[n == 0] = StateId.DISCONNECTED.value
+    # lowest priority first, so each later test overrides the earlier ones
+    states = np.where(rho < 0, _NEAR, _FAR)
+    states[np.abs(rho) <= params.tau_s] = _IDEAL
+    states[lowest < params.d_min] = _TOO_CLOSE
+    states[n == 0] = _DISCONNECTED
     return states
 
 
@@ -257,7 +260,9 @@ def reward(i: int, positions, params: MqlParams) -> float:
 class MqlEngine:
     """Stateful learning swarm with a fixed particle count, held as arrays:
     positions ``pos`` (M, 2), every utility table in ``q`` (M, states,
-    actions), and ``cumulative_rewards`` (M,).
+    actions), and ``cumulative_rewards`` (M,). ``sensed`` carries the
+    swarm's neighbourhood summary (n, total, lowest, states), each (M,), from
+    one tick to the next (None before the first tick).
 
     Random draws are consumed in a documented order: first 2*M uniform draws
     for the initial positions (particle order, x then y), then per tick the
@@ -293,6 +298,9 @@ class MqlEngine:
             self.pos = low + span * rng.random((m, 2))
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
         self.cumulative_rewards = np.zeros(m)
+        # (n, total, lowest, states) of every particle, sensed on _sensed_on
+        self.sensed = None
+        self._sensed_on = None
 
     @property
     def m(self) -> int:
@@ -301,14 +309,34 @@ class MqlEngine:
     def positions(self) -> list[Vec2]:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
-    def _select(self, states, n, dist_rows, movers) -> np.ndarray:
+    def _sense(self, rows=None) -> None:
+        """Sense particles ``rows`` (None: all of them) on the current
+        positions into the carried summary ``sensed``."""
+        n, total, lowest = sense(pairwise_distances(self.pos, rows),
+                                 np.arange(self.m) if rows is None else rows,
+                                 self.params.epsilon)
+        fresh = (n, total, lowest, encode_states(n, total, lowest, self.params))
+        if rows is None:
+            self.sensed, self._sensed_on = fresh, self.pos.copy()
+            return
+        for carried, values in zip(self.sensed, fresh):
+            carried[rows] = values
+        self._sensed_on[rows] = self.pos[rows]
+
+    def _near(self, movers) -> np.ndarray:
+        # (M,) mask of the particles strictly within epsilon of some mover
+        return (pairwise_distances(self.pos, movers) < self.params.epsilon).any(axis=0)
+
+    def _select(self, states, n, movers) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
         if not self.params.recover_lost:
             return epsilon_greedy_actions(self.q[movers, states], explore_rate, self.rng)
         actions = np.empty(len(movers), dtype=np.int64)
         pursuing = (n == 0) & (self.m > 1)
         if pursuing.any():
-            actions[pursuing] = self._pursuit_actions(dist_rows[pursuing], movers[pursuing])
+            pursuers = movers[pursuing]
+            actions[pursuing] = self._pursuit_actions(pairwise_distances(self.pos, pursuers),
+                                                      pursuers)
         learning = ~pursuing
         actions[learning] = epsilon_greedy_actions(
             self.q[movers[learning], states[learning]], explore_rate, self.rng)
@@ -327,40 +355,47 @@ class MqlEngine:
 
     def tick(self) -> Trace:
         """One step of the movers: every particle (simultaneous) or particle
-        tick % M (round_robin). Movers sense and choose on the positions at
-        the start of the tick, move together, and are scored and updated on
-        the swarm sensed once after the move. Returns the tick's rows as a
-        one-tick Trace."""
+        tick % M (round_robin). Movers choose on the summary sensed at the
+        start of the tick, move together, and are scored and updated on the
+        summary sensed after the move. Returns the tick's rows as a one-tick
+        Trace.
+
+        The summary is carried from tick to tick and re-sensed only in the
+        rows a move can change: a row depends on a mover only through their
+        distance, so it changes only if the mover was or is within epsilon of
+        it. The whole swarm is sensed afresh when there is no summary yet or
+        ``pos`` was written since it was sensed."""
         prm = self.params
+        if self.sensed is None or not np.array_equal(self.pos, self._sensed_on):
+            self._sense()
         if prm.schedule == "round_robin":
             movers = np.array([self.tick_index % self.m])
         else:
             movers = np.arange(self.m)
+        some_stay = len(movers) < self.m
 
-        dist_rows = pairwise_distances(self.pos, movers)
-        n, total, lowest = sense(dist_rows, movers, prm.epsilon)
-        states = encode_states(n, total, lowest, prm)
-        actions = self._select(states, n, dist_rows, movers)
-        del dist_rows  # release it before the post-move matrix is built
+        n, total, lowest, states = (col[movers] for col in self.sensed)
+        actions = self._select(states, n, movers)
+        near_before = self._near(movers) if some_stay else None
         self.pos[movers] = move(self.pos[movers], self._axis[actions],
                                 self._direction[actions], self._magnitude[actions],
                                 step_scales(n, total, prm.epsilon), self.world)
+        self._sense(np.flatnonzero(near_before | self._near(movers)) if some_stay else None)
 
-        n1, total1, lowest1 = sense(pairwise_distances(self.pos), np.arange(self.m),
-                                    prm.epsilon)
-        next_states = encode_states(n1, total1, lowest1, prm)
+        n1, total1, lowest1, states1 = self.sensed
         r = rewards(n1[movers], total1[movers], lowest1[movers], prm)
-        td_update(self.q, movers, states, actions, r, next_states[movers], prm.learning)
+        td_update(self.q, movers, states, actions, r, states1[movers], prm.learning)
         self.cumulative_rewards[movers] += r
 
         # a mover's row carries its decision; every other row its current
-        # state and no action or reward
-        next_states[movers] = states
+        # state and no action or reward (copies: the summary is written in place)
+        state_col = states1.copy()
+        state_col[movers] = states
         decided = np.full(self.m, -1)
         decided[movers] = actions
         scored = np.full(self.m, np.nan)
         scored[movers] = r
-        rows = Trace([self.tick_index], self.pos[None].copy(), next_states[None],
-                     decided[None], scored[None], n1[None])
+        rows = Trace([self.tick_index], self.pos[None].copy(), state_col[None],
+                     decided[None], scored[None], n1[None].copy())
         self.tick_index += 1
         return rows

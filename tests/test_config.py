@@ -1,8 +1,14 @@
-import pytest
+import math
 
-from qswarm.config import (ConfigError, SwarmConfig, config_from_dict,
-                           config_to_dict, dump_config, load_config)
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qswarm.config import (ALGORITHMS, MAX_SEED, ConfigError, SwarmConfig,
+                           config_from_dict, config_to_dict, dump_config, load_config)
 from qswarm.core import Vec2
+from qswarm.mql import SCHEDULES
 
 
 def write_cfg(tmp_path, text):
@@ -146,6 +152,82 @@ pso:
 def test_round_trip_of_defaults():
     cfg = SwarmConfig()
     assert config_from_dict(__import__("yaml").safe_load(dump_config(cfg))) == cfg
+
+
+def _numbers(lo, hi, exclude_min=False, exclude_max=False):
+    """The floats in a range and the integers in it: a float key also takes
+    an integer, which is echoed as written."""
+    floats = st.floats(lo, hi, exclude_min=exclude_min, exclude_max=exclude_max)
+    low = math.floor(lo) + 1 if exclude_min else math.ceil(lo)
+    high = math.ceil(hi) - 1 if exclude_max else math.floor(hi)
+    return floats if low > high else st.one_of(floats, st.integers(low, high))
+
+
+@st.composite
+def _sections(draw, keys):
+    """A random subset of ``keys`` (name -> strategy) as a dict, drawn in order
+    so later strategies may depend on earlier values."""
+    out = {}
+    for name, strategy in keys:
+        if draw(st.booleans()):
+            out[name] = draw(strategy(out) if callable(strategy) else strategy)
+    return out
+
+
+@st.composite
+def valid_configs(draw):
+    iterations = draw(st.integers(1, 10**6))
+    swarm_size = draw(st.integers(1, 10**6))
+    x_min, y_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    world = {"x_min": x_min, "y_min": y_min,
+             "x_max": draw(st.floats(x_min, 2e6, exclude_min=True)),
+             "y_max": draw(st.floats(y_min, 2e6, exclude_min=True))}
+    steps = sorted(draw(st.sets(st.floats(1e-3, 1e3), min_size=3, max_size=3)))
+    mql = draw(_sections([
+        ("epsilon", _numbers(1e-3, 1e3)),
+        ("d_min", lambda mql: st.one_of(st.none(), st.floats(
+            0.0, mql.get("epsilon", 10.0), exclude_min=True, exclude_max=True))),
+        ("tau_r", _numbers(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        ("tau_s", _numbers(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        ("reward_max", _numbers(0.0, 1e6, exclude_min=True)),
+        ("step_set", st.just(steps)),
+        ("learning_rate", _numbers(0.0, 1.0)),
+        ("discount", _numbers(0.0, 1.0)),
+        ("explore_rate", _numbers(0.0, 1.0)),
+        ("schedule", st.sampled_from(SCHEDULES)),
+        ("init_span", st.one_of(st.none(), _numbers(0.0, 1e6, exclude_min=True))),
+        ("recover_lost", st.booleans()),
+    ]))
+    pso = draw(_sections([
+        ("c1", _numbers(0.0, 10.0)),
+        ("c2", _numbers(0.0, 10.0)),
+        ("inertia_w0", _numbers(0.0, 1.0, exclude_min=True)),
+        ("inertia_decrement", _numbers(0.0, 1.0, exclude_min=True)),
+        ("constriction", _numbers(0.0, 1.0)),
+        ("v_min", _numbers(-10.0, 0.0, exclude_max=True)),
+        ("v_max", _numbers(0.0, 10.0, exclude_min=True)),
+        ("canonical_velocity", st.booleans()),
+        ("target", st.one_of(st.none(), st.tuples(
+            st.floats(x_min, world["x_max"]), st.floats(y_min, world["y_max"])).map(list))),
+    ]))
+    data = draw(_sections([
+        ("algorithm", st.sampled_from(ALGORITHMS)),
+        ("seed", st.integers(0, MAX_SEED)),
+        ("output_dir", st.text(min_size=1, max_size=20)),
+        ("snapshot_ticks", st.lists(st.integers(0, iterations), max_size=5)),
+        ("decision_particles", st.lists(st.integers(0, swarm_size - 1), max_size=5)),
+    ]))
+    return config_from_dict({**data, "swarm_size": swarm_size, "iterations": iterations,
+                             "world": world, "mql": mql, "pso": pso})
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs())
+def test_every_valid_config_round_trips_through_its_dump(cfg):
+    text = dump_config(cfg)
+    echoed = config_from_dict(yaml.safe_load(text))
+    assert echoed == cfg
+    assert dump_config(echoed) == text
 
 
 def test_objective_defaults_to_world_center():

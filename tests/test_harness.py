@@ -63,6 +63,18 @@ def test_summary_recomputable_from_trace():
             sum(r.reward for r in trace if r.particle == i), abs=1e-9)
 
 
+@pytest.mark.parametrize("algorithm, schedule", [
+    ("mql", "simultaneous"), ("mql", "round_robin"), ("pso", "simultaneous")])
+def test_final_connected_fraction_is_that_of_the_final_positions(algorithm, schedule):
+    # the summary reads it off the last tick's neighbour counts
+    cfg = small_cfg(algorithm=algorithm, swarm_size=12, iterations=15, seed=1,
+                    mql={"schedule": schedule, "init_span": 60.0})
+    trace, _, summary = run_experiment(cfg)
+    expected = connected_fraction(trace.positions[-1], cfg.mql.epsilon)
+    assert 0.0 < expected < 1.0
+    assert summary.final_connected_fraction == expected
+
+
 def test_summary_q_tables_present_for_mql_only():
     _, _, mql_summary = run_experiment(small_cfg())
     assert mql_summary.q_table_shape == [5, 12]

@@ -1,13 +1,17 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qswarm.core import Vec2, WorldBounds
-from qswarm.mql import (ActionSpec, MqlEngine, MqlParams, StateId, apply_action,
-                        build_actions, deviation, distance_deviation, encode_state,
-                        encode_states, neighborhood, reward, rewards, sense,
-                        step_scale_pi, step_scales)
+from qswarm.core import Vec2, WorldBounds, pairwise_distances
+from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
+                        apply_action, build_actions, deviation, distance_deviation,
+                        encode_state, encode_states, neighborhood, reward, rewards,
+                        sense, step_scale_pi, step_scales)
+from qswarm.qlearning import LearningParams
 
 
 def make_params(**over):
@@ -422,3 +426,116 @@ def test_build_actions_accepts_any_sequence_and_is_shared():
     a = MqlEngine(2, MqlParams(), WorldBounds(), np.random.default_rng(37))
     b = MqlEngine(3, MqlParams(), WorldBounds(), np.random.default_rng(37))
     assert a.actions is b.actions
+
+
+# --- the carried neighbourhood summary -------------------------------------------
+
+@st.composite
+def engines(draw):
+    """An engine on either schedule, with or without exploration and pursuit,
+    in a world small enough that moves hit the walls. Lattice swarms have an
+    integer epsilon, integer world and integer steps, so some peers sit at
+    exactly epsilon."""
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        epsilon = float(draw(st.integers(2, 8)))
+        side = float(draw(st.integers(3, 30)))
+        coords = st.integers(0, int(side)).map(float)
+        step_set = (1.0, 2.0, 3.0)
+    else:
+        epsilon = draw(st.floats(2.0, 20.0))
+        side = draw(st.floats(5.0, 100.0))
+        coords = st.floats(0.0, side)
+        step_set = (0.5, 1.0, 2.0)
+    params = MqlParams(
+        epsilon=epsilon, step_set=step_set,
+        schedule=draw(st.sampled_from(SCHEDULES)),
+        learning=LearningParams(explore_rate=draw(st.sampled_from([0.0, 0.3]))),
+        recover_lost=draw(st.booleans()))
+    start = draw(st.lists(st.builds(Vec2, coords, coords), min_size=m, max_size=m))
+    return MqlEngine(m, params, WorldBounds(0.0, side, 0.0, side),
+                     np.random.default_rng(draw(st.integers(0, 2**32))),
+                     initial_positions=start)
+
+
+def assert_carries_a_fresh_sensing(engine):
+    m = engine.m
+    n, total, lowest = sense(pairwise_distances(engine.pos), np.arange(m),
+                             engine.params.epsilon)
+    fresh = (n, total, lowest, encode_states(n, total, lowest, engine.params))
+    for carried, expected in zip(engine.sensed, fresh, strict=True):
+        assert carried.dtype == expected.dtype and carried.shape == (m,)
+        assert carried.tobytes() == expected.tobytes()  # bit for bit
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine=engines(), ticks=st.integers(1, 40))
+def test_carried_summary_equals_a_fresh_sensing_after_every_tick(engine, ticks):
+    for _ in range(ticks):
+        rows = engine.tick()
+        assert_carries_a_fresh_sensing(engine)
+        assert np.array_equal(rows.neighbor_count[0], engine.sensed[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(engine=engines(), ticks=st.integers(0, 5), in_place=st.booleans(), data=st.data())
+def test_writing_pos_between_ticks_is_sensed_afresh(engine, ticks, in_place, data):
+    for _ in range(ticks):
+        engine.tick()
+    w, m = engine.world, engine.m
+    moved = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    new_xy = data.draw(st.lists(st.tuples(st.floats(w.x_min, w.x_max),
+                                          st.floats(w.y_min, w.y_max)),
+                                min_size=len(moved), max_size=len(moved)))
+    if in_place:
+        engine.pos[moved] = new_xy
+    else:
+        pos = engine.pos.copy()
+        pos[moved] = new_xy
+        engine.pos = pos
+
+    fresh = MqlEngine(m, engine.params, w, copy.deepcopy(engine.rng),
+                      initial_positions=[Vec2(x, y) for x, y in engine.pos.tolist()])
+    fresh.q = engine.q.copy()
+    fresh.tick_index = engine.tick_index
+    assert engine.tick() == fresh.tick()
+    assert np.array_equal(engine.pos, fresh.pos)
+    assert np.array_equal(engine.q, fresh.q)
+    assert_carries_a_fresh_sensing(engine)
+
+
+def test_tick_rows_are_not_written_by_later_ticks():
+    engine = MqlEngine(12, MqlParams(schedule="round_robin", init_span=15.0),
+                       WorldBounds(), np.random.default_rng(38))
+    first = engine.tick()
+    kept = copy.deepcopy(first)
+    for _ in range(24):
+        engine.tick()
+    assert first == kept
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule):
+    import qswarm.mql
+
+    sensed_rows = []
+
+    def counting(arr, rows=None):
+        sensed_rows.append(len(arr) if rows is None else len(rows))
+        return pairwise_distances(arr, rows)
+
+    m = 40
+    engine = MqlEngine(m, MqlParams(schedule=schedule, init_span=60.0), WorldBounds(),
+                       np.random.default_rng(39))
+    monkeypatch.setattr(qswarm.mql, "pairwise_distances", counting)
+    engine.tick()  # no carried summary yet: the whole swarm is sensed first
+    assert sensed_rows[0] == m
+    sensed_rows.clear()
+    for _ in range(10):
+        engine.tick()
+    if schedule == "simultaneous":
+        assert sensed_rows == [m] * 10
+    else:
+        # each tick: the mover's row before and after the move, then the
+        # touched rows only
+        assert len(sensed_rows) == 30 and max(sensed_rows) < m // 2
