@@ -13,9 +13,7 @@ from .metrics import (TickRecord, Trace, as_trace, classify_decisions, connected
 from .mql import (ActionSpec, MqlEngine, MqlParams, StateId,
                   apply_action, build_actions, distance_deviation, encode_state,
                   neighborhood, reward, step_scale_pi)
-from .pso import (Objective, PsoEngine, PsoParams, PsoParticle,
-                  pso_init, pso_step, select_global_best, update_personal_best,
-                  velocity_update)
+from .pso import Objective, PsoEngine, PsoParams, PsoParticle, pso_step, velocity_update
 from .qlearning import LearningParams, QTable
 
 __version__ = "0.1.0"

@@ -12,6 +12,15 @@ velocity, v(t+1) = constriction * (w_t * v(t) + c1*r1*(pbest-x) + c2*r2*(gbest-x
 Fitness is minimised; the default objective is the distance to a fixed target
 point, which drives the whole swarm onto (nearly) one spot — the collapse this
 baseline exists to demonstrate.
+
+The swarm is held as arrays (see ``PsoEngine``) and each rule is one array
+function over its rows: ``Objective.fitness``, ``velocity_update`` and the
+clamp, which ``pso_step`` applies to the whole swarm once per tick. They give
+the same bits as evaluating the rules one particle at a time in Python floats:
+squares are taken with ``np.float_power(d, 2.0)``, which is libm ``pow`` like
+Python's ``d ** 2`` (``d * d`` differs from it in the last bit on some floats),
+and the clamp keeps the tie rule of ``min(max(v, lo), hi)``, so a bound of
+-0.0 leaves the same signed zero.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, adjacency_matrix, clamp_to_world, euclidean_distance, positions_array
+from .core import Vec2, WorldBounds, adjacency_matrix
 from .metrics import Trace
 
 
@@ -31,8 +40,14 @@ class Objective:
 
     target: Vec2 = Vec2(50.0, 50.0)
 
+    def fitness(self, pos: np.ndarray) -> np.ndarray:
+        """(K,) distances from the rows of ``pos`` (K, 2) to the target,
+        bit-identical to ``core.euclidean_distance`` row by row."""
+        d = pos - self.target.as_tuple()
+        return np.sqrt(np.float_power(d, 2.0).sum(axis=1))
+
     def evaluate(self, p: Vec2) -> float:
-        return euclidean_distance(p, self.target)
+        return float(self.fitness(np.array([p.as_tuple()]))[0])
 
 
 @dataclass(frozen=True)
@@ -64,106 +79,68 @@ class PsoParams:
             raise ValueError(f"pso.v_min must be < pso.v_max (got {self.v_min} >= {self.v_max})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsoParticle:
+    """One row of ``PsoEngine.swarm``, a read-only view of the engine's arrays."""
+
     position: Vec2
     velocity: Vec2
     best_position: Vec2
     best_fitness: float
 
 
-def pso_init(m: int, params: PsoParams, objective: Objective,
-             rng: np.random.Generator) -> list[PsoParticle]:
-    """Seed a swarm: every position/velocity component is min + (max-min)*u
-    with u uniform in [0, 1]; personal bests start at the initial positions.
-
-    All position components are drawn before any velocity component (particle
-    order, x then y), so engines sharing a seed start from the same scatter.
-    """
-    if m < 1:
-        raise ValueError(f"swarm size must be >= 1, got {m}")
-    b = params.bounds
-    positions = [
-        Vec2(b.x_min + (b.x_max - b.x_min) * rng.random(),
-             b.y_min + (b.y_max - b.y_min) * rng.random())
-        for _ in range(m)
-    ]
-    velocities = [
-        Vec2(params.v_min + (params.v_max - params.v_min) * rng.random(),
-             params.v_min + (params.v_max - params.v_min) * rng.random())
-        for _ in range(m)
-    ]
-    return [
-        PsoParticle(position=x, velocity=v, best_position=x,
-                    best_fitness=objective.evaluate(x))
-        for x, v in zip(positions, velocities)
-    ]
+def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
+    # min(max(v, lo), hi) elementwise with Python's tie rule, where v wins a
+    # tie: np.maximum(0.0, -0.0) gives -0.0 where max(0.0, -0.0) gives 0.0
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
 
 
-def update_personal_best(p: PsoParticle, objective: Objective) -> None:
-    """Replace the personal best iff the current position strictly improves it."""
-    fitness = objective.evaluate(p.position)
-    if fitness < p.best_fitness:
-        p.best_position = p.position
-        p.best_fitness = fitness
-
-
-def select_global_best(swarm: list[PsoParticle]) -> tuple[int, Vec2]:
-    """Index and position of the particle with the minimal personal-best
-    fitness; ties go to the lowest index."""
-    if not swarm:
-        raise ValueError("cannot select a global best from an empty swarm")
-    best = 0
-    for i in range(1, len(swarm)):
-        if swarm[i].best_fitness < swarm[best].best_fitness:
-            best = i
-    return best, swarm[best].best_position
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
-
-
-def velocity_update(p: PsoParticle, gbest: Vec2, w_t: float, params: PsoParams,
-                    rng: np.random.Generator) -> Vec2:
-    """New velocity from the pbest/gbest pulls, scaled by inertia and the
+def velocity_update(pos: np.ndarray, vel: np.ndarray, best_pos: np.ndarray, gbest,
+                    r: np.ndarray, w_t: float, params: PsoParams) -> np.ndarray:
+    """(K, 2) new velocities for rows at ``pos`` with velocities ``vel`` and
+    personal bests ``best_pos``, pulled towards ``gbest`` with each row's draws
+    (r1, r2) in ``r`` (K, 2): the pbest/gbest pulls, scaled by inertia and the
     constriction factor, then clamped per component to [v_min, v_max]."""
-    r1 = rng.random()
-    r2 = rng.random()
-    dvx = params.c1 * r1 * (p.best_position.x - p.position.x) \
-        + params.c2 * r2 * (gbest.x - p.position.x)
-    dvy = params.c1 * r1 * (p.best_position.y - p.position.y) \
-        + params.c2 * r2 * (gbest.y - p.position.y)
+    dv = params.c1 * r[:, :1] * (best_pos - pos) + params.c2 * r[:, 1:] * (gbest - pos)
     if params.canonical_velocity:
-        vx = params.constriction * (w_t * p.velocity.x + dvx)
-        vy = params.constriction * (w_t * p.velocity.y + dvy)
+        v = params.constriction * (w_t * vel + dv)
     else:
-        vx = params.constriction * w_t * dvx
-        vy = params.constriction * w_t * dvy
-    return Vec2(_clamp(vx, params.v_min, params.v_max),
-                _clamp(vy, params.v_min, params.v_max))
+        v = params.constriction * w_t * dv
+    return _clamp(v, params.v_min, params.v_max)
 
 
-def pso_step(swarm: list[PsoParticle], objective: Objective, w_t: float,
-             params: PsoParams, rng: np.random.Generator) -> float:
-    """Advance the swarm one tick in place and return the decayed inertia.
+def pso_step(engine: PsoEngine) -> float:
+    """Advance ``engine``'s swarm one tick and return the decayed inertia.
 
-    The global best used by every velocity update is the one standing at the
-    start of the tick; personal bests refresh as particles move, so the next
+    Every velocity pulls towards the global best standing at the start of the
+    tick (the lowest index among equal best fitnesses); a personal best is
+    replaced only by a strictly better position, after the move, so the next
     tick sees the updated global best.
     """
-    _, gbest = select_global_best(swarm)
-    for p in swarm:
-        v = velocity_update(p, gbest, w_t, params, rng)
-        p.velocity = v
-        p.position = clamp_to_world(Vec2(p.position.x + v.x, p.position.y + v.y),
-                                    params.bounds)
-        update_personal_best(p, objective)
-    return w_t * params.inertia_decrement
+    gbest = engine.best_pos[np.argmin(engine.best_fit)]
+    r = engine.rng.random((engine.m, 2))
+    engine.vel = velocity_update(engine.pos, engine.vel, engine.best_pos, gbest, r,
+                                 engine.inertia, engine.params)
+    b = engine.params.bounds
+    engine.pos = _clamp(engine.pos + engine.vel, (b.x_min, b.y_min), (b.x_max, b.y_max))
+    fit = engine.objective.fitness(engine.pos)
+    better = fit < engine.best_fit
+    engine.best_pos[better] = engine.pos[better]
+    engine.best_fit[better] = fit[better]
+    return engine.inertia * engine.params.inertia_decrement
 
 
 class PsoEngine:
-    """Stateful wrapper running the baseline swarm and emitting trace rows.
+    """Stateful baseline swarm held as arrays: positions ``pos`` and
+    velocities ``vel`` (M, 2), personal bests ``best_pos`` (M, 2) and their
+    fitness ``best_fit`` (M,).
+
+    Every initial position and velocity component is min + (max - min) * u
+    with u uniform in [0, 1): one (M, 2) draw for the positions (particle
+    order, x then y), then one for the velocities, so engines sharing a seed
+    start from the same scatter. Personal bests start at the initial
+    positions. Each tick then draws every particle's (r1, r2) in index order.
 
     ``sensing_radius`` only feeds the neighbor_count column so baseline traces
     are comparable with the learning swarm under one connectivity definition.
@@ -171,26 +148,42 @@ class PsoEngine:
 
     def __init__(self, m: int, params: PsoParams, objective: Objective,
                  sensing_radius: float, rng: np.random.Generator):
+        if m < 1:
+            raise ValueError(f"swarm size must be >= 1, got {m}")
         self.params = params
         self.objective = objective
         self.sensing_radius = float(sensing_radius)
         self.rng = rng
-        self.swarm = pso_init(m, params, objective, rng)
+        b = params.bounds
+        self.pos = np.array([b.x_min, b.y_min], dtype=float) \
+            + np.array([b.width, b.height], dtype=float) * rng.random((m, 2))
+        self.vel = params.v_min + (params.v_max - params.v_min) * rng.random((m, 2))
+        self.best_pos = self.pos.copy()
+        self.best_fit = objective.fitness(self.pos)
         self.inertia = params.inertia_w0
         self.tick_index = 0
 
+    @property
+    def m(self) -> int:
+        return len(self.pos)
+
+    @property
+    def swarm(self) -> list[PsoParticle]:
+        """The particles as ``PsoParticle`` rows, built from the arrays on each read."""
+        return [PsoParticle(Vec2(*p), Vec2(*v), Vec2(*b), f)
+                for p, v, b, f in zip(self.pos.tolist(), self.vel.tolist(),
+                                      self.best_pos.tolist(), self.best_fit.tolist())]
+
     def positions(self) -> list[Vec2]:
-        return [p.position for p in self.swarm]
+        return [Vec2(x, y) for x, y in self.pos.tolist()]
 
     def tick(self) -> Trace:
         """Advance the swarm one step; returns its rows as a one-tick Trace,
         none of which carries a decision."""
-        self.inertia = pso_step(self.swarm, self.objective, self.inertia,
-                                self.params, self.rng)
-        arr = positions_array(self.positions())
-        neighbor_counts = adjacency_matrix(arr, self.sensing_radius).sum(axis=1)
-        m = len(arr)
-        rows = Trace([self.tick_index], arr[None], np.full((1, m), -1), np.full((1, m), -1),
-                     np.full((1, m), np.nan), neighbor_counts[None])
+        self.inertia = pso_step(self)
+        m = self.m
+        neighbor_counts = adjacency_matrix(self.pos, self.sensing_radius).sum(axis=1)
+        rows = Trace([self.tick_index], self.pos[None].copy(), np.full((1, m), -1),
+                     np.full((1, m), -1), np.full((1, m), np.nan), neighbor_counts[None])
         self.tick_index += 1
         return rows

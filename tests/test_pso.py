@@ -1,10 +1,13 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qswarm.core import Vec2, WorldBounds
-from qswarm.pso import (Objective, PsoEngine, PsoParams, PsoParticle,
-                        pso_init, pso_step, select_global_best,
-                        update_personal_best, velocity_update)
+from qswarm.core import Vec2, WorldBounds, euclidean_distance
+from qswarm.pso import Objective, PsoEngine, PsoParams, pso_step, velocity_update
 
 
 class FakeRng:
@@ -13,8 +16,12 @@ class FakeRng:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self):
-        return self.draws.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        n = math.prod(size)
+        taken, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(taken, dtype=float).reshape(size)
 
 
 def make_params(**over):
@@ -23,12 +30,25 @@ def make_params(**over):
     return PsoParams(**defaults)
 
 
+def make_engine(pos, best_pos, best_fit, target=Vec2(0, 0), rng=None, **over):
+    """An engine at rest whose arrays are replaced by the given rows."""
+    engine = PsoEngine(len(pos), make_params(**over), Objective(target=target),
+                       sensing_radius=10.0, rng=np.random.default_rng(0))
+    engine.pos = np.array(pos, dtype=float)
+    engine.vel = np.zeros_like(engine.pos)
+    engine.best_pos = np.array(best_pos, dtype=float)
+    engine.best_fit = np.array(best_fit, dtype=float)
+    if rng is not None:
+        engine.rng = rng
+    return engine
+
+
 def test_init_components_follow_range_formula():
     # u=0.5 maps to the middle of [x_min, x_max]
     params = make_params(v_min=-1.0, v_max=1.0)
     rng = FakeRng([0.5, 0.5, 0.0, 1.0])
-    swarm = pso_init(1, params, Objective(target=Vec2(0, 0)), rng)
-    p = swarm[0]
+    engine = PsoEngine(1, params, Objective(target=Vec2(0, 0)), sensing_radius=10.0, rng=rng)
+    p = engine.swarm[0]
     assert p.position == Vec2(5.0, 5.0)
     assert p.velocity == Vec2(-1.0, 1.0)
 
@@ -36,99 +56,93 @@ def test_init_components_follow_range_formula():
 def test_init_velocity_at_lower_limit():
     params = make_params(v_min=-1.0, v_max=1.0)
     rng = FakeRng([0.2, 0.8, 0.0, 0.0])
-    swarm = pso_init(1, params, Objective(target=Vec2(0, 0)), rng)
-    assert swarm[0].velocity == Vec2(-1.0, -1.0)
+    engine = PsoEngine(1, params, Objective(target=Vec2(0, 0)), sensing_radius=10.0, rng=rng)
+    assert engine.swarm[0].velocity == Vec2(-1.0, -1.0)
 
 
 def test_init_personal_best_is_initial_position():
     params = make_params()
-    rng = np.random.default_rng(0)
     obj = Objective(target=Vec2(5, 5))
-    for p in pso_init(4, params, obj, rng):
+    engine = PsoEngine(4, params, obj, sensing_radius=10.0, rng=np.random.default_rng(0))
+    for p in engine.swarm:
         assert p.best_position == p.position
         assert p.best_fitness == obj.evaluate(p.position)
 
 
 def test_init_rejects_empty_swarm():
     with pytest.raises(ValueError):
-        pso_init(0, make_params(), Objective(), np.random.default_rng(0))
+        PsoEngine(0, make_params(), Objective(), sensing_radius=10.0,
+                  rng=np.random.default_rng(0))
 
 
 def test_fitness_examples():
     obj = Objective(target=Vec2(0, 0))
     assert obj.evaluate(Vec2(0, 0)) == 0.0
     assert obj.evaluate(Vec2(3, 4)) == 5.0
+    assert obj.fitness(np.array([[0.0, 0.0], [3.0, 4.0]])).tolist() == [0.0, 5.0]
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        assert obj.evaluate(Vec2(*rng.uniform(-50, 50, 2))) >= 0.0
+    assert (obj.fitness(rng.uniform(-50, 50, (100, 2))) >= 0.0).all()
 
 
 def test_personal_best_update_rules():
-    obj = Objective(target=Vec2(0, 0))
-    # strict improvement replaces
-    p = PsoParticle(Vec2(0, 2), Vec2(0, 0), Vec2(0, 3), 3.0)
-    update_personal_best(p, obj)
-    assert (p.best_position, p.best_fitness) == (Vec2(0, 2), 2.0)
-    # tie does not replace
-    p = PsoParticle(Vec2(3, 0), Vec2(0, 0), Vec2(0, 3), 3.0)
-    update_personal_best(p, obj)
-    assert p.best_position == Vec2(0, 3)
-    # worse does not replace
-    p = PsoParticle(Vec2(0, 4), Vec2(0, 0), Vec2(0, 3), 3.0)
-    update_personal_best(p, obj)
-    assert p.best_position == Vec2(0, 3)
-
-
-def make_swarm(fitnesses):
-    return [PsoParticle(Vec2(i, 0), Vec2(0, 0), Vec2(i, 0), f)
-            for i, f in enumerate(fitnesses)]
+    # constriction 0 keeps every particle in place; target (0, 0), all bests
+    # (0, 3) at fitness 3: a strict improvement replaces, a tie and a worse
+    # position do not
+    engine = make_engine([[0, 2], [3, 0], [0, 4]], [[0, 3]] * 3, [3.0] * 3,
+                         constriction=0.0)
+    pso_step(engine)
+    assert engine.best_pos.tolist() == [[0.0, 2.0], [0.0, 3.0], [0.0, 3.0]]
+    assert engine.best_fit.tolist() == [2.0, 3.0, 3.0]
 
 
 def test_select_global_best():
-    assert select_global_best(make_swarm([3.2, 1.1, 5.0]))[0] == 1
-    assert select_global_best(make_swarm([2.0, 2.0]))[0] == 0
-    assert select_global_best(make_swarm([4.2]))[0] == 0
-    with pytest.raises(ValueError):
-        select_global_best([])
+    # every particle sits at the origin with its best at (i + 1, 0); with
+    # c1 = 0, c2 = r2 = w = 1 its velocity is the global best position
+    for fitnesses, best in (([3.2, 1.1, 5.0], 1), ([2.0, 2.0], 0), ([4.2], 0)):
+        m = len(fitnesses)
+        engine = make_engine([[0, 0]] * m, [[i + 1, 0] for i in range(m)], fitnesses,
+                             rng=FakeRng([1.0] * 2 * m), c1=0.0, c2=1.0,
+                             inertia_w0=1.0, v_min=-50.0, v_max=50.0)
+        pso_step(engine)
+        assert engine.vel.tolist() == [[best + 1.0, 0.0]] * m
+
+
+def one_velocity(x, v, pbest, gbest, r1, r2, w, params):
+    return velocity_update(np.array([x], dtype=float), np.array([v], dtype=float),
+                           np.array([pbest], dtype=float), np.array(gbest, dtype=float),
+                           np.array([[r1, r2]]), w, params)[0].tolist()
 
 
 def test_velocity_update_hand_value():
     # x=(0,0), pbest=(1,0), gbest=(2,0), c1=c2=2, r1=r2=0.5, w=0.9:
     # dv = 2*0.5*1 + 2*0.5*2 = 3, v = 0.9*3 = 2.7
     params = make_params(c1=2.0, c2=2.0, v_min=-10.0, v_max=10.0)
-    p = PsoParticle(Vec2(0, 0), Vec2(0, 0), Vec2(1, 0), 1.0)
-    v = velocity_update(p, Vec2(2, 0), 0.9, params, FakeRng([0.5, 0.5]))
-    assert v.x == pytest.approx(2.7, rel=1e-12)
-    assert v.y == 0.0
+    vx, vy = one_velocity((0, 0), (0, 0), (1, 0), (2, 0), 0.5, 0.5, 0.9, params)
+    assert vx == pytest.approx(2.7, rel=1e-12)
+    assert vy == 0.0
 
 
 def test_velocity_zero_at_consensus():
     params = make_params()
-    p = PsoParticle(Vec2(3, 3), Vec2(1, 1), Vec2(3, 3), 0.0)
-    v = velocity_update(p, Vec2(3, 3), 0.9, params, FakeRng([0.7, 0.2]))
-    assert v == Vec2(0.0, 0.0)
+    assert one_velocity((3, 3), (1, 1), (3, 3), (3, 3), 0.7, 0.2, 0.9, params) == [0.0, 0.0]
 
 
 def test_velocity_zero_constriction_annihilates_motion():
     params = make_params(constriction=0.0)
-    p = PsoParticle(Vec2(0, 0), Vec2(1, 1), Vec2(5, 5), 1.0)
-    v = velocity_update(p, Vec2(9, 9), 0.9, params, FakeRng([1.0, 1.0]))
-    assert v == Vec2(0.0, 0.0)
+    assert one_velocity((0, 0), (1, 1), (5, 5), (9, 9), 1.0, 1.0, 0.9, params) == [0.0, 0.0]
 
 
 def test_velocity_clamped_to_limits():
     params = make_params(v_min=-2.0, v_max=2.0)
-    p = PsoParticle(Vec2(0, 0), Vec2(0, 0), Vec2(10, -10), 1.0)
-    v = velocity_update(p, Vec2(10, -10), 0.9, params, FakeRng([1.0, 1.0]))
-    assert v == Vec2(2.0, -2.0)
+    assert one_velocity((0, 0), (0, 0), (10, -10), (10, -10), 1.0, 1.0, 0.9,
+                        params) == [2.0, -2.0]
 
 
 def test_canonical_velocity_keeps_memory_term():
     params = make_params(canonical_velocity=True, v_min=-50.0, v_max=50.0)
-    p = PsoParticle(Vec2(0, 0), Vec2(4, -4), Vec2(0, 0), 0.0)
     # pbest == gbest == x so only w * v(t) survives
-    v = velocity_update(p, Vec2(0, 0), 0.5, params, FakeRng([0.3, 0.3]))
-    assert v == Vec2(2.0, -2.0)
+    assert one_velocity((0, 0), (4, -4), (0, 0), (0, 0), 0.3, 0.3, 0.5,
+                        params) == [2.0, -2.0]
 
 
 def test_canonical_velocity_full_form():
@@ -137,49 +151,39 @@ def test_canonical_velocity_full_form():
     # w=0.5 -> 0.5*2 + 2*0.5*2 + 2*0.25*4 = 1 + 2 + 2 = 5
     params = make_params(canonical_velocity=True, c1=2.0, c2=2.0,
                          v_min=-50.0, v_max=50.0)
-    p = PsoParticle(Vec2(1, 0), Vec2(2, 0), Vec2(3, 0), 2.0)
-    v = velocity_update(p, Vec2(5, 0), 0.5, params, FakeRng([0.5, 0.25]))
-    assert v.x == pytest.approx(5.0, rel=1e-12)
-    assert v.y == 0.0
+    vx, vy = one_velocity((1, 0), (2, 0), (3, 0), (5, 0), 0.5, 0.25, 0.5, params)
+    assert vx == pytest.approx(5.0, rel=1e-12)
+    assert vy == 0.0
 
 
 def test_step_fixed_point_at_optimum():
-    params = make_params()
-    obj = Objective(target=Vec2(5, 5))
-    swarm = [PsoParticle(Vec2(5, 5), Vec2(0, 0), Vec2(5, 5), 0.0)]
-    pso_step(swarm, obj, 0.9, params, np.random.default_rng(2))
-    assert swarm[0].position == Vec2(5, 5)
-    assert swarm[0].best_fitness == 0.0
+    engine = make_engine([[5, 5]], [[5, 5]], [0.0], target=Vec2(5, 5),
+                         rng=np.random.default_rng(2))
+    pso_step(engine)
+    assert engine.positions() == [Vec2(5, 5)]
+    assert engine.best_fit.tolist() == [0.0]
 
 
 def test_step_returns_decayed_inertia():
-    params = make_params(inertia_w0=0.9, inertia_decrement=0.99)
-    swarm = [PsoParticle(Vec2(5, 5), Vec2(0, 0), Vec2(5, 5), 0.0)]
-    w1 = pso_step(swarm, Objective(target=Vec2(5, 5)), 0.9, params,
-                  np.random.default_rng(3))
-    assert w1 == pytest.approx(0.891, rel=1e-12)
+    engine = make_engine([[5, 5]], [[5, 5]], [0.0], target=Vec2(5, 5),
+                         rng=np.random.default_rng(3), inertia_w0=0.9,
+                         inertia_decrement=0.99)
+    assert pso_step(engine) == pytest.approx(0.891, rel=1e-12)
 
 
 def test_step_monotone_bests_and_bounds():
     params = make_params(bounds=WorldBounds(0, 100, 0, 100))
-    obj = Objective(target=Vec2(50, 50))
-    rng = np.random.default_rng(4)
-    swarm = pso_init(6, params, obj, rng)
-    w = params.inertia_w0
-    prev_pbest = [p.best_fitness for p in swarm]
-    prev_gbest = min(prev_pbest)
+    engine = PsoEngine(6, params, Objective(target=Vec2(50, 50)), sensing_radius=10.0,
+                       rng=np.random.default_rng(4))
+    prev_pbest = engine.best_fit.copy()
     for _ in range(60):
-        w = pso_step(swarm, obj, w, params, rng)
-        pbest = [p.best_fitness for p in swarm]
-        gbest = min(pbest)
-        assert all(now <= before for now, before in zip(pbest, prev_pbest))
-        assert gbest <= prev_gbest
-        assert select_global_best(swarm)[0] == int(np.argmin(pbest))
-        for p in swarm:
-            assert params.bounds.contains(p.position)
-            assert params.v_min <= p.velocity.x <= params.v_max
-            assert params.v_min <= p.velocity.y <= params.v_max
-        prev_pbest, prev_gbest = pbest, gbest
+        engine.inertia = pso_step(engine)
+        pbest = engine.best_fit
+        assert (pbest <= prev_pbest).all()
+        assert pbest.min() <= prev_pbest.min()
+        assert all(params.bounds.contains(p) for p in engine.positions())
+        assert ((params.v_min <= engine.vel) & (engine.vel <= params.v_max)).all()
+        prev_pbest = pbest.copy()
 
 
 def test_engine_inertia_sequence_is_geometric():
@@ -220,6 +224,23 @@ def test_engine_tick_returns_columns_without_building_records(monkeypatch):
     assert np.isnan(rows.reward).all()
 
 
+def test_engine_tick_builds_no_particles_or_vec2(monkeypatch):
+    import qswarm.core
+    import qswarm.pso
+
+    def not_in_tick(self, *args, **kwargs):
+        raise AssertionError("tick() must not build per-particle objects")
+
+    engine = PsoEngine(5, PsoParams(bounds=WorldBounds()), Objective(),
+                       sensing_radius=10.0, rng=np.random.default_rng(8))
+    with monkeypatch.context() as patch:
+        patch.setattr(qswarm.pso.PsoParticle, "__init__", not_in_tick)
+        patch.setattr(qswarm.core.Vec2, "__init__", not_in_tick)
+        for _ in range(3):
+            engine.tick()
+    assert engine.tick_index == 3
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(v_min=2.0, v_max=-2.0)
@@ -229,3 +250,141 @@ def test_params_validation():
         make_params(inertia_w0=0.0)
     with pytest.raises(ValueError):
         make_params(inertia_decrement=1.5)
+
+
+# --- the array rules against the scalar rules they replaced -------------------
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=8),
+       target=st.tuples(finite_floats, finite_floats))
+def test_fitness_matches_the_scalar_distance_bit_for_bit(points, target):
+    # subnormal and extreme coordinates included; where a square exceeds the
+    # float range Python's ** raises and the array rule gives inf
+    def scalar(x, y):
+        try:
+            return euclidean_distance(Vec2(x, y), Vec2(*target))
+        except OverflowError:
+            return math.inf
+
+    expected = np.array([scalar(x, y) for x, y in points])
+    with np.errstate(over="ignore"):
+        got = Objective(target=Vec2(*target)).fitness(np.array(points, dtype=float))
+    assert got.tobytes() == expected.tobytes()
+
+
+@dataclass
+class ScalarParticle:
+    position: Vec2
+    velocity: Vec2
+    best_position: Vec2
+    best_fitness: float
+
+
+def scalar_init(m, params, objective, rng):
+    b = params.bounds
+    positions = [Vec2(b.x_min + (b.x_max - b.x_min) * rng.random(),
+                      b.y_min + (b.y_max - b.y_min) * rng.random()) for _ in range(m)]
+    velocities = [Vec2(params.v_min + (params.v_max - params.v_min) * rng.random(),
+                       params.v_min + (params.v_max - params.v_min) * rng.random())
+                  for _ in range(m)]
+    return [ScalarParticle(x, v, x, euclidean_distance(x, objective.target))
+            for x, v in zip(positions, velocities)]
+
+
+def scalar_step(swarm, objective, w_t, params, rng):
+    """One tick of the per-particle rules: Python floats, one particle at a time."""
+    best = 0
+    for i in range(1, len(swarm)):
+        if swarm[i].best_fitness < swarm[best].best_fitness:
+            best = i
+    gbest = swarm[best].best_position
+    b = params.bounds
+    for p in swarm:
+        r1 = rng.random()
+        r2 = rng.random()
+        dvx = params.c1 * r1 * (p.best_position.x - p.position.x) \
+            + params.c2 * r2 * (gbest.x - p.position.x)
+        dvy = params.c1 * r1 * (p.best_position.y - p.position.y) \
+            + params.c2 * r2 * (gbest.y - p.position.y)
+        if params.canonical_velocity:
+            vx = params.constriction * (w_t * p.velocity.x + dvx)
+            vy = params.constriction * (w_t * p.velocity.y + dvy)
+        else:
+            vx = params.constriction * w_t * dvx
+            vy = params.constriction * w_t * dvy
+        p.velocity = Vec2(min(max(vx, params.v_min), params.v_max),
+                          min(max(vy, params.v_min), params.v_max))
+        p.position = Vec2(min(max(p.position.x + p.velocity.x, b.x_min), b.x_max),
+                          min(max(p.position.y + p.velocity.y, b.y_min), b.y_max))
+        fitness = math.sqrt((p.position.x - objective.target.x) ** 2
+                            + (p.position.y - objective.target.y) ** 2)
+        if fitness < p.best_fitness:
+            p.best_position = p.position
+            p.best_fitness = fitness
+    return w_t * params.inertia_decrement
+
+
+zeros = st.sampled_from([0.0, -0.0])
+widths = st.floats(0.5, 100.0)
+
+
+@st.composite
+def intervals(draw, low, high):
+    """(lo, hi) with a signed-zero lower end, a signed-zero upper end, or neither."""
+    kind = draw(st.sampled_from(["zero_lo", "zero_hi", "free"]))
+    if kind == "zero_lo":
+        return draw(zeros), draw(st.floats(0.5, high))
+    if kind == "zero_hi":
+        return draw(st.floats(low, -0.5)), draw(zeros)
+    lo = draw(st.floats(low, high))
+    return lo, lo + draw(widths)
+
+
+@st.composite
+def swarm_configs(draw):
+    x_min, x_max = draw(intervals(-100.0, 100.0))
+    y_min, y_max = draw(intervals(-100.0, 100.0))
+    v_min, v_max = draw(intervals(-5.0, 5.0))
+    bounds = WorldBounds(x_min, x_max, y_min, y_max)
+    coefficients = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    params = PsoParams(
+        c1=draw(coefficients), c2=draw(coefficients),
+        inertia_w0=draw(st.floats(0.01, 1.0)),
+        inertia_decrement=draw(st.floats(0.5, 1.0)),
+        constriction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        v_min=v_min, v_max=v_max,
+        canonical_velocity=draw(st.booleans()), bounds=bounds)
+    u = st.floats(0.0, 1.0)
+    target = Vec2(x_min + bounds.width * draw(u), y_min + bounds.height * draw(u))
+    return params, Objective(target=target)
+
+
+def scalar_columns(swarm):
+    return (np.array([p.position.as_tuple() for p in swarm], dtype=float),
+            np.array([p.velocity.as_tuple() for p in swarm], dtype=float),
+            np.array([p.best_position.as_tuple() for p in swarm], dtype=float),
+            np.array([p.best_fitness for p in swarm], dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=swarm_configs(), m=st.integers(1, 30), ticks=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_engine_matches_the_scalar_rules_bit_for_bit(config, m, ticks, seed):
+    params, objective = config
+    engine = PsoEngine(m, params, objective, sensing_radius=10.0,
+                       rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    swarm = scalar_init(m, params, objective, rng)
+    w = params.inertia_w0
+    for tick in range(ticks + 1):
+        if tick:
+            engine.tick()
+            w = scalar_step(swarm, objective, w, params, rng)
+        arrays = (engine.pos, engine.vel, engine.best_pos, engine.best_fit)
+        for got, expected in zip(arrays, scalar_columns(swarm), strict=True):
+            assert got.tobytes() == expected.tobytes()  # signed zeros count
+        assert engine.inertia == w
+        assert engine.rng.bit_generator.state == rng.bit_generator.state
