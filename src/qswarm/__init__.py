@@ -10,9 +10,8 @@ from .harness import (PRESETS, RunSummary, preset, read_trace_csv, run_experimen
 from .metrics import (TickRecord, Trace, as_trace, classify_decisions, connected_fraction,
                       connectivity_components, cumulative_reward, cumulative_rewards,
                       decision_series, dispersion, drift_onset, drift_onsets)
-from .mql import (ActionSpec, MqlEngine, MqlParams, StateId,
-                  apply_action, build_actions, distance_deviation, encode_state,
-                  neighborhood, reward, step_scale_pi)
+from .mql import (ActionSpec, MqlEngine, MqlParams, StateId, apply_action, build_actions,
+                  encode_state, neighborhood, reward, step_scale_pi)
 from .pso import Objective, PsoEngine, PsoParams, PsoParticle, pso_step, velocity_update
 from .qlearning import LearningParams, QTable
 

@@ -68,16 +68,6 @@ class SwarmConfig:
         return Objective(target=target)
 
 
-_TOP_KEYS = ("algorithm", "swarm_size", "iterations", "seed", "world", "mql", "pso",
-             "snapshot_ticks", "decision_particles", "output_dir")
-_WORLD_KEYS = ("x_min", "x_max", "y_min", "y_max")
-_MQL_KEYS = ("epsilon", "d_min", "tau_r", "tau_s", "reward_max", "step_set",
-             "learning_rate", "discount", "explore_rate", "schedule", "init_span",
-             "recover_lost")
-_PSO_KEYS = ("c1", "c2", "inertia_w0", "inertia_decrement", "constriction",
-             "v_min", "v_max", "canonical_velocity", "target")
-
-
 def _check_keys(mapping: dict, allowed, section: str) -> None:
     unknown = [k for k in mapping if k not in allowed]
     if unknown:
@@ -131,10 +121,10 @@ def config_from_dict(data: dict) -> SwarmConfig:
     from ``data`` takes its documented default."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    _check_keys(data, _TOP_KEYS, "")
+    _check_keys(data, _KNOWN_KEYS, "")
 
     world_data = _section(data, "world")
-    _check_keys(world_data, _WORLD_KEYS, "world")
+    _check_keys(world_data, _KNOWN_KEYS["world"], "world")
     world_kwargs = {k: float(_real(v, f"world.{k}")) for k, v in world_data.items()}
     try:
         world = WorldBounds(**world_kwargs)
@@ -142,7 +132,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
         raise ConfigError(str(exc)) from exc
 
     mql_data = dict(_section(data, "mql"))
-    _check_keys(mql_data, _MQL_KEYS, "mql")
+    _check_keys(mql_data, _KNOWN_KEYS["mql"], "mql")
     _check_flag(mql_data, "recover_lost", "mql")
     for key in ("epsilon", "d_min", "tau_r", "tau_s", "reward_max", "learning_rate",
                 "discount", "explore_rate", "init_span"):
@@ -168,7 +158,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
         raise ConfigError(str(exc)) from exc
 
     pso_data = dict(_section(data, "pso"))
-    _check_keys(pso_data, _PSO_KEYS, "pso")
+    _check_keys(pso_data, _KNOWN_KEYS["pso"], "pso")
     _check_flag(pso_data, "canonical_velocity", "pso")
     for key in ("c1", "c2", "inertia_w0", "inertia_decrement", "constriction",
                 "v_min", "v_max"):
@@ -262,6 +252,10 @@ def config_to_dict(cfg: SwarmConfig) -> dict:
         "decision_particles": list(cfg.decision_particles),
         "output_dir": cfg.output_dir,
     }
+
+
+# the loader accepts exactly the keys the echo writes, and lists them in its order
+_KNOWN_KEYS = config_to_dict(SwarmConfig())
 
 
 def dump_config(cfg: SwarmConfig) -> str:

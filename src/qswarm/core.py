@@ -1,4 +1,5 @@
-"""Geometry primitives shared by every engine: points, world bounds, distances."""
+"""Geometry primitives shared by every engine and the metrics: points, world
+bounds, the clamp into them, distances and the neighbour relation."""
 
 from __future__ import annotations
 
@@ -61,12 +62,21 @@ def euclidean_distance(a: Vec2, b: Vec2) -> float:
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
 
 
+def clamp(v, lo, hi) -> np.ndarray:
+    """``min(max(v, lo), hi)`` elementwise, with broadcasting.
+
+    Keeps Python's tie rule, where ``v`` wins a tie, so a bound of -0.0 leaves
+    a 0.0 as 0.0: ``np.maximum`` and ``np.minimum`` return their second
+    argument on a tie (``np.maximum(0.0, -0.0)`` is -0.0), hence ``v`` last.
+    """
+    return np.minimum(hi, np.maximum(lo, v))
+
+
 def clamp_to_world(p: Vec2, world: WorldBounds) -> Vec2:
     """Pull each component of ``p`` into the closed world rectangle. Idempotent."""
-    return Vec2(
-        min(max(p.x, world.x_min), world.x_max),
-        min(max(p.y, world.y_min), world.y_max),
-    )
+    x, y = clamp(np.array(p.as_tuple()), (world.x_min, world.y_min),
+                 (world.x_max, world.y_max)).tolist()
+    return Vec2(x, y)
 
 
 def positions_array(positions) -> np.ndarray:
@@ -94,8 +104,15 @@ def pairwise_distances(arr: np.ndarray, rows=None) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def neighbor_mask(dist_rows: np.ndarray, rows, epsilon: float) -> np.ndarray:
+    """(K, M) mask of the neighbours of particles ``rows``, given their (K, M)
+    distance rows: the peers strictly within ``epsilon``. A peer at exactly
+    epsilon is out of contact, and a particle never neighbours itself."""
+    mask = dist_rows < epsilon
+    mask[np.arange(len(mask)), rows] = False
+    return mask
+
+
 def adjacency_matrix(arr: np.ndarray, epsilon: float) -> np.ndarray:
-    """(M, M) proximity graph: True iff i != k and their distance is < epsilon."""
-    adjacent = pairwise_distances(arr) < epsilon
-    np.fill_diagonal(adjacent, False)
-    return adjacent
+    """(M, M) proximity graph: ``neighbor_mask`` of the whole swarm."""
+    return neighbor_mask(pairwise_distances(arr), np.arange(len(arr)), epsilon)

@@ -56,17 +56,10 @@ class RunSummary:
     final_q_tables: list[list[float]] | None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "cumulative_rewards": self.cumulative_rewards,
-            "drift_onsets": self.drift_onsets,
-            "initial_dispersion": self.initial_dispersion,
-            "final_dispersion": self.final_dispersion,
-            "final_connected_fraction": self.final_connected_fraction,
-            "snapshot_components": {str(t): s for t, s in self.snapshot_components.items()},
-            "q_table_shape": self.q_table_shape,
-            "final_q_tables": self.final_q_tables,
-        }
+        # vars, not dataclasses.asdict, which would deep-copy the q-tables
+        d = dict(vars(self))
+        d["snapshot_components"] = {str(t): s for t, s in self.snapshot_components.items()}
+        return d
 
 
 def _build_engine(cfg: SwarmConfig, rng: np.random.Generator):

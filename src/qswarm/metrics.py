@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,29 +172,28 @@ def as_trace(trace) -> Trace:
 
 
 def connectivity_components(positions, epsilon: float) -> list[int]:
-    """Sizes of the connected components of the proximity graph with an edge
-    between i and k iff distance < epsilon. Sorted descending; sums to M."""
+    """Sizes of the connected components of the proximity graph, whose edges
+    join epsilon-neighbours (``core.neighbor_mask``). Sorted descending; sums
+    to M."""
     arr = positions_array(positions)
     m = arr.shape[0]
     if m < 1:
         raise ValueError("positions must contain at least one particle")
     adjacent = adjacency_matrix(arr, epsilon)
 
+    # grow each component out from its lowest id, one ring of new neighbours at a time
     seen = np.zeros(m, dtype=bool)
     sizes = []
     for start in range(m):
         if seen[start]:
             continue
-        size = 0
-        queue = deque([start])
         seen[start] = True
-        while queue:
-            node = queue.popleft()
-            size += 1
-            for peer in np.flatnonzero(adjacent[node]):
-                if not seen[peer]:
-                    seen[peer] = True
-                    queue.append(int(peer))
+        size = 1
+        ring = adjacent[start] & ~seen
+        while ring.any():
+            seen |= ring
+            size += int(np.count_nonzero(ring))
+            ring = adjacent[ring].any(axis=0) & ~seen
         sizes.append(size)
     return sorted(sizes, reverse=True)
 

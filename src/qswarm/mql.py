@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, clamp_to_world, pairwise_distances, positions_array
+from .core import Vec2, WorldBounds, clamp, neighbor_mask, pairwise_distances, positions_array
 from .metrics import Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
@@ -140,17 +140,10 @@ class MqlParams:
 #
 # Every judgement below reduces a particle's neighbourhood to three numbers:
 # the neighbour count n, the total neighbour distance, and the smallest
-# neighbour distance. ``sense`` computes them for a stack of distance rows;
-# each rule is one array function of them. The engine calls these on whole
-# swarms, and the public per-particle operations are one-row calls of the
-# same functions.
-
-def _neighbor_mask(dist_rows: np.ndarray, rows, epsilon: float) -> np.ndarray:
-    # a peer at exactly epsilon is out of contact; a particle never neighbours itself
-    mask = dist_rows < epsilon
-    mask[np.arange(len(mask)), rows] = False
-    return mask
-
+# neighbour distance. ``sense`` computes them for a stack of distance rows
+# over the neighbours ``core.neighbor_mask`` picks; each rule is one array
+# function of them. The engine calls these on whole swarms, and the public
+# per-particle operations are one-row calls of the same functions.
 
 def sense(dist_rows: np.ndarray, rows, epsilon: float):
     """(n, total, lowest) arrays for particles ``rows``, given their (K, M)
@@ -160,7 +153,7 @@ def sense(dist_rows: np.ndarray, rows, epsilon: float):
     in which non-neighbours add 0.0), so it is bit-reproducible against any
     independent accumulation in the same order.
     """
-    mask = _neighbor_mask(dist_rows, rows, epsilon)
+    mask = neighbor_mask(dist_rows, rows, epsilon)
     n = mask.sum(axis=1)
     masked = np.where(mask, dist_rows, np.inf)
     lowest = masked.min(axis=1)
@@ -207,7 +200,7 @@ def move(pos_rows: np.ndarray, axis, direction, magnitude, pi,
     clamp both coordinates into the world."""
     out = pos_rows.copy()
     out[np.arange(len(out)), axis] += pi * magnitude * direction
-    return np.minimum(np.maximum(out, (world.x_min, world.y_min)), (world.x_max, world.y_max))
+    return clamp(out, (world.x_min, world.y_min), (world.x_max, world.y_max))
 
 
 def _sense_one(i: int, positions, epsilon: float):
@@ -218,17 +211,7 @@ def neighborhood(i: int, positions, epsilon: float) -> set[int]:
     """Ids of the peers strictly within ``epsilon`` of particle ``i``
     (a peer at exactly epsilon is out of contact). Never contains ``i``."""
     d = pairwise_distances(positions_array(positions), [i])
-    return set(np.flatnonzero(_neighbor_mask(d, [i], epsilon)[0]).tolist())
-
-
-def distance_deviation(i: int, positions, epsilon: float) -> tuple[float | None, int]:
-    """(D, n) where D = sum of neighbour distances - n * epsilon. D is None for
-    a neighbourless particle. D < 0 whenever n > 0, since every neighbour sits
-    strictly inside the sensing radius."""
-    n, total, _ = _sense_one(i, positions, epsilon)
-    if n[0] == 0:
-        return None, 0
-    return float(deviation(n, total, epsilon)[0]), int(n[0])
+    return set(np.flatnonzero(neighbor_mask(d, [i], epsilon)[0]).tolist())
 
 
 def encode_state(i: int, positions, params: MqlParams) -> StateId:
@@ -287,7 +270,10 @@ class MqlEngine:
                 raise ValueError(
                     f"initial_positions has {len(initial_positions)} entries for swarm size {m}"
                 )
-            self.pos = positions_array([clamp_to_world(p, world) for p in initial_positions])
+            start = positions_array(initial_positions)
+            if not np.isfinite(start).all():
+                raise ValueError("initial_positions must be finite")
+            self.pos = clamp(start, (world.x_min, world.y_min), (world.x_max, world.y_max))
         else:
             span = params.init_span
             if span is None:
@@ -324,8 +310,11 @@ class MqlEngine:
         self._sensed_on[rows] = self.pos[rows]
 
     def _near(self, movers) -> np.ndarray:
-        # (M,) mask of the particles strictly within epsilon of some mover
-        return (pairwise_distances(self.pos, movers) < self.params.epsilon).any(axis=0)
+        # (M,) mask of the movers and their neighbours
+        near = neighbor_mask(pairwise_distances(self.pos, movers), movers,
+                             self.params.epsilon).any(axis=0)
+        near[movers] = True
+        return near
 
     def _select(self, states, n, movers) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate

@@ -15,12 +15,13 @@ baseline exists to demonstrate.
 
 The swarm is held as arrays (see ``PsoEngine``) and each rule is one array
 function over its rows: ``Objective.fitness``, ``velocity_update`` and the
-clamp, which ``pso_step`` applies to the whole swarm once per tick. They give
-the same bits as evaluating the rules one particle at a time in Python floats:
-squares are taken with ``np.float_power(d, 2.0)``, which is libm ``pow`` like
-Python's ``d ** 2`` (``d * d`` differs from it in the last bit on some floats),
-and the clamp keeps the tie rule of ``min(max(v, lo), hi)``, so a bound of
--0.0 leaves the same signed zero.
+clamp (``core.clamp``, shared with the learning swarm), which ``pso_step``
+applies to the whole swarm once per tick. They give the same bits as
+evaluating the rules one particle at a time in Python floats: squares are
+taken with ``np.float_power(d, 2.0)``, which is libm ``pow`` like Python's
+``d ** 2`` (``d * d`` differs from it in the last bit on some floats), and the
+clamp keeps the tie rule of ``min(max(v, lo), hi)``, so a bound of -0.0
+leaves the same signed zero.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, adjacency_matrix
+from .core import Vec2, WorldBounds, adjacency_matrix, clamp
 from .metrics import Trace
 
 
@@ -89,13 +90,6 @@ class PsoParticle:
     best_fitness: float
 
 
-def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
-    # min(max(v, lo), hi) elementwise with Python's tie rule, where v wins a
-    # tie: np.maximum(0.0, -0.0) gives -0.0 where max(0.0, -0.0) gives 0.0
-    v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
-
-
 def velocity_update(pos: np.ndarray, vel: np.ndarray, best_pos: np.ndarray, gbest,
                     r: np.ndarray, w_t: float, params: PsoParams) -> np.ndarray:
     """(K, 2) new velocities for rows at ``pos`` with velocities ``vel`` and
@@ -107,7 +101,7 @@ def velocity_update(pos: np.ndarray, vel: np.ndarray, best_pos: np.ndarray, gbes
         v = params.constriction * (w_t * vel + dv)
     else:
         v = params.constriction * w_t * dv
-    return _clamp(v, params.v_min, params.v_max)
+    return clamp(v, params.v_min, params.v_max)
 
 
 def pso_step(engine: PsoEngine) -> float:
@@ -123,7 +117,7 @@ def pso_step(engine: PsoEngine) -> float:
     engine.vel = velocity_update(engine.pos, engine.vel, engine.best_pos, gbest, r,
                                  engine.inertia, engine.params)
     b = engine.params.bounds
-    engine.pos = _clamp(engine.pos + engine.vel, (b.x_min, b.y_min), (b.x_max, b.y_max))
+    engine.pos = clamp(engine.pos + engine.vel, (b.x_min, b.y_min), (b.x_max, b.y_max))
     fit = engine.objective.fitness(engine.pos)
     better = fit < engine.best_fit
     engine.best_pos[better] = engine.pos[better]

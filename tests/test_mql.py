@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qswarm.core import Vec2, WorldBounds, pairwise_distances
+from qswarm.core import Vec2, WorldBounds, pairwise_distances, positions_array
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
-                        apply_action, build_actions, deviation, distance_deviation,
-                        encode_state, encode_states, neighborhood, reward, rewards,
-                        sense, step_scale_pi, step_scales)
+                        apply_action, build_actions, deviation, encode_state,
+                        encode_states, move, neighborhood, reward, rewards, sense,
+                        step_scale_pi, step_scales)
 from qswarm.qlearning import LearningParams
 
 
@@ -18,6 +18,12 @@ def make_params(**over):
     defaults = dict(epsilon=5.0, d_min=1.0, tau_r=0.02, tau_s=0.05)
     defaults.update(over)
     return MqlParams(**defaults)
+
+
+def deviation_of_first(positions, epsilon):
+    """(D, n) of particle 0 from the sensing kernel and ``deviation``."""
+    n, total, _ = sense(pairwise_distances(positions_array(positions), [0]), [0], epsilon)
+    return float(deviation(n, total, epsilon)[0]), int(n[0])
 
 
 def rim_summary(dists):
@@ -82,11 +88,12 @@ def test_neighborhood_never_contains_self_and_is_symmetric():
 def test_deviation_hand_value():
     # neighbours at distances 3 and 4, radius 5: D = 7 - 10 = -3
     positions = [Vec2(0, 0), Vec2(3, 0), Vec2(0, 4)]
-    assert distance_deviation(0, positions, 5.0) == (-3.0, 2)
+    assert deviation_of_first(positions, 5.0) == (-3.0, 2)
 
 
 def test_deviation_none_when_disconnected():
-    assert distance_deviation(0, [Vec2(0, 0), Vec2(50, 50)], 5.0) == (None, 0)
+    # a neighbourless particle has no neighbour distances: n = 0 and D = 0.0
+    assert deviation_of_first([Vec2(0, 0), Vec2(50, 50)], 5.0) == (0.0, 0)
 
 
 def test_deviation_zero_at_the_rim_formula_level():
@@ -140,7 +147,7 @@ def test_step_scale_in_unit_interval_random():
         positions = [Vec2(*rng.uniform(0, 25, 2)) for _ in range(m)]
         pi = step_scale_pi(0, positions, params)
         assert 0.0 <= pi <= 1.0
-        dev, n = distance_deviation(0, positions, params.epsilon)
+        dev, n = deviation_of_first(positions, params.epsilon)
         # zero step scale exactly when connected at zero deviation
         if n > 0:
             assert (pi == 0.0) == (dev == 0.0)
@@ -170,6 +177,45 @@ def test_apply_action_moves_single_axis():
     world = WorldBounds(0, 100, 0, 100)
     moved = apply_action(Vec2(50, 50), ActionSpec(1, -1, 1.0), 1.0, world)
     assert moved == Vec2(50, 49)
+
+
+SIGNED_COORDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 10.0, -10.0, 12.0, -12.0])
+SIGNED_BOUNDS = st.sampled_from([(-0.0, 10.0), (0.0, 10.0), (-10.0, 0.0), (-10.0, -0.0),
+                                 (-0.0, 0.5)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[(0.0, 5.0, 6)], xb=(-0.0, 10.0), yb=(-0.0, 10.0), pi=1.0)
+@given(rows=st.lists(st.tuples(SIGNED_COORDS, SIGNED_COORDS, st.integers(0, 11)),
+                     min_size=1, max_size=40),
+       xb=SIGNED_BOUNDS, yb=SIGNED_BOUNDS, pi=st.sampled_from([0.0, 0.5, 1.0]))
+def test_every_clamp_keeps_the_min_max_tie_rule_on_signed_zeros(rows, xb, yb, pi):
+    # each coordinate as min(max(v, lo), hi) in Python floats, where v wins a
+    # tie: a bound of -0.0 leaves a 0.0 as 0.0, and a bound of 0.0 a -0.0 as -0.0
+    world = WorldBounds(xb[0], xb[1], yb[0], yb[1])
+    lo, hi = (world.x_min, world.y_min), (world.x_max, world.y_max)
+
+    def clamped(p):
+        return [min(max(v, low), high) for v, low, high in zip(p, lo, hi)]
+
+    actions = build_actions((0.5, 1.0, 2.0))
+    start = [[x, y] for x, y, _ in rows]
+    chosen = [actions[a] for *_, a in rows]
+    stepped = [list(p) for p in start]
+    for p, a in zip(stepped, chosen):
+        p[a.axis] += pi * a.magnitude * a.direction
+    expected = np.array([clamped(p) for p in stepped])
+
+    moved = move(np.array(start), np.array([a.axis for a in chosen]),
+                 np.array([a.direction for a in chosen]),
+                 np.array([a.magnitude for a in chosen]), np.full(len(rows), pi), world)
+    assert moved.tobytes() == expected.tobytes()
+    for p, a, e in zip(start, chosen, expected):
+        one = apply_action(Vec2(*p), a, pi, world)
+        assert np.array(one.as_tuple()).tobytes() == e.tobytes()
+    engine = MqlEngine(len(rows), MqlParams(), world, np.random.default_rng(0),
+                       initial_positions=[Vec2(*p) for p in start])
+    assert engine.pos.tobytes() == np.array([clamped(p) for p in start]).tobytes()
 
 
 # --- reward ---------------------------------------------------------------------
@@ -377,6 +423,14 @@ def test_initial_positions_override_is_clamped():
     engine = MqlEngine(2, MqlParams(epsilon=3.0), world, np.random.default_rng(37),
                        initial_positions=[Vec2(-5, 5), Vec2(20, 5)])
     assert engine.positions() == [Vec2(0, 5), Vec2(10, 5)]
+
+
+def test_initial_positions_must_be_finite():
+    # the clamp would pull an infinite coordinate onto the wall and keep a NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MqlEngine(2, MqlParams(), WorldBounds(), np.random.default_rng(0),
+                      initial_positions=np.array([[bad, 1.0], [2.0, 3.0]]))
 
 
 def test_params_validation():
