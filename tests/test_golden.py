@@ -5,7 +5,9 @@ summary.json and (when decision particles are designated) decisions.csv is
 compared with the digests recorded below. A refactor that keeps these bytes
 keeps every engine path they exercise: epsilon-greedy exploration, the
 nearest-peer pursuit, round-robin scheduling with both and with neither (at
-M=40), a lone particle, the PSO velocity memory term, and the bundled presets.
+M=40), a lone particle, the PSO velocity memory term, the bundled presets, and
+the cell-list sensing above the dense crossover at M=300 (a sparse swarm with
+exploration and pursuit, round-robin, and a PSO swarm collapsing into one cell).
 
 To re-record after a deliberate output change:
 
@@ -41,6 +43,15 @@ CASES = {
     "mql-single": dict(swarm_size=1, iterations=20, snapshot_ticks=[0, 20]),
     "pso-canonical": dict(algorithm="pso", swarm_size=10, iterations=30,
                           snapshot_ticks=[0, 30], pso={"canonical_velocity": True}),
+    # above the dense-sensing crossover, so on the cell-list path
+    "grid-explore-recover": dict(swarm_size=300, iterations=20, snapshot_ticks=[0, 20],
+                                 world={"x_max": 200.0, "y_max": 200.0},
+                                 mql={"explore_rate": 0.2, "recover_lost": True,
+                                      "init_span": 180.0}),
+    "grid-rr": dict(swarm_size=300, iterations=30, snapshot_ticks=[30],
+                    mql={"schedule": "round_robin"}),
+    "grid-pso": dict(algorithm="pso", swarm_size=300, iterations=20,
+                     snapshot_ticks=[0, 10, 20]),
 }
 
 PRESET_RUNS = {
@@ -82,6 +93,42 @@ GOLDEN = {
         'trace': 'fa48df03e4c4366ffa060e35ffa5e850dc9a2b68d6931578f8db082d94562fb3',
         'summary': '779fe207df55c2896b5bddf9875fe93b60983c69db8eb3a699e8f2088340b768',
         'decisions': '4ae2ee227bacac9afff123c319d51c697a609f30edeb1f2add55b59e85e9172a',
+    },
+    'grid-explore-recover-s0': {
+        'trace': '7411c006799a30f5c92c3be4a7e1a5ca58b4144060d2645dbe7fb0b0f12204d7',
+        'summary': '91bcbb22e14d360764b38305f6eebe27a197587f5df9f4ff0a5cccf4c034fe60',
+    },
+    'grid-explore-recover-s1': {
+        'trace': '23329050ca02db1028d0a6ee08265e64b5709dfe9222b8a4956ac4a19eed1ace',
+        'summary': 'b661f3126519fa19367dde3c8d762c20307cedffc5ac94bd158237cd1d3ed96a',
+    },
+    'grid-explore-recover-s2': {
+        'trace': '0ddc31600080888516391baf4e5aea9b80812c8f5aab4f7c982adaedf70287b5',
+        'summary': 'a3fbdb2dbe3d2b3615f5889c237f56ff9929608c8157994b0fd4a5feacf0ff7e',
+    },
+    'grid-pso-s0': {
+        'trace': '826de3703b7b647ec9c03b12ef504454a045b833792df74d43b365dfeb58da8f',
+        'summary': '8839cfb97c0ec6b51e3615c412fc3810f1a5d78add734792ecab6d0c57d9bd5a',
+    },
+    'grid-pso-s1': {
+        'trace': '592dc7c036ba8b9cdb2265049cf39d4813d2d51c6ac5185bbd5ef4feb4cc9e57',
+        'summary': '7063e8b62f7f4dd6945450eaf766cb8bb025277f6654cb45718a4b1673644fcb',
+    },
+    'grid-pso-s2': {
+        'trace': '28eed2e3685bf8d3b770ec7e4bf1337034dbb1b7a6fe3fbb89033bd7a6377cef',
+        'summary': '06c9c9caa21e3fc2053af73e02d98a7931b96cb7d8275724f1f677f76048c0a8',
+    },
+    'grid-rr-s0': {
+        'trace': '389a6611a85831a6c88cc215551e86c479ee0c63aba48111a7649e03ab0aad8b',
+        'summary': '8fb3aa15ed5fdda19f7ada01ad6f7f03baa59b1c677fb5a4b2ccaae06eb339ae',
+    },
+    'grid-rr-s1': {
+        'trace': 'db0865162c2cfe4e4454585a4a783b3e755ed46289fca69ec40c67b2df2e73f9',
+        'summary': 'a6eee26e078d8bd917bb6d7ac5b28ad1055e0dd5bc32d422bb622982d4bd5370',
+    },
+    'grid-rr-s2': {
+        'trace': 'a8d3f7ccd69932f3e7cc2e96b2f334fed7bbd27c5475a438871f726385c3026c',
+        'summary': 'f609a6f499418b7c05b7a8c4a8aa655a5d601b4ca8eae302e3dadaf12784a8c8',
     },
     'mql-explore-recover-s0': {
         'trace': '9c6414eb81735b3a0d697255831bed17f293dcdc4d35071f97c1807975172fe6',
