@@ -36,10 +36,13 @@ TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
 
 PRESETS = ("fig3-compare", "fig4-individuals")
 
-# Memory a run needs at least: the dense (M, M) sensing arrays (a float64
-# distance matrix, its masked copy and two boolean masks) plus the trace
-# columns (48 bytes a row), held twice while the per-tick rows are stacked.
-SENSING_BYTES_PER_PAIR = 18
+# Memory a run needs at least: the per-particle state and its summary (the
+# learning swarm's final utility tables, as Python floats and as JSON text,
+# set it: a 20,000-particle run peaked at about 7 KB a particle under
+# tracemalloc) plus the trace columns (48 bytes a row), held twice while the
+# per-tick rows are stacked. Sensing adds only blocks of a fixed size
+# (``core.BLOCK_ENTRIES``), whatever M is.
+PARTICLE_BYTES = 8 * 1024
 TRACE_BYTES_PER_ROW = 2 * 48
 
 
@@ -78,11 +81,11 @@ def check_memory(cfg: SwarmConfig) -> None:
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
         return
     m, t = cfg.swarm_size, cfg.iterations
-    need = SENSING_BYTES_PER_PAIR * m * m + TRACE_BYTES_PER_ROW * m * t
+    need = PARTICLE_BYTES * m + TRACE_BYTES_PER_ROW * m * t
     if need > physical:
         raise ConfigError(
             f"swarm_size={m} with iterations={t} needs about {need / 2**30:.3g} GiB "
-            f"(dense M x M sensing plus the trace), more than the "
+            f"(the swarm state plus the trace), more than the "
             f"{physical / 2**30:.3g} GiB of physical memory")
 
 

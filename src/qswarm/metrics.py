@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Vec2, adjacency_matrix, positions_array
+from .core import Vec2, neighbor_blocks, neighbor_counts, positions_array
 
 if TYPE_CHECKING:
     from .mql import StateId
@@ -173,29 +173,37 @@ def as_trace(trace) -> Trace:
 
 def connectivity_components(positions, epsilon: float) -> list[int]:
     """Sizes of the connected components of the proximity graph, whose edges
-    join epsilon-neighbours (``core.neighbor_mask``). Sorted descending; sums
-    to M."""
+    join epsilon-neighbours (``core.neighbor_blocks``). Sorted descending;
+    sums to M."""
     arr = positions_array(positions)
     m = arr.shape[0]
     if m < 1:
         raise ValueError("positions must contain at least one particle")
-    adjacent = adjacency_matrix(arr, epsilon)
+    root = np.arange(m)
+    for block, cols, _, mask in neighbor_blocks(arr, np.arange(m), epsilon):
+        _union(root, np.broadcast_to(block[:, None], mask.shape)[mask], cols[mask])
+    sizes = np.bincount(root)
+    return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
-    # grow each component out from its lowest id, one ring of new neighbours at a time
-    seen = np.zeros(m, dtype=bool)
-    sizes = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        seen[start] = True
-        size = 1
-        ring = adjacent[start] & ~seen
-        while ring.any():
-            seen |= ring
-            size += int(np.count_nonzero(ring))
-            ring = adjacent[ring].any(axis=0) & ~seen
-        sizes.append(size)
-    return sorted(sizes, reverse=True)
+
+def _union(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Join the ends of the edges (u, v) in the union-find forest ``root``,
+    in place. On entry and exit every particle points at its component's
+    root, the lowest id in it: each round hooks the higher root of every
+    edge that still spans two components under the lower one (so at least
+    one root is hooked a round), then points every particle at its root."""
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root[:] = up
 
 
 def connected_fraction(positions, epsilon: float) -> float:
@@ -203,7 +211,7 @@ def connected_fraction(positions, epsilon: float) -> float:
     arr = positions_array(positions)
     if arr.shape[0] < 1:
         raise ValueError("positions must contain at least one particle")
-    return float(adjacency_matrix(arr, epsilon).any(axis=1).mean())
+    return float((neighbor_counts(arr, epsilon) > 0).mean())
 
 
 def dispersion(positions) -> float:

@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, clamp, neighbor_mask, pairwise_distances, positions_array
+from .core import (Vec2, WorldBounds, clamp, neighbor_blocks, pairwise_distances,
+                   positions_array)
 from .metrics import Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
@@ -140,26 +141,33 @@ class MqlParams:
 #
 # Every judgement below reduces a particle's neighbourhood to three numbers:
 # the neighbour count n, the total neighbour distance, and the smallest
-# neighbour distance. ``sense`` computes them for a stack of distance rows
-# over the neighbours ``core.neighbor_mask`` picks; each rule is one array
+# neighbour distance. ``sense`` computes them for any rows of a swarm through
+# the epsilon-neighbour query ``core.neighbor_blocks``; each rule is one array
 # function of them. The engine calls these on whole swarms, and the public
 # per-particle operations are one-row calls of the same functions.
 
-def sense(dist_rows: np.ndarray, rows, epsilon: float):
-    """(n, total, lowest) arrays for particles ``rows``, given their (K, M)
-    distance rows; a neighbourless row gets (0, 0.0, inf).
+def summarize(dist: np.ndarray, mask: np.ndarray):
+    """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
+    the peers ``mask`` picks; a neighbourless row gets (0, 0.0, inf).
 
-    Each total is a left-to-right sum in ascending peer order (a running sum
-    in which non-neighbours add 0.0), so it is bit-reproducible against any
+    Each total is a left-to-right sum in column order (a running sum in
+    which non-neighbours add 0.0), so it is bit-reproducible against any
     independent accumulation in the same order.
     """
-    mask = neighbor_mask(dist_rows, rows, epsilon)
     n = mask.sum(axis=1)
-    masked = np.where(mask, dist_rows, np.inf)
-    lowest = masked.min(axis=1)
-    masked[~mask] = 0.0
+    lowest = np.where(mask, dist, np.inf).min(axis=1)
+    masked = np.where(mask, dist, 0.0)
     total = np.cumsum(masked, axis=1, out=masked)[:, -1].copy()
     return n, total, lowest
+
+
+def sense(pos: np.ndarray, rows, epsilon: float):
+    """(n, total, lowest) arrays for particles ``rows`` of the swarm at
+    ``pos`` (M, 2), summed over their neighbours in ascending peer order."""
+    parts = [summarize(dist, mask) for _, _, dist, mask in neighbor_blocks(pos, rows, epsilon)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def deviation(n, total, epsilon: float):
@@ -200,18 +208,18 @@ def move(pos_rows: np.ndarray, axis, direction, magnitude, pi,
     clamp both coordinates into the world."""
     out = pos_rows.copy()
     out[np.arange(len(out)), axis] += pi * magnitude * direction
-    return clamp(out, (world.x_min, world.y_min), (world.x_max, world.y_max))
+    return clamp(out, world.lo, world.hi)
 
 
 def _sense_one(i: int, positions, epsilon: float):
-    return sense(pairwise_distances(positions_array(positions), [i]), [i], epsilon)
+    return sense(positions_array(positions), [i], epsilon)
 
 
 def neighborhood(i: int, positions, epsilon: float) -> set[int]:
     """Ids of the peers strictly within ``epsilon`` of particle ``i``
     (a peer at exactly epsilon is out of contact). Never contains ``i``."""
-    d = pairwise_distances(positions_array(positions), [i])
-    return set(np.flatnonzero(neighbor_mask(d, [i], epsilon)[0]).tolist())
+    (_, cols, _, mask), = neighbor_blocks(positions_array(positions), [i], epsilon)
+    return set(cols[mask].tolist())
 
 
 def encode_state(i: int, positions, params: MqlParams) -> StateId:
@@ -273,7 +281,7 @@ class MqlEngine:
             start = positions_array(initial_positions)
             if not np.isfinite(start).all():
                 raise ValueError("initial_positions must be finite")
-            self.pos = clamp(start, (world.x_min, world.y_min), (world.x_max, world.y_max))
+            self.pos = clamp(start, world.lo, world.hi)
         else:
             span = params.init_span
             if span is None:
@@ -298,8 +306,7 @@ class MqlEngine:
     def _sense(self, rows=None) -> None:
         """Sense particles ``rows`` (None: all of them) on the current
         positions into the carried summary ``sensed``."""
-        n, total, lowest = sense(pairwise_distances(self.pos, rows),
-                                 np.arange(self.m) if rows is None else rows,
+        n, total, lowest = sense(self.pos, np.arange(self.m) if rows is None else rows,
                                  self.params.epsilon)
         fresh = (n, total, lowest, encode_states(n, total, lowest, self.params))
         if rows is None:
@@ -311,8 +318,9 @@ class MqlEngine:
 
     def _near(self, movers) -> np.ndarray:
         # (M,) mask of the movers and their neighbours
-        near = neighbor_mask(pairwise_distances(self.pos, movers), movers,
-                             self.params.epsilon).any(axis=0)
+        near = np.zeros(self.m, dtype=bool)
+        for _, cols, _, mask in neighbor_blocks(self.pos, movers, self.params.epsilon):
+            near[cols[mask]] = True
         near[movers] = True
         return near
 

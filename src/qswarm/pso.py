@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, adjacency_matrix, clamp
+from .core import Vec2, WorldBounds, clamp, neighbor_counts
 from .metrics import Trace
 
 
@@ -117,7 +117,7 @@ def pso_step(engine: PsoEngine) -> float:
     engine.vel = velocity_update(engine.pos, engine.vel, engine.best_pos, gbest, r,
                                  engine.inertia, engine.params)
     b = engine.params.bounds
-    engine.pos = clamp(engine.pos + engine.vel, (b.x_min, b.y_min), (b.x_max, b.y_max))
+    engine.pos = clamp(engine.pos + engine.vel, b.lo, b.hi)
     fit = engine.objective.fitness(engine.pos)
     better = fit < engine.best_fit
     engine.best_pos[better] = engine.pos[better]
@@ -149,8 +149,7 @@ class PsoEngine:
         self.sensing_radius = float(sensing_radius)
         self.rng = rng
         b = params.bounds
-        self.pos = np.array([b.x_min, b.y_min], dtype=float) \
-            + np.array([b.width, b.height], dtype=float) * rng.random((m, 2))
+        self.pos = b.lo + (b.hi - b.lo) * rng.random((m, 2))
         self.vel = params.v_min + (params.v_max - params.v_min) * rng.random((m, 2))
         self.best_pos = self.pos.copy()
         self.best_fit = objective.fitness(self.pos)
@@ -176,8 +175,8 @@ class PsoEngine:
         none of which carries a decision."""
         self.inertia = pso_step(self)
         m = self.m
-        neighbor_counts = adjacency_matrix(self.pos, self.sensing_radius).sum(axis=1)
         rows = Trace([self.tick_index], self.pos[None].copy(), np.full((1, m), -1),
-                     np.full((1, m), -1), np.full((1, m), np.nan), neighbor_counts[None])
+                     np.full((1, m), -1), np.full((1, m), np.nan),
+                     neighbor_counts(self.pos, self.sensing_radius)[None])
         self.tick_index += 1
         return rows

@@ -83,7 +83,8 @@ def test_unknown_preset_fails_listing_names(capsys):
 
 
 def test_run_too_large_for_memory_is_a_one_line_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "swarm_size: 10000000\niterations: 5\n")
+    # the trace alone (M x T rows) exceeds any machine's memory
+    cfg = write_cfg(tmp_path, "swarm_size: 10000000\niterations: 1000000000\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "physical memory" in err

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qswarm.core as core
 from qswarm.core import Vec2, WorldBounds, clamp_to_world, euclidean_distance, pairwise_distances
 from qswarm.metrics import connected_fraction, connectivity_components
-from qswarm.mql import MqlEngine, MqlParams, neighborhood
+from qswarm.mql import MqlEngine, MqlParams, neighborhood, sense
 from qswarm.pso import Objective, PsoEngine, PsoParams
 
 
@@ -83,6 +84,14 @@ def test_pairwise_distances_matches_scalar():
             assert mat[i, k] == euclidean_distance(pts[i], pts[k])
 
 
+def test_world_corners_are_read_only_arrays():
+    w = WorldBounds(-1.0, 2.0, -3.0, 4.0)
+    assert w.lo.tolist() == [-1.0, -3.0] and w.hi.tolist() == [2.0, 4.0]
+    with pytest.raises(ValueError):
+        w.lo[0] = 0.0
+    assert w == WorldBounds(-1.0, 2.0, -3.0, 4.0)
+
+
 def components_by_bfs(neighbors):
     """Component sizes of the graph given as adjacency lists, by breadth-first
     search one node at a time (the oracle), sorted descending."""
@@ -133,3 +142,105 @@ def test_every_neighbour_query_follows_one_rule(points, epsilon):
     assert [sorted(neighborhood(i, pos, eps)) for i in range(m)] == neighbors
     assert connected_fraction(pos, eps) == sum(c > 0 for c in counts) / m
     assert connectivity_components(pos, eps) == components_by_bfs(neighbors)
+
+
+# --- the epsilon-neighbour query against the dense oracle -------------------------
+
+def dense_neighbors(arr, rows, epsilon):
+    """The oracle's neighbour rule, spelled out apart from ``neighbor_mask``:
+    the full (K, M) distance rows and the peers strictly within epsilon, never
+    the particle itself."""
+    dist = pairwise_distances(arr, rows)
+    return dist, (dist < epsilon) & (np.arange(len(arr))[None] != np.asarray(rows)[:, None])
+
+
+def dense_sense(arr, rows, epsilon):
+    """The oracle: (n, total, lowest) of particles ``rows`` over their full
+    (K, M) distance rows, each total a running sum in ascending peer order in
+    which non-neighbours add 0.0."""
+    dist, mask = dense_neighbors(arr, rows, epsilon)
+    n = mask.sum(axis=1)
+    masked = np.where(mask, dist, np.inf)
+    lowest = masked.min(axis=1)
+    masked[~mask] = 0.0
+    total = np.cumsum(masked, axis=1, out=masked)[:, -1].copy()
+    return n, total, lowest
+
+
+@st.composite
+def swarms(draw):
+    """(positions, epsilon) on both sides of the dense crossover: uniform
+    scatters at several densities, integer lattices with an integer epsilon
+    (peers at exactly epsilon, coincident particles), clusters of very
+    different density, and a whole swarm collapsed into one cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["uniform", "lattice", "clusters", "collapsed"]))
+    if kind == "lattice":
+        epsilon = float(draw(st.integers(1, 6)))
+        side = draw(st.integers(1, 60))
+        return rng.integers(0, side + 1, (m, 2)).astype(float), epsilon
+    epsilon = draw(st.floats(0.5, 20.0))
+    if kind == "uniform":
+        return rng.random((m, 2)) * draw(st.floats(1.0, 500.0)), epsilon
+    if kind == "collapsed":
+        return 50.0 + rng.random((m, 2)) * epsilon * 0.5, epsilon
+    centres = rng.random((draw(st.integers(1, 5)), 2)) * 200.0
+    spread = rng.choice([0.1, 1.0, 10.0, 40.0], len(centres)) * epsilon
+    pick = rng.integers(0, len(centres), m)
+    return centres[pick] + rng.normal(size=(m, 2)) * spread[pick, None], epsilon
+
+
+@st.composite
+def queries(draw, m):
+    """Row ids to query: every row, one row, or a random subset in any order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["all", "one", "subset"]))
+    if kind == "all":
+        return np.arange(m)
+    if kind == "one":
+        return np.array([rng.integers(m)])
+    rows = rng.choice(m, rng.integers(1, m + 1), replace=False)
+    return np.sort(rows) if draw(st.booleans()) else rows
+
+
+# each path the query can take: as configured, and forced onto the cells or
+# onto the dense rows, with blocks as configured or of a few rows each
+PATHS = {"default": {}, "cells": {"DENSE_PAIRS": 0, "DENSE_SHARE": 2.0},
+         "dense": {"DENSE_PAIRS": 10**18}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(swarm=swarms(), path=st.sampled_from(sorted(PATHS)), small_blocks=st.booleans(),
+       data=st.data())
+def test_neighbour_query_senses_the_bits_of_the_dense_rows(swarm, path, small_blocks, data):
+    arr, epsilon = swarm
+    rows = data.draw(queries(len(arr)))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(core, name, value)
+        if small_blocks:
+            mp.setattr(core, "BLOCK_ENTRIES", 97)
+        got = sense(arr, rows, epsilon)
+        counts = core.neighbor_counts(arr, epsilon)
+    for g, want in zip(got, dense_sense(arr, rows, epsilon), strict=True):
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+    assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(swarm=swarms(), path=st.sampled_from(sorted(PATHS)), small_blocks=st.booleans())
+def test_components_are_those_of_a_breadth_first_search(swarm, path, small_blocks):
+    arr, epsilon = swarm
+    m = len(arr)
+    _, adjacent = dense_neighbors(arr, np.arange(m), epsilon)
+    neighbors = [np.flatnonzero(row).tolist() for row in adjacent]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(core, name, value)
+        if small_blocks:
+            mp.setattr(core, "BLOCK_ENTRIES", 97)
+        sizes = connectivity_components(arr, epsilon)
+        fraction = connected_fraction(arr, epsilon)
+    assert sizes == components_by_bfs(neighbors)
+    assert fraction == float(adjacent.any(axis=1).mean())

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qswarm.config import config_from_dict
@@ -251,7 +252,8 @@ def test_run_too_large_for_memory_fails_before_allocating(monkeypatch):
         raise AssertionError("the engine must not be built")
 
     monkeypatch.setattr(harness, "_build_engine", no_engine)
-    cfg = small_cfg(swarm_size=10**7, snapshot_ticks=[])
+    # the trace alone (M x T rows) exceeds any machine's memory
+    cfg = small_cfg(swarm_size=10**7, iterations=10**9, snapshot_ticks=[])
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="swarm_size=10000000") as err:
@@ -261,3 +263,25 @@ def test_run_too_large_for_memory_fails_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert "\n" not in str(err.value)
     assert peak < 1 << 20
+
+
+def test_a_large_swarm_senses_in_bounded_memory():
+    import math
+    import tracemalloc
+
+    from qswarm.core import WorldBounds
+    from qswarm.mql import MqlEngine, MqlParams
+
+    # default seeding density, in a world that holds the default seeding square
+    m = 5000
+    side = MqlParams().epsilon * math.sqrt(m) / 2.0
+    engine = MqlEngine(m, MqlParams(), WorldBounds(0.0, side, 0.0, side),
+                       np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        engine.tick()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dense sensing holds a 5000 x 5000 float matrix and its masked copy: 400 MB
+    assert peak < 64 * 2**20

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qswarm.core import Vec2, WorldBounds, pairwise_distances, positions_array
+from qswarm.core import Vec2, WorldBounds, neighbor_blocks, neighbor_mask, positions_array
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
                         apply_action, build_actions, deviation, encode_state,
                         encode_states, move, neighborhood, reward, rewards, sense,
-                        step_scale_pi, step_scales)
+                        step_scale_pi, step_scales, summarize)
 from qswarm.qlearning import LearningParams
 
 
@@ -22,7 +22,7 @@ def make_params(**over):
 
 def deviation_of_first(positions, epsilon):
     """(D, n) of particle 0 from the sensing kernel and ``deviation``."""
-    n, total, _ = sense(pairwise_distances(positions_array(positions), [0]), [0], epsilon)
+    n, total, _ = sense(positions_array(positions), [0], epsilon)
     return float(deviation(n, total, epsilon)[0]), int(n[0])
 
 
@@ -32,7 +32,8 @@ def rim_summary(dists):
     so peers at exactly the rules' radius count; raw positions under the
     strict neighbourhood cannot reach these formula-level cases."""
     row = np.array([[0.0, *dists]])
-    return sense(row, [0], np.nextafter(max(dists), np.inf))
+    peers = np.arange(row.shape[1])[None]
+    return summarize(row, neighbor_mask(row, peers, [0], np.nextafter(max(dists), np.inf)))
 
 
 # --- action catalogue ----------------------------------------------------------
@@ -514,8 +515,7 @@ def engines(draw):
 
 def assert_carries_a_fresh_sensing(engine):
     m = engine.m
-    n, total, lowest = sense(pairwise_distances(engine.pos), np.arange(m),
-                             engine.params.epsilon)
+    n, total, lowest = sense(engine.pos, np.arange(m), engine.params.epsilon)
     fresh = (n, total, lowest, encode_states(n, total, lowest, engine.params))
     for carried, expected in zip(engine.sensed, fresh, strict=True):
         assert carried.dtype == expected.dtype and carried.shape == (m,)
@@ -574,22 +574,24 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
 
     sensed_rows = []
 
-    def counting(arr, rows=None):
-        sensed_rows.append(len(arr) if rows is None else len(rows))
-        return pairwise_distances(arr, rows)
+    def counting(arr, rows, epsilon):
+        sensed_rows.append(len(rows))
+        return neighbor_blocks(arr, rows, epsilon)
 
-    m = 40
-    engine = MqlEngine(m, MqlParams(schedule=schedule, init_span=60.0), WorldBounds(),
-                       np.random.default_rng(39))
-    monkeypatch.setattr(qswarm.mql, "pairwise_distances", counting)
-    engine.tick()  # no carried summary yet: the whole swarm is sensed first
-    assert sensed_rows[0] == m
-    sensed_rows.clear()
-    for _ in range(10):
-        engine.tick()
-    if schedule == "simultaneous":
-        assert sensed_rows == [m] * 10
-    else:
-        # each tick: the mover's row before and after the move, then the
-        # touched rows only
-        assert len(sensed_rows) == 30 and max(sensed_rows) < m // 2
+    monkeypatch.setattr(qswarm.mql, "neighbor_blocks", counting)
+    # at M=300 a whole-swarm sensing is above the dense crossover, on the cells
+    for m, init_span in ((40, 60.0), (300, None)):
+        engine = MqlEngine(m, MqlParams(schedule=schedule, init_span=init_span), WorldBounds(),
+                           np.random.default_rng(39))
+        sensed_rows.clear()
+        engine.tick()  # no carried summary yet: the whole swarm is sensed first
+        assert sensed_rows[0] == m
+        sensed_rows.clear()
+        for _ in range(10):
+            engine.tick()
+        if schedule == "simultaneous":
+            assert sensed_rows == [m] * 10
+        else:
+            # each tick: the mover's row before and after the move, then the
+            # touched rows only
+            assert len(sensed_rows) == 30 and max(sensed_rows) < m // 2
