@@ -247,5 +247,5 @@ def _cell_runs(arr: np.ndarray, rows: np.ndarray, epsilon: float):
 
 def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
     """(M,) number of epsilon-neighbours of every particle."""
-    return np.concatenate([mask.sum(axis=1) for *_, mask
+    return np.concatenate([np.add.reduce(mask, axis=1) for *_, mask
                            in neighbor_blocks(arr, np.arange(len(arr)), epsilon)])

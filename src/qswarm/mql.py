@@ -154,10 +154,12 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
     which non-neighbours add 0.0), so it is bit-reproducible against any
     independent accumulation in the same order.
     """
-    n = mask.sum(axis=1)
-    lowest = np.where(mask, dist, np.inf).min(axis=1)
+    # the ufuncs called directly: their method and function wrappers cost
+    # more than the work on a few-particle swarm
+    n = np.add.reduce(mask, axis=1)
+    lowest = np.minimum.reduce(np.where(mask, dist, np.inf), axis=1)
     masked = np.where(mask, dist, 0.0)
-    total = np.cumsum(masked, axis=1, out=masked)[:, -1].copy()
+    total = np.add.accumulate(masked, axis=1, out=masked)[:, -1].copy()
     return n, total, lowest
 
 
