@@ -60,6 +60,10 @@ class SwarmConfig:
         if bad:
             raise ConfigError(
                 f"decision_particles must lie in [0, swarm_size={self.swarm_size}), got {bad}")
+        repeated = sorted({p for p in self.decision_particles
+                           if self.decision_particles.count(p) > 1})
+        if repeated:
+            raise ConfigError(f"decision_particles must not repeat a particle, got {repeated}")
         if self.pso_target is not None and not self.world.contains(self.pso_target):
             raise ConfigError(f"pso.target {self.pso_target.as_tuple()} is outside the world")
 

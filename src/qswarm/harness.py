@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,13 @@ TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
 PRESETS = ("fig3-compare", "fig4-individuals")
 
 # Memory a run needs at least: the per-particle state and its summary (the
-# learning swarm's final utility tables, as Python floats and as JSON text,
-# set it: a 20,000-particle run peaked at about 7 KB a particle under
-# tracemalloc) plus the trace columns (48 bytes a row), held twice while the
-# per-tick rows are stacked. Sensing adds only blocks of a fixed size
-# (``core.BLOCK_ENTRIES``), whatever M is.
-PARTICLE_BYTES = 8 * 1024
+# learning swarm's final utility tables as Python floats set it; the writer
+# renders them a row at a time: a 20,000-particle, 1-tick run_to_dir peaked at
+# 58.5 MB under tracemalloc, 2.9 KB a particle) plus the trace columns (48
+# bytes a row), held twice while the per-tick rows are stacked. Sensing and
+# the trace writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
+# ``BLOCK_ROWS``), whatever M is.
+PARTICLE_BYTES = 4 * 1024
 TRACE_BYTES_PER_ROW = 2 * 48
 
 
@@ -141,29 +143,74 @@ def run_experiment(cfg: SwarmConfig):
 
 
 # --- on-disk formats ----------------------------------------------------------
+#
+# Every CSV row is one %-template, and floats take "%.9g" (the same text as
+# format(x, ".9g")). A writer interleaves its columns into one flat cell list
+# and fills the template for a whole block of rows in one formatting call.
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+_TRACE_ROW = "%d,%d,%.9g,%.9g,%s,%s,%s,%d\n"
+_SNAPSHOT_ROW = "%d,%.9g,%.9g\n"
+_DECISION_ROW = "%d,%d,%.9g,%s\n"
+
+# trace rows rendered per formatting call, in whole ticks (at least one)
+BLOCK_ROWS = 4096
+
+# the state cells indexed by state id + 1: "" for -1, a row without a decision
+_STATE_NAMES = np.array(["", *(s.name for s in sorted(StateId))], dtype=object)
+_STATE_IDS = {name: k - 1 for k, name in enumerate(_STATE_NAMES)}
 
 
-_STATE_CELLS = {-1: "", **{int(s): s.name for s in StateId}}
-_STATE_IDS = {name: s for s, name in _STATE_CELLS.items()}
+def _render(row: str, *columns) -> str:
+    """``row`` once per entry of the equal-length ``columns``, filled from
+    them in one formatting call."""
+    width = len(columns)
+    cells = [None] * (width * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k::width] = column
+    return row * len(columns[0]) % tuple(cells)
+
+
+def _blank_where(values: np.ndarray, missing: np.ndarray) -> list:
+    """``values`` as Python objects, with "" where ``missing``."""
+    cells = values.astype(object)
+    cells[missing] = ""
+    return cells.tolist()
+
+
+def _reward_cells(rewards: np.ndarray) -> list[str]:
+    """Each reward at 9 significant digits, "" where it is NaN (no decision)."""
+    cells = np.full(rewards.shape, "", dtype=object)
+    acted = ~np.isnan(rewards)
+    values = rewards[acted].tolist()
+    cells[acted] = ("\n".join(["%.9g"] * len(values)) % tuple(values)).split("\n")
+    return cells.tolist()
 
 
 def write_trace_csv(trace, path) -> None:
     """Header + one row per (tick, particle) of a Trace or a TickRecord
     sequence; state/action/reward cells are empty when the row carries no
-    decision. Written one tick at a time."""
+    decision. Written a block of whole ticks (``BLOCK_ROWS``) at a time."""
     tr = as_trace(trace)
-    particles = range(tr.shape[1])
+    t, m = tr.shape
+    if tr.state.size and not -1 <= tr.state.min() <= tr.state.max() < len(StateId):
+        raise ValueError("trace states must be -1 (no decision) or a StateId")
+    ticks_per_block = max(1, BLOCK_ROWS // max(m, 1))
     with open(path, "w") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
-        for tick, *columns in zip(tr.ticks.tolist(), tr.positions, tr.state, tr.action,
-                                  tr.reward, tr.neighbor_count):
-            f.writelines(
-                f"{tick},{i},{_fmt(x)},{_fmt(y)},{_STATE_CELLS[s]},{'' if a < 0 else a},"
-                f"{'' if math.isnan(r) else _fmt(r)},{c}\n"
-                for i, (x, y), s, a, r, c in zip(particles, *(col.tolist() for col in columns)))
+        for k in range(0, t, ticks_per_block):
+            block = slice(k, k + ticks_per_block)
+            pos = tr.positions[block].reshape(-1, 2)
+            action = tr.action[block].ravel()
+            f.write(_render(
+                _TRACE_ROW,
+                tr.ticks[block].repeat(m).tolist(),
+                list(range(m)) * len(tr.ticks[block]),
+                pos[:, 0].tolist(),
+                pos[:, 1].tolist(),
+                _STATE_NAMES[tr.state[block].ravel() + 1].tolist(),
+                _blank_where(action, action < 0),
+                _reward_cells(tr.reward[block].ravel()),
+                tr.neighbor_count[block].ravel().tolist()))
 
 
 def read_trace_csv(path) -> Trace:
@@ -183,27 +230,59 @@ def read_trace_csv(path) -> Trace:
 
 
 def write_snapshot_csv(positions: list[Vec2], path) -> None:
-    lines = ["particle,x,y"]
-    for i, p in enumerate(positions):
-        lines.append(f"{i},{_fmt(p.x)},{_fmt(p.y)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("particle,x,y\n" + _render(
+        _SNAPSHOT_ROW, range(len(positions)), [p.x for p in positions],
+        [p.y for p in positions]))
+
+
+# The q-tables' key as json.dumps(indent=2) writes it at the top level: a
+# string value holds no raw newline and nested keys sit deeper, so it occurs once.
+_Q_KEY = '\n  "final_q_tables": '
+
+
+def _plain_tables(tables) -> bool:
+    """True if ``tables`` is a list of equally long, non-empty lists of finite
+    floats: json.dumps writes each as its repr, but inf and nan as Infinity
+    and NaN, and float subclasses and bools in text of its own."""
+    return (type(tables) is list and set(map(type, tables)) == {list}
+            and len(set(map(len, tables))) == 1
+            and set(map(type, chain.from_iterable(tables))) == {float}
+            and math.isfinite(sum(map(sum, tables))))
 
 
 def write_summary_json(summary: RunSummary, path) -> None:
-    Path(path).write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+    """``json.dumps(summary.to_dict(), indent=2, sort_keys=True)`` and a newline.
+
+    Finite q-tables (see ``_plain_tables``) are written row by row, one repr
+    per float at the indent json gives them, spliced in where json.dumps of
+    the rest holds the key: the same bytes without the pure-Python encoder's
+    per-float calls. Any other table takes json.dumps whole.
+    """
+    data = summary.to_dict()
+    tables = data["final_q_tables"]
+    if not _plain_tables(tables):
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        return
+    data["final_q_tables"] = None
+    head, tail = json.dumps(data, indent=2, sort_keys=True).split(_Q_KEY + "null")
+    row = "    [\n      " + ",\n      ".join(["%r"] * len(tables[0])) + "\n    ]"
+    with open(path, "w") as f:
+        f.write(head + _Q_KEY + "[\n" + row % tuple(tables[0]))
+        f.writelines(",\n" + row % tuple(values) for values in tables[1:])
+        f.write("\n  ]" + tail + "\n")
 
 
 def write_decisions_csv(trace, particles, path) -> None:
     """Per-tick decision series (reward sign) for the designated particles."""
     tr = as_trace(trace)
-    lines = ["particle,tick,reward,decision"]
+    parts = ["particle,tick,reward,decision\n"]
     for i in particles:
         rewards = tr.column(i).reward[:, 0]
         acted = ~np.isnan(rewards)
-        for tick, r, d in zip(tr.ticks[acted].tolist(), rewards[acted].tolist(),
-                              classify_decisions(tr, i)):
-            lines.append(f"{i},{tick},{_fmt(r)},{d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        decisions = classify_decisions(tr, i)
+        parts.append(_render(_DECISION_ROW, [i] * len(decisions), tr.ticks[acted].tolist(),
+                             rewards[acted].tolist(), decisions))
+    Path(path).write_text("".join(parts))
 
 
 def _write_atomically(path: Path, write) -> Path:

@@ -80,6 +80,12 @@ def test_invalid_values_name_their_key(tmp_path):
             load_config(write_cfg(tmp_path, text))
 
 
+
+def test_repeated_decision_particle_is_rejected_by_name():
+    # decisions.csv would hold the particle's whole series once per repeat
+    with pytest.raises(ConfigError, match=r"decision_particles .*\[1\]"):
+        config_from_dict({"swarm_size": 3, "iterations": 5, "decision_particles": [1, 0, 1]})
+
 @pytest.mark.parametrize("text, key", [
     ("swarm_size: 2.5\n", "swarm_size"),
     ("seed: 3.9\n", "seed"),
@@ -215,7 +221,8 @@ def valid_configs(draw):
         ("seed", st.integers(0, MAX_SEED)),
         ("output_dir", st.text(min_size=1, max_size=20)),
         ("snapshot_ticks", st.lists(st.integers(0, iterations), max_size=5)),
-        ("decision_particles", st.lists(st.integers(0, swarm_size - 1), max_size=5)),
+        ("decision_particles", st.lists(st.integers(0, swarm_size - 1), max_size=5,
+                                       unique=True)),
     ]))
     return config_from_dict({**data, "swarm_size": swarm_size, "iterations": iterations,
                              "world": world, "mql": mql, "pso": pso})

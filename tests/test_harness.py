@@ -1,12 +1,20 @@
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qswarm.harness as harness
 from qswarm.config import config_from_dict
-from qswarm.harness import (preset, read_trace_csv, run_experiment, run_to_dir,
-                            write_snapshot_csv, write_trace_csv)
-from qswarm.metrics import connected_fraction
+from qswarm.core import Vec2
+from qswarm.harness import (RunSummary, preset, read_trace_csv, run_experiment, run_to_dir,
+                            write_decisions_csv, write_snapshot_csv, write_summary_json,
+                            write_trace_csv)
+from qswarm.metrics import Trace, as_trace, classify_decisions, connected_fraction
+from qswarm.mql import StateId
 
 
 def small_cfg(**over):
@@ -285,3 +293,175 @@ def test_a_large_swarm_senses_in_bounded_memory():
         tracemalloc.stop()
     # dense sensing holds a 5000 x 5000 float matrix and its masked copy: 400 MB
     assert peak < 64 * 2**20
+
+
+# --- the writers against the per-cell writers they replaced -------------------
+#
+# The oracle below is the earlier implementation of each writer: one f-string
+# and one format(x, ".9g") call per cell, and json.dumps of the whole summary.
+# The writers must give its bytes for every input, not only for engine output.
+
+def _oracle_fmt(value):
+    return format(float(value), ".9g")
+
+
+_ORACLE_STATES = {-1: "", **{int(s): s.name for s in StateId}}
+
+
+def oracle_write_trace_csv(trace, path):
+    tr = as_trace(trace)
+    particles = range(tr.shape[1])
+    with open(path, "w") as f:
+        f.write("tick,particle,x,y,state,action,reward,neighbor_count\n")
+        for tick, *columns in zip(tr.ticks.tolist(), tr.positions, tr.state, tr.action,
+                                  tr.reward, tr.neighbor_count):
+            f.writelines(
+                f"{tick},{i},{_oracle_fmt(x)},{_oracle_fmt(y)},{_ORACLE_STATES[s]},"
+                f"{'' if a < 0 else a},{'' if math.isnan(r) else _oracle_fmt(r)},{c}\n"
+                for i, (x, y), s, a, r, c in zip(particles, *(col.tolist() for col in columns)))
+
+
+def oracle_write_snapshot_csv(positions, path):
+    lines = ["particle,x,y"]
+    for i, p in enumerate(positions):
+        lines.append(f"{i},{_oracle_fmt(p.x)},{_oracle_fmt(p.y)}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def oracle_write_summary_json(summary, path):
+    with open(path, "w") as f:
+        f.write(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def oracle_write_decisions_csv(trace, particles, path):
+    tr = as_trace(trace)
+    lines = ["particle,tick,reward,decision"]
+    for i in particles:
+        rewards = tr.column(i).reward[:, 0]
+        acted = ~np.isnan(rewards)
+        for tick, r, d in zip(tr.ticks[acted].tolist(), rewards[acted].tolist(),
+                              classify_decisions(tr, i)):
+            lines.append(f"{i},{tick},{_oracle_fmt(r)},{d}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def written(write, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/out"
+        write(*args, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1e16, 123456789.5, 1e-5]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False,
+                                                                   allow_infinity=False))
+any_floats = st.one_of(finite_floats, st.floats())
+
+
+@st.composite
+def traces(draw):
+    """Random (T, M) traces. A row's decision cells are present in every row,
+    in one mover's row per tick (round robin), in random rows, or in none;
+    the gaps are state and action -1 and reward NaN, and present rewards may
+    be NaN or infinite too."""
+    t, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    start = draw(st.integers(-3, 10**6))
+    floats = lambda n, elems: np.array(draw(st.lists(elems, min_size=n, max_size=n)))
+    ints = lambda n, lo, hi: np.array(draw(st.lists(st.integers(lo, hi), min_size=n,
+                                                    max_size=n)), dtype=np.int64)
+    gaps = draw(st.sampled_from(["none", "round_robin", "random", "all"]))
+    if gaps == "round_robin":
+        acted = np.arange(m)[None, :] == (np.arange(t) % m)[:, None]
+    elif gaps == "random":
+        acted = np.array(draw(st.lists(st.booleans(), min_size=t * m, max_size=t * m)))
+    else:
+        acted = np.full(t * m, gaps == "none")
+    acted = acted.reshape(t, m)
+    return Trace(np.arange(start, start + t),
+                 floats(t * m * 2, any_floats).reshape(t, m, 2),
+                 np.where(acted, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1),
+                 np.where(acted, ints(t * m, 0, 14).reshape(t, m), -1),
+                 np.where(acted, floats(t * m, any_floats).reshape(t, m), np.nan),
+                 ints(t * m, 0, 10**9).reshape(t, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=traces(), block_rows=st.sampled_from([1, 2, 5, harness.BLOCK_ROWS]),
+       data=st.data())
+def test_csv_writers_give_the_per_cell_bytes(trace, block_rows, data):
+    # small blocks put several blocks, and a short last one, in one trace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_ROWS", block_rows)
+        assert written(write_trace_csv, trace) == written(oracle_write_trace_csv, trace)
+    m = trace.shape[1]
+    particles = data.draw(st.lists(st.integers(0, m - 1), max_size=4))
+    assert written(write_decisions_csv, trace, particles) == \
+        written(oracle_write_decisions_csv, trace, particles)
+    snapshot = [Vec2(x, y) for x, y in data.draw(
+        st.lists(st.tuples(finite_floats, finite_floats), max_size=9))]
+    assert written(write_snapshot_csv, snapshot) == \
+        written(oracle_write_snapshot_csv, snapshot)
+
+
+# config strings that read as the key the q-tables are spliced in at (the
+# summaries also nest the key itself in the config, null or not)
+TRICKY_TEXT = st.sampled_from(['\n  "final_q_tables": null', '"final_q_tables": null',
+                               "", "out", "é \x00"])
+
+
+@st.composite
+def summaries(draw):
+    """RunSummaries with (M, n) q-tables of finite floats, and with tables
+    the writer leaves to json.dumps: none, ragged, holding inf or nan (which
+    json writes as Infinity and NaN), or ints, bools and numpy floats (whose
+    repr json does not write)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["finite", "ragged", "non-finite", "not float", "none"]))
+    odd = {"ragged": finite_floats,
+           "non-finite": st.sampled_from([math.inf, -math.inf, math.nan]),
+           "not float": st.sampled_from([1, True, np.float64(0.5)])}
+    table_floats = finite_floats if kind in ("finite", "ragged") else any_floats
+    tables = None if kind == "none" else draw(
+        st.lists(st.lists(table_floats, min_size=n, max_size=n), min_size=m, max_size=m))
+    if kind in odd and m:
+        tables[-1].append(draw(odd[kind]))
+    return RunSummary(
+        config={"output_dir": draw(TRICKY_TEXT), "seed": draw(st.integers(0, 2**64 - 1)),
+                "mql": {"final_q_tables": draw(st.none() | TRICKY_TEXT),
+                        "epsilon": draw(any_floats)}},
+        cumulative_rewards=draw(st.lists(any_floats, min_size=m, max_size=m)),
+        drift_onsets=draw(st.lists(st.none() | st.integers(0, 500), min_size=m, max_size=m)),
+        initial_dispersion=draw(any_floats),
+        final_dispersion=draw(finite_floats),
+        final_connected_fraction=draw(finite_floats),
+        snapshot_components=draw(st.dictionaries(st.integers(0, 500),
+                                                 st.lists(st.integers(1, 5)), max_size=3)),
+        q_table_shape=None if tables is None else [5, 12],
+        final_q_tables=tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary=summaries())
+def test_summary_json_gives_the_bytes_of_json_dumps(summary):
+    assert written(write_summary_json, summary) == \
+        written(oracle_write_summary_json, summary)
+
+
+@pytest.mark.parametrize("over", [
+    {}, {"mql": {"schedule": "round_robin"}}, {"algorithm": "pso"},
+    {"decision_particles": [2, 0], "snapshot_ticks": [0, 3]}])
+def test_run_artifacts_are_those_of_the_per_cell_writers(over):
+    cfg = small_cfg(swarm_size=7, iterations=10, seed=2, **over)
+    trace, snapshots, summary = run_experiment(cfg)
+    assert written(write_trace_csv, trace) == written(oracle_write_trace_csv, trace)
+    assert written(write_summary_json, summary) == \
+        written(oracle_write_summary_json, summary)
+    for positions in snapshots.values():
+        assert written(write_snapshot_csv, positions) == \
+            written(oracle_write_snapshot_csv, positions)
+    assert written(write_decisions_csv, trace, [0, 2]) == \
+        written(oracle_write_decisions_csv, trace, [0, 2])
