@@ -153,7 +153,7 @@ _SNAPSHOT_ROW = "%d,%.9g,%.9g\n"
 _DECISION_ROW = "%d,%d,%.9g,%s\n"
 
 # trace rows rendered per formatting call, in whole ticks (at least one)
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 
 # the state cells indexed by state id + 1: "" for -1, a row without a decision
 _STATE_NAMES = np.array(["", *(s.name for s in sorted(StateId))], dtype=object)
