@@ -5,6 +5,7 @@ effective config reproduces its run byte-for-byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -60,8 +61,7 @@ class SwarmConfig:
         if bad:
             raise ConfigError(
                 f"decision_particles must lie in [0, swarm_size={self.swarm_size}), got {bad}")
-        repeated = sorted({p for p in self.decision_particles
-                           if self.decision_particles.count(p) > 1})
+        repeated = sorted(p for p, n in Counter(self.decision_particles).items() if n > 1)
         if repeated:
             raise ConfigError(f"decision_particles must not repeat a particle, got {repeated}")
         if self.pso_target is not None and not self.world.contains(self.pso_target):

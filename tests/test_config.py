@@ -80,11 +80,11 @@ def test_invalid_values_name_their_key(tmp_path):
             load_config(write_cfg(tmp_path, text))
 
 
-
 def test_repeated_decision_particle_is_rejected_by_name():
     # decisions.csv would hold the particle's whole series once per repeat
     with pytest.raises(ConfigError, match=r"decision_particles .*\[1\]"):
         config_from_dict({"swarm_size": 3, "iterations": 5, "decision_particles": [1, 0, 1]})
+
 
 @pytest.mark.parametrize("text, key", [
     ("swarm_size: 2.5\n", "swarm_size"),

@@ -301,6 +301,7 @@ def test_a_large_swarm_senses_in_bounded_memory():
 # and one format(x, ".9g") call per cell, and json.dumps of the whole summary.
 # The writers must give its bytes for every input, not only for engine output.
 
+
 def _oracle_fmt(value):
     return format(float(value), ".9g")
 
