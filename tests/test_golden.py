@@ -9,6 +9,14 @@ M=40), a lone particle, the PSO velocity memory term, the bundled presets, and
 the cell-list sensing above the dense crossover at M=300 (a sparse swarm with
 exploration and pursuit, round-robin, and a PSO swarm collapsing into one cell).
 
+Two PSO cases pin the bounding-box bound of ``core.neighbor_counts`` (a swarm
+whose bounding-box diagonal is below epsilon counts M - 1 neighbours for every
+particle without measuring a distance): in ``pso-small-world`` every one of
+the 30 ticks takes it at each seed, and in ``pso-small-epsilon`` the swarm's
+collapse crosses it mid-run, so ticks 0-24, 0-24 and 0-23 (seeds 0, 1, 2)
+measure distances and the remaining 35, 35 and 36 of the 60 take the bound.
+Both were recorded before the bound existed.
+
 To re-record after a deliberate output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -52,6 +60,13 @@ CASES = {
                     mql={"schedule": "round_robin"}),
     "grid-pso": dict(algorithm="pso", swarm_size=300, iterations=20,
                      snapshot_ticks=[0, 10, 20]),
+    # a world whose diagonal is below epsilon: every tick's neighbour counts
+    # come from the swarm's bounding box
+    "pso-small-world": dict(algorithm="pso", swarm_size=12, iterations=30,
+                            snapshot_ticks=[0, 30], world={"x_max": 6.0, "y_max": 6.0}),
+    # a sensing radius of 1: the swarm's bounding box falls inside it mid-run
+    "pso-small-epsilon": dict(algorithm="pso", swarm_size=20, iterations=60,
+                              snapshot_ticks=[0, 30, 60], mql={"epsilon": 1.0}),
 }
 
 PRESET_RUNS = {
@@ -192,6 +207,30 @@ GOLDEN = {
     'pso-canonical-s2': {
         'trace': '75b36ac06a87cf84211577f442165ead0df8827404a926f76a7de3de1ad9a812',
         'summary': 'c96d33349719ccffe65f4ddd568ebd60669f6e4ac720e16dba5293b8d148c8a6',
+    },
+    'pso-small-epsilon-s0': {
+        'trace': '62a7a6ad3e670f24f6bc5a305ab80ea238d1a1d56dc974cf786e17fabce36a99',
+        'summary': '555bca06eb3b1251edcf76f12916e0c6597aa405027f44936b2379644abdf26d',
+    },
+    'pso-small-epsilon-s1': {
+        'trace': '3442595a0213b764ec965282c1e8316ec457f9cb2858a9da02cc3472842862cf',
+        'summary': 'd3893cbccb9d895add00a2ff625e6469b3f39f7f1c1e7ad71d13fb0a19c7a6f6',
+    },
+    'pso-small-epsilon-s2': {
+        'trace': '4d61cf707d81f0165f6f419dc2b794ded889290377317bcfadd09bd4a24c4c21',
+        'summary': '66c24441ff310027071b456297167205626dc876bbbaf64d81e2d478a0233773',
+    },
+    'pso-small-world-s0': {
+        'trace': 'ed87def6a8d4d19121b7e5b6ff26c69b4708892bc0a3734fa30c8907141f6631',
+        'summary': '29b314032c39e8dabe5a7b23933a7a2cc86e53a49dba4cca0c59b7197ef6ee68',
+    },
+    'pso-small-world-s1': {
+        'trace': '9c1e5182dfda7e7aa4e21860358c0568a7f278f8a43603e8a14047e3961d336b',
+        'summary': '3c88ffef3e35c02cf93783b17e7420793608c2d896ac42aaeb149bfdc440cc8a',
+    },
+    'pso-small-world-s2': {
+        'trace': 'a3a7a4cf9de2d815e8630f2429978983bb8fa87ee8be937ea3768132f42ba158',
+        'summary': '2f0e134328456f32682efc658c044db00ffcf76eadb4e29047945f6523d57148',
     },
     'rr-explore-recover-s0': {
         'trace': '2e69f2fedfc92c2d8173b10574c3bdedeaa23a9d7e5599c4e175ab20239db075',
