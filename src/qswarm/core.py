@@ -246,6 +246,18 @@ def _cell_runs(arr: np.ndarray, rows: np.ndarray, epsilon: float):
 
 
 def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
-    """(M,) number of epsilon-neighbours of every particle."""
+    """(M,) number of epsilon-neighbours of every particle.
+
+    A swarm whose bounding-box diagonal sqrt(wx*wx + wy*wy) is below epsilon
+    (a collapsed PSO swarm) counts M - 1 for every particle and measures no
+    distance. That is exactly what the query would count: every pair's
+    |xi - xj| and |yi - yj| are at most the box's extents wx and wy, and
+    subtraction, squaring, addition and sqrt, each rounded to nearest, are
+    monotone, so every distance ``pairwise_distances`` computes is at most the
+    diagonal computed in the same order, and so strictly within epsilon.
+    (``math.hypot`` rounds differently and would break the argument.)"""
+    wx, wy = (arr.max(axis=0) - arr.min(axis=0)).tolist()
+    if math.sqrt(wx * wx + wy * wy) < epsilon:
+        return np.full(len(arr), len(arr) - 1)
     return np.concatenate([np.add.reduce(mask, axis=1) for *_, mask
                            in neighbor_blocks(arr, np.arange(len(arr)), epsilon)])

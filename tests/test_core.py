@@ -167,24 +167,54 @@ def dense_sense(arr, rows, epsilon):
     return n, total, lowest
 
 
+# A bounding box whose diagonal in the sqrt form that ``pairwise_distances``
+# uses is one rounding above ``math.hypot``'s (found by search over tenths):
+# with epsilon at the sqrt form, hypot would put the far corners inside it.
+HYPOT_BELOW = (1.0, 2.8)
+
+
+def rim_swarm(rng, m, extent, side):
+    """``m`` >= 2 particles in the box from ``low`` to ``low + extent``, two of
+    them at its far corners, with epsilon one step below the box's diagonal
+    (side -1), at it (0) or one step above it (+1). The diagonal is computed
+    from the swarm as ``pairwise_distances`` computes a distance."""
+    low = np.array([0.0, 0.0]) if extent is None else rng.random(2) * 100.0
+    high = low + (HYPOT_BELOW if extent is None else extent)
+    arr = np.vstack([low, high, core.clamp(low + rng.random((m - 2, 2)) * (high - low), low, high)])
+    wx, wy = (arr.max(axis=0) - arr.min(axis=0)).tolist()
+    diagonal = math.sqrt(wx * wx + wy * wy)
+    epsilon = diagonal if side == 0 else float(np.nextafter(diagonal, side * np.inf))
+    return arr[rng.permutation(m)], epsilon
+
+
 @st.composite
 def swarms(draw):
     """(positions, epsilon) on both sides of the dense crossover: uniform
     scatters at several densities, integer lattices with an integer epsilon
     (peers at exactly epsilon, coincident particles), clusters of very
-    different density, and a whole swarm collapsed into one cell."""
+    different density, a whole swarm collapsed into one cell or onto one
+    point, and swarms on the rim of the bounding-box bound of
+    ``neighbor_counts`` (epsilon within one step of the box's diagonal)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 600))
-    kind = draw(st.sampled_from(["uniform", "lattice", "clusters", "collapsed"]))
+    m = draw(st.just(1) | st.integers(1, 600))
+    kind = draw(st.sampled_from(["uniform", "lattice", "clusters", "collapsed", "coincident",
+                                 "rim"]))
     if kind == "lattice":
         epsilon = float(draw(st.integers(1, 6)))
         side = draw(st.integers(1, 60))
         return rng.integers(0, side + 1, (m, 2)).astype(float), epsilon
+    if kind == "rim":
+        extent = draw(st.sampled_from([None, "drawn"]))
+        if extent == "drawn":
+            extent = rng.random(2) * draw(st.sampled_from([1.0, 20.0, 300.0]))
+        return rim_swarm(rng, max(m, 2), extent, draw(st.sampled_from([-1, 0, 1])))
     epsilon = draw(st.floats(0.5, 20.0))
     if kind == "uniform":
         return rng.random((m, 2)) * draw(st.floats(1.0, 500.0)), epsilon
     if kind == "collapsed":
         return 50.0 + rng.random((m, 2)) * epsilon * 0.5, epsilon
+    if kind == "coincident":
+        return np.repeat(rng.random((1, 2)) * 100.0, m, axis=0), epsilon
     centres = rng.random((draw(st.integers(1, 5)), 2)) * 200.0
     spread = rng.choice([0.1, 1.0, 10.0, 40.0], len(centres)) * epsilon
     pick = rng.integers(0, len(centres), m)
@@ -226,6 +256,19 @@ def test_neighbour_query_senses_the_bits_of_the_dense_rows(swarm, path, small_bl
     for g, want in zip(got, dense_sense(arr, rows, epsilon), strict=True):
         assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
     assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_counts_on_the_rim_of_the_bounding_box_bound(side):
+    # the far corners are exactly at the diagonal: out of contact unless
+    # epsilon is a step above it, and hypot's diagonal is a step below it
+    arr, epsilon = rim_swarm(np.random.default_rng(side + 1), 50, None, side)
+    diagonal = math.sqrt(1.0 * 1.0 + 2.8 * 2.8)
+    assert math.hypot(*HYPOT_BELOW) < diagonal
+    assert epsilon == (diagonal if side == 0 else np.nextafter(diagonal, side * np.inf))
+    counts = core.neighbor_counts(arr, epsilon)
+    assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
+    assert (counts == len(arr) - 1).all() == (side == 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -241,6 +241,20 @@ def test_engine_tick_builds_no_particles_or_vec2(monkeypatch):
     assert engine.tick_index == 3
 
 
+def test_engine_counts_a_swarm_inside_epsilon_without_measuring_distances(monkeypatch):
+    import qswarm.core
+
+    def not_measured(*args, **kwargs):
+        raise AssertionError("a swarm inside epsilon needs no distance")
+
+    monkeypatch.setattr(qswarm.core, "pairwise_distances", not_measured)
+    # constriction 0 holds the swarm in place: a 3 x 3 box, diagonal below 10
+    for m in (1, 2, 50):
+        engine = PsoEngine(m, make_params(bounds=WorldBounds(0, 3, 0, 3), constriction=0.0),
+                           Objective(), sensing_radius=10.0, rng=np.random.default_rng(m))
+        assert engine.tick().neighbor_count[0].tolist() == [m - 1] * m
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(v_min=2.0, v_max=-2.0)
