@@ -173,13 +173,12 @@ def dense_sense(arr, rows, epsilon):
 HYPOT_BELOW = (1.0, 2.8)
 
 
-def rim_swarm(rng, m, extent, side):
+def rim_swarm(rng, m, low, extent, side):
     """``m`` >= 2 particles in the box from ``low`` to ``low + extent``, two of
     them at its far corners, with epsilon one step below the box's diagonal
     (side -1), at it (0) or one step above it (+1). The diagonal is computed
     from the swarm as ``pairwise_distances`` computes a distance."""
-    low = np.array([0.0, 0.0]) if extent is None else rng.random(2) * 100.0
-    high = low + (HYPOT_BELOW if extent is None else extent)
+    high = low + extent
     arr = np.vstack([low, high, core.clamp(low + rng.random((m - 2, 2)) * (high - low), low, high)])
     wx, wy = (arr.max(axis=0) - arr.min(axis=0)).tolist()
     diagonal = math.sqrt(wx * wx + wy * wy)
@@ -204,10 +203,12 @@ def swarms(draw):
         side = draw(st.integers(1, 60))
         return rng.integers(0, side + 1, (m, 2)).astype(float), epsilon
     if kind == "rim":
-        extent = draw(st.sampled_from([None, "drawn"]))
-        if extent == "drawn":
+        if draw(st.booleans()):
+            low, extent = np.zeros(2), HYPOT_BELOW
+        else:
+            low = rng.random(2) * 100.0
             extent = rng.random(2) * draw(st.sampled_from([1.0, 20.0, 300.0]))
-        return rim_swarm(rng, max(m, 2), extent, draw(st.sampled_from([-1, 0, 1])))
+        return rim_swarm(rng, max(m, 2), low, extent, draw(st.sampled_from([-1, 0, 1])))
     epsilon = draw(st.floats(0.5, 20.0))
     if kind == "uniform":
         return rng.random((m, 2)) * draw(st.floats(1.0, 500.0)), epsilon
@@ -262,9 +263,10 @@ def test_neighbour_query_senses_the_bits_of_the_dense_rows(swarm, path, small_bl
 def test_counts_on_the_rim_of_the_bounding_box_bound(side):
     # the far corners are exactly at the diagonal: out of contact unless
     # epsilon is a step above it, and hypot's diagonal is a step below it
-    arr, epsilon = rim_swarm(np.random.default_rng(side + 1), 50, None, side)
-    diagonal = math.sqrt(1.0 * 1.0 + 2.8 * 2.8)
-    assert math.hypot(*HYPOT_BELOW) < diagonal
+    arr, epsilon = rim_swarm(np.random.default_rng(side + 1), 50, np.zeros(2), HYPOT_BELOW, side)
+    wx, wy = HYPOT_BELOW
+    diagonal = math.sqrt(wx * wx + wy * wy)
+    assert math.hypot(wx, wy) < diagonal
     assert epsilon == (diagonal if side == 0 else np.nextafter(diagonal, side * np.inf))
     counts = core.neighbor_counts(arr, epsilon)
     assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
