@@ -17,6 +17,14 @@ collapse crosses it mid-run, so ticks 0-24, 0-24 and 0-23 (seeds 0, 1, 2)
 measure distances and the remaining 35, 35 and 36 of the 60 take the bound.
 Both were recorded before the bound existed.
 
+``mql-overflow`` pins the summary's non-finite floats: with a reward scale
+near the largest float, a learning rate of 1 and no discount, the q-table
+updates overflow. At seed 0 the final q-tables hold 12 NaN entries and the
+cumulative rewards 4 -inf, so summary.json holds both ``NaN`` and
+``-Infinity``; seed 1 holds 13 NaN and 3 -inf, and seed 2's tables are all
+finite. It was recorded before the q-table writer wrote from the engine's
+array.
+
 To re-record after a deliberate output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -67,6 +75,9 @@ CASES = {
     # a sensing radius of 1: the swarm's bounding box falls inside it mid-run
     "pso-small-epsilon": dict(algorithm="pso", swarm_size=20, iterations=60,
                               snapshot_ticks=[0, 30, 60], mql={"epsilon": 1.0}),
+    # q-table updates that overflow to NaN, and cumulative rewards to -inf
+    "mql-overflow": dict(swarm_size=6, iterations=200,
+                         mql={"reward_max": 1.7e308, "learning_rate": 1.0, "discount": 1.0}),
 }
 
 PRESET_RUNS = {
@@ -171,6 +182,18 @@ GOLDEN = {
         'trace': 'ea969db30c5beefe41994656b7209e8f4f9962baa37f19ebe1483c7113e0fd7a',
         'summary': 'a5acf42929cfc5b8a2cb73a43dbac2bd17d1c58b75a99e8f429e8a12cfb8eebc',
         'decisions': '4c63f9f75f1bdefb27672842b16e6d5a8fc49fd32d90895acd35b01281e2e5f4',
+    },
+    'mql-overflow-s0': {
+        'trace': '5f47e96254d5007d30d64e21277dd33e627d1e1526ea1b98a10a4cfe17d98c40',
+        'summary': 'b2d5f16c6b90bc93142ff8f5d1ac0755f2c892d97edde52640a3f7f0a1b3c067',
+    },
+    'mql-overflow-s1': {
+        'trace': '296038b951d87d09af5437a68557dd2dc6e657b4934c229ebda679eecadfc4b1',
+        'summary': '4b5407ccda3a1617f0be318de938a9eb37c4980cb1ec3d19ba2bb90f51bd480e',
+    },
+    'mql-overflow-s2': {
+        'trace': 'ceaac7067032088aab6565de3f7ff96a2ac1148ce64478e1a65a3fae569a8d5c',
+        'summary': '2500f180ea34772a043337919bb99d1b7ff28959f4f050be9812b9c579a87204',
     },
     'mql-recover-s0': {
         'trace': 'fa8941c4597255ce1e896ad5fd3b7155fbb418c05fd70ee405a5dea2ec07b5c5',
