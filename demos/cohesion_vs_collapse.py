@@ -77,8 +77,7 @@ if HAVE_MPL:
         snapshots = results[algo][0]
         for col, tick in enumerate((0, 10, 50, 500)):
             ax = axes[row][col]
-            xs = [p.x for p in snapshots[tick]]
-            ys = [p.y for p in snapshots[tick]]
+            xs, ys = snapshots[tick].T
             ax.scatter(xs, ys, s=25, c="tab:blue" if algo == "mql" else "tab:red")
             ax.set_xlim(0, 100)
             ax.set_ylim(0, 100)

@@ -3,7 +3,7 @@ Q-learning for cohesion, a standard PSO baseline, connectivity metrics, and a
 seeded experiment harness."""
 
 from .config import ALGORITHMS, ConfigError, SwarmConfig, config_from_dict, config_to_dict, dump_config, load_config
-from .core import Vec2, WorldBounds, clamp_to_world, euclidean_distance, pairwise_distances, positions_array
+from .core import Vec2, WorldBounds, euclidean_distance, pairwise_distances, positions_array
 from .harness import (PRESETS, RunSummary, preset, read_trace_csv, run_experiment,
                       run_to_dir, write_decisions_csv, write_snapshot_csv,
                       write_summary_json, write_trace_csv)

@@ -108,6 +108,13 @@ def _real(value, key: str, nullable: bool = False):
     return value
 
 
+def _string(value, key: str) -> str:
+    # str() would write None as "None" and [a] as "['a']"
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _list(value, key: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -187,7 +194,7 @@ def config_from_dict(data: dict) -> SwarmConfig:
         kwargs = {}
         for key in ("algorithm", "output_dir"):
             if key in data:
-                kwargs[key] = str(data[key])
+                kwargs[key] = _string(data[key], key)
         for key in ("swarm_size", "iterations", "seed"):
             if key in data:
                 kwargs[key] = _integer(data[key], key)

@@ -90,12 +90,6 @@ def clamp(v, lo, hi) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, v))
 
 
-def clamp_to_world(p: Vec2, world: WorldBounds) -> Vec2:
-    """Pull each component of ``p`` into the closed world rectangle. Idempotent."""
-    x, y = clamp(np.array(p.as_tuple()), world.lo, world.hi).tolist()
-    return Vec2(x, y)
-
-
 def positions_array(positions) -> np.ndarray:
     """(M, 2) float array from a Vec2 sequence, pair sequence, or existing array."""
     if isinstance(positions, np.ndarray):

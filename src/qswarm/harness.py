@@ -17,16 +17,13 @@ The two bundled experiment presets:
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
-from .core import Vec2
 from .metrics import (Trace, as_trace, classify_decisions, connectivity_components,
                       cumulative_rewards, dispersion, drift_onsets)
 from .mql import MqlEngine, StateId
@@ -38,9 +35,9 @@ TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
 PRESETS = ("fig3-compare", "fig4-individuals")
 
 # Memory a run needs at least: the per-particle state and its summary (the
-# learning swarm's final utility tables as Python floats set it; the writer
-# renders them a row at a time: a 20,000-particle, 1-tick run_to_dir peaked at
-# 58.5 MB under tracemalloc, 2.9 KB a particle) plus the trace columns (48
+# learning swarm's final utility tables are the engine's array, which the
+# writer renders a row at a time: a 20,000-particle, 1-tick run_to_dir peaked
+# at 20.3 MB under tracemalloc, about 1 KB a particle) plus the trace columns (48
 # bytes a row), held twice while the per-tick rows are stacked. Sensing and
 # the trace writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
 # ``BLOCK_ROWS``), whatever M is.
@@ -58,12 +55,14 @@ class RunSummary:
     final_connected_fraction: float
     snapshot_components: dict[int, list[int]]
     q_table_shape: list[int] | None
-    final_q_tables: list[list[float]] | None
+    final_q_tables: np.ndarray | None  # (M, 60), one row per particle
 
     def to_dict(self) -> dict:
         # vars, not dataclasses.asdict, which would deep-copy the q-tables
         d = dict(vars(self))
         d["snapshot_components"] = {str(t): s for t, s in self.snapshot_components.items()}
+        if self.final_q_tables is not None:
+            d["final_q_tables"] = self.final_q_tables.tolist()
         return d
 
 
@@ -95,8 +94,8 @@ def run_experiment(cfg: SwarmConfig):
     """Run cfg.iterations ticks from the seeded initial swarm.
 
     Returns (trace, snapshots, summary): the Trace of every (tick, particle)
-    row, a {tick: positions} dict for each requested snapshot (tick 0 meaning
-    the initial scatter), and the RunSummary. Raises ConfigError without
+    row, a {tick: (M, 2) positions} dict for each requested snapshot (tick 0
+    meaning the initial scatter), and the RunSummary. Raises ConfigError without
     starting if the run cannot fit in memory (see ``check_memory``).
     """
     check_memory(cfg)
@@ -104,40 +103,33 @@ def run_experiment(cfg: SwarmConfig):
     engine = _build_engine(cfg, rng)
     epsilon = cfg.mql.epsilon
 
-    snapshots: dict[int, list[Vec2]] = {}
+    snapshots: dict[int, np.ndarray] = {}
     if 0 in cfg.snapshot_ticks:
-        snapshots[0] = engine.positions()
-    initial_dispersion = dispersion(engine.positions())
+        snapshots[0] = engine.pos.copy()
+    initial_dispersion = dispersion(engine.pos)
 
     ticks = []
     for t in range(cfg.iterations):
         ticks.append(engine.tick())
         if (t + 1) in cfg.snapshot_ticks:
-            snapshots[t + 1] = engine.positions()
+            snapshots[t + 1] = engine.pos.copy()
     trace = Trace.concat(ticks)
     del ticks  # the stacked columns replace the per-tick ones
 
-    final_positions = engine.positions()
-    if cfg.algorithm == "mql":
-        q_shape = list(engine.q.shape[1:])
-        q_tables = engine.q.reshape(cfg.swarm_size, -1).tolist()
-    else:
-        q_shape = None
-        q_tables = None
-
+    learning = cfg.algorithm == "mql"
     summary = RunSummary(
         config=config_to_dict(cfg),
         cumulative_rewards=cumulative_rewards(trace),
         drift_onsets=drift_onsets(trace),
         initial_dispersion=initial_dispersion,
-        final_dispersion=dispersion(final_positions),
+        final_dispersion=dispersion(engine.pos),
         # the last tick's neighbour counts are the final positions' proximity
-        # graph, so this is connected_fraction(final_positions, epsilon)
+        # graph, so this is connected_fraction(engine.pos, epsilon)
         final_connected_fraction=float((trace.neighbor_count[-1] > 0).mean()),
         snapshot_components={t: connectivity_components(pos, epsilon)
                              for t, pos in sorted(snapshots.items())},
-        q_table_shape=q_shape,
-        final_q_tables=q_tables,
+        q_table_shape=list(engine.q.shape[1:]) if learning else None,
+        final_q_tables=engine.q.reshape(cfg.swarm_size, -1) if learning else None,
     )
     return trace, snapshots, summary
 
@@ -229,10 +221,11 @@ def read_trace_csv(path) -> Trace:
         np.array(ncount, dtype=np.int64))
 
 
-def write_snapshot_csv(positions: list[Vec2], path) -> None:
+def write_snapshot_csv(positions: np.ndarray, path) -> None:
+    """Header + one row per particle of an (M, 2) positions array."""
     Path(path).write_text("particle,x,y\n" + _render(
-        _SNAPSHOT_ROW, range(len(positions)), [p.x for p in positions],
-        [p.y for p in positions]))
+        _SNAPSHOT_ROW, range(len(positions)), positions[:, 0].tolist(),
+        positions[:, 1].tolist()))
 
 
 # The q-tables' key as json.dumps(indent=2) writes it at the top level: a
@@ -240,35 +233,32 @@ def write_snapshot_csv(positions: list[Vec2], path) -> None:
 _Q_KEY = '\n  "final_q_tables": '
 
 
-def _plain_tables(tables) -> bool:
-    """True if ``tables`` is a list of equally long, non-empty lists of finite
-    floats: json.dumps writes each as its repr, but inf and nan as Infinity
-    and NaN, and float subclasses and bools in text of its own."""
-    return (type(tables) is list and set(map(type, tables)) == {list}
-            and len(set(map(len, tables))) == 1
-            and set(map(type, chain.from_iterable(tables))) == {float}
-            and math.isfinite(sum(map(sum, tables))))
-
-
 def write_summary_json(summary: RunSummary, path) -> None:
     """``json.dumps(summary.to_dict(), indent=2, sort_keys=True)`` and a newline.
 
-    Finite q-tables (see ``_plain_tables``) are written row by row, one repr
-    per float at the indent json gives them, spliced in where json.dumps of
-    the rest holds the key: the same bytes without the pure-Python encoder's
-    per-float calls. Any other table takes json.dumps whole.
+    The q-tables are written from the array a row at a time, one repr per
+    float at the indent json gives them, spliced in where json.dumps of the
+    rest holds the key: the same bytes without the pure-Python encoder's
+    per-float calls. repr writes inf and nan where json writes Infinity and
+    NaN, words no finite float's repr holds. A None or empty table takes
+    json.dumps whole.
     """
-    data = summary.to_dict()
-    tables = data["final_q_tables"]
-    if not _plain_tables(tables):
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    q = summary.final_q_tables
+    if q is None or q.size == 0:
+        Path(path).write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
         return
-    data["final_q_tables"] = None
-    head, tail = json.dumps(data, indent=2, sort_keys=True).split(_Q_KEY + "null")
-    row = "    [\n      " + ",\n      ".join(["%r"] * len(tables[0])) + "\n    ]"
+    rest = json.dumps(replace(summary, final_q_tables=None).to_dict(), indent=2, sort_keys=True)
+    head, tail = rest.split(_Q_KEY + "null")
+    row = "    [\n      " + ",\n      ".join(["%r"] * q.shape[1]) + "\n    ]"
+    finite = np.isfinite(q).all()
+
+    def render(values: np.ndarray) -> str:
+        text = row % tuple(values.tolist())
+        return text if finite else text.replace("inf", "Infinity").replace("nan", "NaN")
+
     with open(path, "w") as f:
-        f.write(head + _Q_KEY + "[\n" + row % tuple(tables[0]))
-        f.writelines(",\n" + row % tuple(values) for values in tables[1:])
+        f.write(head + _Q_KEY + "[\n" + render(q[0]))
+        f.writelines(",\n" + render(values) for values in q[1:])
         f.write("\n  ]" + tail + "\n")
 
 

@@ -47,9 +47,6 @@ class Objective:
         d = pos - self.target.as_tuple()
         return np.sqrt(np.float_power(d, 2.0).sum(axis=1))
 
-    def evaluate(self, p: Vec2) -> float:
-        return float(self.fitness(np.array([p.as_tuple()]))[0])
-
 
 @dataclass(frozen=True)
 class PsoParams:

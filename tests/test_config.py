@@ -111,9 +111,13 @@ def test_repeated_decision_particle_is_rejected_by_name():
     ("world: {x_max: true}\n", "world.x_max"),
     ("world: {y_min: '0'}\n", "world.y_min"),
     ("snapshot_ticks: 5\n", "snapshot_ticks"),
+    ("output_dir: null\n", "output_dir"),
+    ("output_dir:\n", "output_dir"),
+    ("output_dir: [a]\n", "output_dir"),
+    ("output_dir: 5\n", "output_dir"),
 ])
 def test_coercible_values_rejected_by_name(tmp_path, text, key):
-    # each of these used to be silently truncated, coerced by float(), or
+    # each of these used to be silently truncated, coerced by float() or str(), or
     # kept as given and echoed back
     with pytest.raises(ConfigError, match=key):
         load_config(write_cfg(tmp_path, text))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qswarm.core as core
-from qswarm.core import Vec2, WorldBounds, clamp_to_world, euclidean_distance, pairwise_distances
+from qswarm.core import Vec2, WorldBounds, clamp, euclidean_distance, pairwise_distances
 from qswarm.metrics import connected_fraction, connectivity_components
 from qswarm.mql import MqlEngine, MqlParams, neighborhood, sense
 from qswarm.pso import Objective, PsoEngine, PsoParams
@@ -60,19 +60,18 @@ def test_world_bounds_validation():
 
 def test_clamp_examples():
     w = WorldBounds(0, 10, 0, 10)
-    assert clamp_to_world(Vec2(5, 5), w) == Vec2(5, 5)
-    assert clamp_to_world(Vec2(-1, 12), w) == Vec2(0, 10)
-    assert clamp_to_world(Vec2(10, 0), w) == Vec2(10, 0)
+    assert clamp(np.array([5.0, 5.0]), w.lo, w.hi).tolist() == [5, 5]
+    assert clamp(np.array([-1.0, 12.0]), w.lo, w.hi).tolist() == [0, 10]
+    assert clamp(np.array([10.0, 0.0]), w.lo, w.hi).tolist() == [10, 0]
 
 
 def test_clamp_idempotent_random():
     w = WorldBounds(-3, 7, 2, 9)
     rng = np.random.default_rng(3)
     for _ in range(300):
-        p = Vec2(*rng.uniform(-50, 50, 2))
-        once = clamp_to_world(p, w)
-        assert clamp_to_world(once, w) == once
-        assert w.contains(once)
+        once = clamp(rng.uniform(-50, 50, 2), w.lo, w.hi)
+        assert np.array_equal(clamp(once, w.lo, w.hi), once)
+        assert w.contains(Vec2(*once.tolist()))
 
 
 def test_pairwise_distances_matches_scalar():

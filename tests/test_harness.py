@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qswarm.harness as harness
 from qswarm.config import config_from_dict
-from qswarm.core import Vec2
 from qswarm.harness import (RunSummary, preset, read_trace_csv, run_experiment, run_to_dir,
                             write_decisions_csv, write_snapshot_csv, write_summary_json,
                             write_trace_csv)
@@ -49,10 +49,10 @@ def test_snapshot_ticks_captured():
 def test_snapshot_zero_is_initial_scatter():
     cfg = small_cfg(snapshot_ticks=[0, 10])
     trace, snapshots, _ = run_experiment(cfg)
-    tick0_positions = [r.position for r in trace if r.tick == 0]
     # snapshot 0 precedes the first move, snapshot 10 matches the last rows
-    assert snapshots[0] != tick0_positions
-    assert snapshots[10] == [r.position for r in trace if r.tick == 9]
+    assert snapshots[0].shape == (3, 2)
+    assert not np.array_equal(snapshots[0], trace.positions[0])
+    assert np.array_equal(snapshots[10], trace.positions[9])
 
 
 def test_same_seed_reproduces_run_exactly():
@@ -87,8 +87,7 @@ def test_final_connected_fraction_is_that_of_the_final_positions(algorithm, sche
 def test_summary_q_tables_present_for_mql_only():
     _, _, mql_summary = run_experiment(small_cfg())
     assert mql_summary.q_table_shape == [5, 12]
-    assert len(mql_summary.final_q_tables) == 3
-    assert all(len(t) == 60 for t in mql_summary.final_q_tables)
+    assert mql_summary.final_q_tables.shape == (3, 60)
 
     _, _, pso_summary = run_experiment(small_cfg(algorithm="pso"))
     assert pso_summary.final_q_tables is None
@@ -295,6 +294,27 @@ def test_a_large_swarm_senses_in_bounded_memory():
     assert peak < 64 * 2**20
 
 
+def test_a_large_run_writes_its_artifacts_in_bounded_memory(tmp_path):
+    import tracemalloc
+
+    from qswarm.mql import MqlParams
+
+    # default seeding density, in a world that holds the default seeding square
+    m = 20000
+    side = MqlParams().epsilon * math.sqrt(m) / 2.0
+    cfg = small_cfg(swarm_size=m, iterations=1, seed=0, snapshot_ticks=[],
+                    world={"x_max": side, "y_max": side})
+    tracemalloc.start()
+    try:
+        run_to_dir(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the final q-tables as 20,000 x 60 Python floats took the peak to 58.5 MB;
+    # written from the engine's array it is about 20 MB
+    assert peak < 32 * 2**20
+
+
 # --- the writers against the per-cell writers they replaced -------------------
 #
 # The oracle below is the earlier implementation of each writer: one f-string
@@ -324,8 +344,8 @@ def oracle_write_trace_csv(trace, path):
 
 def oracle_write_snapshot_csv(positions, path):
     lines = ["particle,x,y"]
-    for i, p in enumerate(positions):
-        lines.append(f"{i},{_oracle_fmt(p.x)},{_oracle_fmt(p.y)}")
+    for i, (x, y) in enumerate(positions.tolist()):
+        lines.append(f"{i},{_oracle_fmt(x)},{_oracle_fmt(y)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -361,6 +381,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e30
 finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False,
                                                                    allow_infinity=False))
 any_floats = st.one_of(finite_floats, st.floats())
+non_finite_floats = st.sampled_from([math.inf, -math.inf, math.nan])
 
 
 @st.composite
@@ -402,8 +423,8 @@ def test_csv_writers_give_the_per_cell_bytes(trace, block_rows, data):
     particles = data.draw(st.lists(st.integers(0, m - 1), max_size=4))
     assert written(write_decisions_csv, trace, particles) == \
         written(oracle_write_decisions_csv, trace, particles)
-    snapshot = [Vec2(x, y) for x, y in data.draw(
-        st.lists(st.tuples(finite_floats, finite_floats), max_size=9))]
+    snapshot = data.draw(arrays(np.float64, st.tuples(st.integers(0, 9), st.just(2)),
+                                elements=finite_floats))
     assert written(write_snapshot_csv, snapshot) == \
         written(oracle_write_snapshot_csv, snapshot)
 
@@ -416,20 +437,12 @@ TRICKY_TEXT = st.sampled_from(['\n  "final_q_tables": null', '"final_q_tables": 
 
 @st.composite
 def summaries(draw):
-    """RunSummaries with (M, n) q-tables of finite floats, and with tables
-    the writer leaves to json.dumps: none, ragged, holding inf or nan (which
-    json writes as Infinity and NaN), or ints, bools and numpy floats (whose
-    repr json does not write)."""
-    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 7))
-    kind = draw(st.sampled_from(["finite", "ragged", "non-finite", "not float", "none"]))
-    odd = {"ragged": finite_floats,
-           "non-finite": st.sampled_from([math.inf, -math.inf, math.nan]),
-           "not float": st.sampled_from([1, True, np.float64(0.5)])}
-    table_floats = finite_floats if kind in ("finite", "ragged") else any_floats
-    tables = None if kind == "none" else draw(
-        st.lists(st.lists(table_floats, min_size=n, max_size=n), min_size=m, max_size=m))
-    if kind in odd and m:
-        tables[-1].append(draw(odd[kind]))
+    """RunSummaries with an (M, n) q-table array, M and n in 0-7, of finite
+    floats or of finite floats mixed with inf, -inf and nan (which json
+    writes as Infinity, -Infinity and NaN), or with no table."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = draw(st.sampled_from([finite_floats, st.one_of(finite_floats, non_finite_floats)]))
+    tables = draw(st.none() | arrays(np.float64, (m, n), elements=entries))
     return RunSummary(
         config={"output_dir": draw(TRICKY_TEXT), "seed": draw(st.integers(0, 2**64 - 1)),
                 "mql": {"final_q_tables": draw(st.none() | TRICKY_TEXT),

@@ -66,7 +66,7 @@ def test_init_personal_best_is_initial_position():
     engine = PsoEngine(4, params, obj, sensing_radius=10.0, rng=np.random.default_rng(0))
     for p in engine.swarm:
         assert p.best_position == p.position
-        assert p.best_fitness == obj.evaluate(p.position)
+        assert p.best_fitness == obj.fitness(np.array([p.position.as_tuple()]))[0]
 
 
 def test_init_rejects_empty_swarm():
@@ -77,8 +77,6 @@ def test_init_rejects_empty_swarm():
 
 def test_fitness_examples():
     obj = Objective(target=Vec2(0, 0))
-    assert obj.evaluate(Vec2(0, 0)) == 0.0
-    assert obj.evaluate(Vec2(3, 4)) == 5.0
     assert obj.fitness(np.array([[0.0, 0.0], [3.0, 4.0]])).tolist() == [0.0, 5.0]
     rng = np.random.default_rng(1)
     assert (obj.fitness(rng.uniform(-50, 50, (100, 2))) >= 0.0).all()
