@@ -38,11 +38,11 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # learning swarm's final utility tables are the engine's array, which the
 # writer renders a row at a time: a 20,000-particle, 1-tick run_to_dir peaked
 # at 20.3 MB under tracemalloc, about 1 KB a particle) plus the trace columns (48
-# bytes a row), held twice while the per-tick rows are stacked. Sensing and
+# bytes a row, allocated once: each tick writes its row in place). Sensing and
 # the trace writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
 # ``BLOCK_ROWS``), whatever M is.
 PARTICLE_BYTES = 4 * 1024
-TRACE_BYTES_PER_ROW = 2 * 48
+TRACE_BYTES_PER_ROW = 48
 
 
 @dataclass
@@ -108,13 +108,11 @@ def run_experiment(cfg: SwarmConfig):
         snapshots[0] = engine.pos.copy()
     initial_dispersion = dispersion(engine.pos)
 
-    ticks = []
+    trace = Trace.empty(cfg.iterations, cfg.swarm_size)
     for t in range(cfg.iterations):
-        ticks.append(engine.tick())
+        engine.tick(trace.at(t))
         if (t + 1) in cfg.snapshot_ticks:
             snapshots[t + 1] = engine.pos.copy()
-    trace = Trace.concat(ticks)
-    del ticks  # the stacked columns replace the per-tick ones
 
     learning = cfg.algorithm == "mql"
     summary = RunSummary(

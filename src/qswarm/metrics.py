@@ -110,6 +110,29 @@ class Trace(Sequence):
         """The traces' rows one after another (all must have the same M)."""
         return cls(*(np.concatenate([getattr(t, c) for t in traces]) for c in _COLUMNS))
 
+    @classmethod
+    def empty(cls, t: int, m: int) -> Trace:
+        """A trace of T ticks and M particles whose entries are all still to
+        be written (an engine's ``tick`` writes one tick's row)."""
+        return cls._of(np.empty(t, np.int64), np.empty((t, m, 2)), np.empty((t, m), np.int64),
+                       np.empty((t, m), np.int64), np.empty((t, m)), np.empty((t, m), np.int64))
+
+    def at(self, k: int) -> Trace:
+        """Tick row ``k`` as a one-tick Trace that shares this trace's memory,
+        so writing its columns writes this trace (no row: empty columns)."""
+        row = slice(k, k + 1)
+        return Trace._of(self.ticks[row], self.positions[row], self.state[row],
+                         self.action[row], self.reward[row], self.neighbor_count[row])
+
+    @classmethod
+    def _of(cls, ticks, positions, state, action, reward, neighbor_count) -> Trace:
+        # columns known to have the dtypes and shapes __init__ checks: a tick
+        # builds or views one, and the checks would cost it more than its writes
+        trace = object.__new__(cls)
+        trace.ticks, trace.positions, trace.state = ticks, positions, state
+        trace.action, trace.reward, trace.neighbor_count = action, reward, neighbor_count
+        return trace
+
     @property
     def shape(self) -> tuple[int, int]:
         """(T, M): ticks by particles."""

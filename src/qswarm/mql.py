@@ -64,6 +64,14 @@ class ActionSpec:
     direction: int    # +1 forward, -1 backward
     magnitude: float
 
+    @property
+    def step(self) -> tuple[float, float]:
+        """The (dx, dy) displacement at full scale. The other axis gets -0.0,
+        which leaves any coordinate as it is, signed zeros included (x + -0.0
+        is x), where +0.0 would turn a -0.0 into 0.0."""
+        along = self.magnitude * self.direction
+        return (along, -0.0) if self.axis == 0 else (-0.0, along)
+
 
 def build_actions(step_set) -> tuple[ActionSpec, ...]:
     """The fixed 12-action enumeration: axes outer, directions middle,
@@ -73,20 +81,17 @@ def build_actions(step_set) -> tuple[ActionSpec, ...]:
 
 @lru_cache(maxsize=32)
 def _action_table(step_set: tuple[float, ...]):
-    # the actions of one step set and their (axis, direction, magnitude)
-    # columns, built once and shared by every engine (the arrays are read-only)
+    # the actions of one step set and their (12, 2) full-scale steps, built
+    # once and shared by every engine (the array is read-only)
     actions = tuple(
         ActionSpec(axis=axis, direction=direction, magnitude=m)
         for axis in (0, 1)
         for direction in (1, -1)
         for m in step_set
     )
-    columns = []
-    for name in ("axis", "direction", "magnitude"):
-        col = np.array([getattr(a, name) for a in actions])
-        col.flags.writeable = False
-        columns.append(col)
-    return (actions, *columns)
+    steps = np.array([a.step for a in actions])
+    steps.flags.writeable = False
+    return actions, steps
 
 
 @dataclass(frozen=True)
@@ -177,44 +182,44 @@ def deviation(n, total, epsilon: float):
     return total - n * epsilon
 
 
-def encode_states(n, total, lowest, params: MqlParams) -> np.ndarray:
-    """Coarse observation: disconnection and overlap first, then the relative
-    deviation rho = D / (n * epsilon) against tau_s."""
-    rho = deviation(n, total, params.epsilon) / (np.maximum(n, 1) * params.epsilon)
+def judge(n, total, lowest, params: MqlParams):
+    """(states, pi, rewards) of each neighbourhood (n, total, lowest), all
+    from one D and one relative deviation rho = D / (n * epsilon):
+
+    * the coarse state: disconnection and overlap first, then rho against
+      tau_s;
+    * the step scale pi = min(1, |rho|), 1 when neighbourless (|D| / x and
+      |D / x| round alike for x > 0, so this is min(1, |D| / (n * epsilon)));
+    * the reward: -reward_max for lost contact or any overlap, +reward_max
+      inside the rim tolerance band |D| <= tau_r * n * epsilon, else -|D|
+      capped at reward_max.
+    """
+    dev = deviation(n, total, params.epsilon)
+    rho = dev / (np.maximum(n, 1) * params.epsilon)
+    pi = np.abs(rho)
+    lost = n == 0
     # lowest priority first, so each later test overrides the earlier ones
     states = np.where(rho < 0, _NEAR, _FAR)
-    states[np.abs(rho) <= params.tau_s] = _IDEAL
+    states[pi <= params.tau_s] = _IDEAL
     states[lowest < params.d_min] = _TOO_CLOSE
-    states[n == 0] = _DISCONNECTED
-    return states
+    states[lost] = _DISCONNECTED
+    np.minimum(pi, 1.0, out=pi)
+    pi[lost] = 1.0
+    dev = np.abs(dev)
+    r = np.negative(np.minimum(dev, params.reward_max))
+    r[dev <= params.tau_r * n * params.epsilon] = params.reward_max
+    r[states <= _TOO_CLOSE] = -params.reward_max
+    return states, pi, r
 
 
-def step_scales(n, total, epsilon: float) -> np.ndarray:
-    """Mobility multiplier pi = min(1, |D| / (n * epsilon)); 1 when neighbourless."""
-    pi = np.minimum(1.0, np.abs(deviation(n, total, epsilon)) / (np.maximum(n, 1) * epsilon))
-    return np.where(n == 0, 1.0, pi)
+def move(pos_rows: np.ndarray, steps: np.ndarray, pi, world: WorldBounds) -> np.ndarray:
+    """Displace each row by pi times its full-scale step (see
+    ``ActionSpec.step``), then clamp both coordinates into the world."""
+    return clamp(pos_rows + pi[:, None] * steps, world.lo, world.hi)
 
 
-def rewards(n, total, lowest, params: MqlParams) -> np.ndarray:
-    """-reward_max for lost contact or any overlap, +reward_max inside the rim
-    tolerance band, else -|D| capped at reward_max."""
-    dev = np.abs(deviation(n, total, params.epsilon))
-    r = np.where(dev <= params.tau_r * n * params.epsilon,
-                 params.reward_max, -np.minimum(dev, params.reward_max))
-    return np.where((n == 0) | (lowest < params.d_min), -params.reward_max, r)
-
-
-def move(pos_rows: np.ndarray, axis, direction, magnitude, pi,
-         world: WorldBounds) -> np.ndarray:
-    """Displace each row by pi * magnitude * direction along its axis, then
-    clamp both coordinates into the world."""
-    out = pos_rows.copy()
-    out[np.arange(len(out)), axis] += pi * magnitude * direction
-    return clamp(out, world.lo, world.hi)
-
-
-def _sense_one(i: int, positions, epsilon: float):
-    return sense(positions_array(positions), [i], epsilon)
+def _judge_one(i: int, positions, params: MqlParams):
+    return judge(*sense(positions_array(positions), [i], params.epsilon), params)
 
 
 def neighborhood(i: int, positions, epsilon: float) -> set[int]:
@@ -225,21 +230,20 @@ def neighborhood(i: int, positions, epsilon: float) -> set[int]:
 
 
 def encode_state(i: int, positions, params: MqlParams) -> StateId:
-    """Coarse observation for particle ``i`` (see ``encode_states``)."""
-    return StateId(int(encode_states(*_sense_one(i, positions, params.epsilon), params)[0]))
+    """Coarse observation for particle ``i`` (see ``judge``)."""
+    return StateId(int(_judge_one(i, positions, params)[0][0]))
 
 
 def step_scale_pi(i: int, positions, params: MqlParams) -> float:
     """Mobility multiplier in [0, 1]: full when neighbourless, shrinking to 0
     as the neighbourhood reaches the ideal total distance."""
-    n, total, _ = _sense_one(i, positions, params.epsilon)
-    return float(step_scales(n, total, params.epsilon)[0])
+    return float(_judge_one(i, positions, params)[1][0])
 
 
 def apply_action(pos: Vec2, action: ActionSpec, pi: float, world: WorldBounds) -> Vec2:
     """Displace ``pos`` by pi * magnitude along the action's axis and clamp."""
-    x, y = move(np.array([pos.as_tuple()], dtype=float), action.axis, action.direction,
-                action.magnitude, pi, world)[0].tolist()
+    x, y = move(np.array([pos.as_tuple()]), np.array([action.step]), np.array([pi]),
+                world)[0].tolist()
     return Vec2(x, y)
 
 
@@ -247,15 +251,16 @@ def reward(i: int, positions, params: MqlParams) -> float:
     """Score particle ``i`` on (post-move) positions: -reward_max for lost
     contact or any overlap, +reward_max inside the rim tolerance band, else
     -|D| capped at reward_max. Always within [-reward_max, +reward_max]."""
-    return float(rewards(*_sense_one(i, positions, params.epsilon), params)[0])
+    return float(_judge_one(i, positions, params)[2][0])
 
 
 class MqlEngine:
     """Stateful learning swarm with a fixed particle count, held as arrays:
     positions ``pos`` (M, 2), every utility table in ``q`` (M, states,
     actions), and ``cumulative_rewards`` (M,). ``sensed`` carries the
-    swarm's neighbourhood summary (n, total, lowest, states), each (M,), from
-    one tick to the next (None before the first tick).
+    swarm's judged neighbourhoods (n, states, pi, rewards), each (M,): the
+    neighbour count and the ``judge`` of every particle, from one tick to the
+    next (None before the first tick).
 
     Random draws are consumed in a documented order: first 2*M uniform draws
     for the initial positions (particle order, x then y), then per tick the
@@ -271,8 +276,7 @@ class MqlEngine:
         self.params = params
         self.world = world
         self.rng = rng
-        self.actions, self._axis, self._direction, self._magnitude = \
-            _action_table(params.step_set)
+        self.actions, self._steps = _action_table(params.step_set)
         self.tick_index = 0
 
         if initial_positions is not None:
@@ -294,7 +298,7 @@ class MqlEngine:
             self.pos = low + span * rng.random((m, 2))
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
         self.cumulative_rewards = np.zeros(m)
-        # (n, total, lowest, states) of every particle, sensed on _sensed_on
+        # (n, states, pi, rewards) of every particle, sensed on _sensed_on
         self.sensed = None
         self._sensed_on = None
 
@@ -306,17 +310,17 @@ class MqlEngine:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
     def _sense(self, rows=None) -> None:
-        """Sense particles ``rows`` (None: all of them) on the current
-        positions into the carried summary ``sensed``."""
+        """Sense and judge particles ``rows`` (None: all of them) on the
+        current positions into the carried summary ``sensed``."""
         n, total, lowest = sense(self.pos, np.arange(self.m) if rows is None else rows,
                                  self.params.epsilon)
-        fresh = (n, total, lowest, encode_states(n, total, lowest, self.params))
+        fresh = (n, *judge(n, total, lowest, self.params))
         if rows is None:
-            self.sensed, self._sensed_on = fresh, self.pos.copy()
+            self.sensed, self._sensed_on = fresh, self.pos.tobytes()
             return
         for carried, values in zip(self.sensed, fresh):
             carried[rows] = values
-        self._sensed_on[rows] = self.pos[rows]
+        self._sensed_on = self.pos.tobytes()
 
     def _near(self, movers) -> np.ndarray:
         # (M,) mask of the movers and their neighbours
@@ -326,12 +330,12 @@ class MqlEngine:
         near[movers] = True
         return near
 
-    def _select(self, states, n, movers) -> np.ndarray:
+    def _select(self, states, movers) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
         if not self.params.recover_lost:
             return epsilon_greedy_actions(self.q[movers, states], explore_rate, self.rng)
         actions = np.empty(len(movers), dtype=np.int64)
-        pursuing = (n == 0) & (self.m > 1)
+        pursuing = (states == _DISCONNECTED) & (self.m > 1)
         if pursuing.any():
             pursuers = movers[pursuing]
             actions[pursuing] = self._pursuit_actions(pairwise_distances(self.pos, pursuers),
@@ -352,20 +356,27 @@ class MqlEngine:
         # build_actions order: axis outer, direction (+1, -1) middle, magnitude inner
         return 6 * axis + 3 * backward + 2
 
-    def tick(self) -> Trace:
+    def tick(self, rows: Trace | None = None) -> Trace:
         """One step of the movers: every particle (simultaneous) or particle
         tick % M (round_robin). Movers choose on the summary sensed at the
         start of the tick, move together, and are scored and updated on the
-        summary sensed after the move. Returns the tick's rows as a one-tick
-        Trace.
+        summary sensed after the move.
+
+        The tick's row is written into ``rows``, a one-tick Trace (such as
+        ``Trace.at`` of a run's trace), or into a fresh one when None, and
+        returned: a mover's cells carry its state, action and reward, every
+        other particle's its current state and no decision.
 
         The summary is carried from tick to tick and re-sensed only in the
         rows a move can change: a row depends on a mover only through their
         distance, so it changes only if the mover was or is within epsilon of
-        it. The whole swarm is sensed afresh when there is no summary yet or
-        ``pos`` was written since it was sensed."""
+        it. Each sensed row is judged once (``judge``), so the carried
+        summary holds the states, step scales and rewards that the selection,
+        the move and the update read. The whole swarm is sensed afresh when
+        there is no summary yet or ``pos`` was written since it was sensed."""
         prm = self.params
-        if self.sensed is None or not np.array_equal(self.pos, self._sensed_on):
+        # the sensing is a function of these bytes
+        if self.sensed is None or self.pos.tobytes() != self._sensed_on:
             self._sense()
         if prm.schedule == "round_robin":
             movers = np.array([self.tick_index % self.m])
@@ -373,28 +384,28 @@ class MqlEngine:
             movers = np.arange(self.m)
         some_stay = len(movers) < self.m
 
-        n, total, lowest, states = (col[movers] for col in self.sensed)
-        actions = self._select(states, n, movers)
+        states = self.sensed[1][movers]
+        actions = self._select(states, movers)
         near_before = self._near(movers) if some_stay else None
-        self.pos[movers] = move(self.pos[movers], self._axis[actions],
-                                self._direction[actions], self._magnitude[actions],
-                                step_scales(n, total, prm.epsilon), self.world)
+        self.pos[movers] = move(self.pos[movers], self._steps[actions],
+                                self.sensed[2][movers], self.world)
         self._sense(np.flatnonzero(near_before | self._near(movers)) if some_stay else None)
 
-        n1, total1, lowest1, states1 = self.sensed
-        r = rewards(n1[movers], total1[movers], lowest1[movers], prm)
+        n1, states1, _, r1 = self.sensed
+        r = r1[movers]
         td_update(self.q, movers, states, actions, r, states1[movers], prm.learning)
         self.cumulative_rewards[movers] += r
 
-        # a mover's row carries its decision; every other row its current
-        # state and no action or reward (copies: the summary is written in place)
-        state_col = states1.copy()
-        state_col[movers] = states
-        decided = np.full(self.m, -1)
-        decided[movers] = actions
-        scored = np.full(self.m, np.nan)
-        scored[movers] = r
-        rows = Trace([self.tick_index], self.pos[None].copy(), state_col[None],
-                     decided[None], scored[None], n1[None].copy())
+        if rows is None:
+            rows = Trace.empty(1, self.m)
+        rows.ticks[0] = self.tick_index
+        rows.positions[0] = self.pos
+        rows.state[0] = states1
+        rows.state[0, movers] = states
+        rows.action[0] = -1
+        rows.action[0, movers] = actions
+        rows.reward[0] = np.nan
+        rows.reward[0, movers] = r
+        rows.neighbor_count[0] = n1
         self.tick_index += 1
         return rows

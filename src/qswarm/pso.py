@@ -167,13 +167,18 @@ class PsoEngine:
     def positions(self) -> list[Vec2]:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
-    def tick(self) -> Trace:
-        """Advance the swarm one step; returns its rows as a one-tick Trace,
-        none of which carries a decision."""
+    def tick(self, rows: Trace | None = None) -> Trace:
+        """Advance the swarm one step. Its row is written into ``rows``, a
+        one-tick Trace (such as ``Trace.at`` of a run's trace), or into a
+        fresh one when None, and returned; no particle carries a decision."""
         self.inertia = pso_step(self)
-        m = self.m
-        rows = Trace([self.tick_index], self.pos[None].copy(), np.full((1, m), -1),
-                     np.full((1, m), -1), np.full((1, m), np.nan),
-                     neighbor_counts(self.pos, self.sensing_radius)[None])
+        if rows is None:
+            rows = Trace.empty(1, self.m)
+        rows.ticks[0] = self.tick_index
+        rows.positions[0] = self.pos
+        rows.state[0] = -1
+        rows.action[0] = -1
+        rows.reward[0] = np.nan
+        rows.neighbor_count[0] = neighbor_counts(self.pos, self.sensing_radius)
         self.tick_index += 1
         return rows

@@ -38,17 +38,18 @@ def greedy_actions(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Ties are broken uniformly at random: one draw per tied row, in row order,
     all taken in a single ``rng.integers`` call. That call yields the same
     values and leaves the generator in the same state as one scalar
-    ``rng.integers(ties)`` call per tied row.
+    ``rng.integers(ties)`` call per tied row. With no tied row there is no
+    call, as an empty bound draws nothing.
     """
-    ties = rows == rows.max(axis=1, keepdims=True)
-    counts = ties.sum(axis=1)
-    pick = np.zeros(len(rows), dtype=np.int64)
+    ties = rows == np.maximum.reduce(rows, axis=1, keepdims=True)
+    counts = np.add.reduce(ties, axis=1)
+    # the row's first tied column in the row-major nonzero list: a row's
+    # tied columns are consecutive there, in ascending order
+    pick = np.add.accumulate(counts) - counts
     tied = counts > 1
-    pick[tied] = rng.integers(counts[tied])
-    # the pick-th (0-based) tied column of each row: the row's tied columns
-    # are consecutive, in ascending order, in the row-major nonzero list
-    _, columns = np.nonzero(ties)
-    return columns[np.cumsum(counts) - counts + pick]
+    if np.count_nonzero(tied):
+        pick[tied] += rng.integers(counts[tied])
+    return ties.nonzero()[1][pick]
 
 
 def epsilon_greedy_actions(rows: np.ndarray, explore_rate: float,
@@ -73,7 +74,7 @@ def td_update(q: np.ndarray, rows, states, actions, rewards,
     """Apply the temporal-difference update to cell (states[k], actions[k]) of
     table q[rows[k]] for every k and return the new values. Each lookahead
     reads its table as it was before the write."""
-    best_next = q[rows, next_states].max(axis=1)
+    best_next = np.maximum.reduce(q[rows, next_states], axis=1)
     old = q[rows, states, actions]
     new = old + params.learning_rate * (rewards + params.discount * best_next - old)
     q[rows, states, actions] = new

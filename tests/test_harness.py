@@ -39,6 +39,26 @@ def test_round_robin_also_logs_every_particle():
     assert len(acting) == 10
 
 
+@pytest.mark.parametrize("over", [
+    {"algorithm": "pso"},
+    # seeded sparse, so some particles start out of contact and pursue
+    *({"mql": {"schedule": schedule, "recover_lost": recover, "explore_rate": rate,
+               "init_span": 60.0}}
+      for schedule in ("simultaneous", "round_robin")
+      for recover in (False, True) for rate in (0.0, 0.3)),
+])
+def test_the_run_trace_is_the_ticks_it_returns(over):
+    # run_experiment has each tick write its row into the run's trace; ticks
+    # that write fresh rows, stacked, must give the same columns
+    cfg = small_cfg(swarm_size=7, iterations=40, seed=11, **over)
+    trace, _, _ = run_experiment(cfg)
+    engine = harness._build_engine(cfg, np.random.default_rng(cfg.seed))
+    ticked = Trace.concat([engine.tick() for _ in range(cfg.iterations)])
+    assert trace == ticked
+    assert trace.positions.tobytes() == ticked.positions.tobytes()
+    assert trace.reward.tobytes() == ticked.reward.tobytes()
+
+
 def test_snapshot_ticks_captured():
     _, snapshots, summary = run_experiment(small_cfg())
     assert sorted(snapshots) == [2, 5, 10]

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from qswarm.core import Vec2, WorldBounds, neighbor_blocks, neighbor_mask, positions_array
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
-                        apply_action, build_actions, deviation, encode_state,
-                        encode_states, move, neighborhood, reward, rewards, sense,
-                        step_scale_pi, step_scales, summarize)
+                        apply_action, build_actions, deviation, encode_state, judge,
+                        move, neighborhood, reward, sense, step_scale_pi, summarize)
 from qswarm.qlearning import LearningParams
 
 
@@ -121,8 +120,8 @@ def test_encode_state_cases():
 
 def test_encode_state_rim_and_far_formula_level():
     params = make_params()
-    assert encode_states(*rim_summary([5.0, 5.0]), params)[0] == StateId.IDEAL
-    assert encode_states(*rim_summary([6.0, 6.0]), params)[0] == StateId.FAR
+    assert judge(*rim_summary([5.0, 5.0]), params)[0][0] == StateId.IDEAL
+    assert judge(*rim_summary([6.0, 6.0]), params)[0][0] == StateId.FAR
 
 
 def test_step_scale_hand_value():
@@ -135,9 +134,9 @@ def test_step_scale_boundary_cases():
     # disconnected -> full mobility
     assert step_scale_pi(0, [Vec2(0, 0), Vec2(50, 50)], params) == 1.0
     # zero deviation -> holds position (formula level, rim distances)
-    assert step_scales(*rim_summary([5.0, 5.0])[:2], 5.0)[0] == 0.0
+    assert judge(*rim_summary([5.0, 5.0]), params)[1][0] == 0.0
     # the cap binds exactly when every neighbour distance is zero
-    assert step_scales(*rim_summary([0.0, 0.0])[:2], 5.0)[0] == 1.0
+    assert judge(*rim_summary([0.0, 0.0]), params)[1][0] == 1.0
 
 
 def test_step_scale_in_unit_interval_random():
@@ -154,6 +153,83 @@ def test_step_scale_in_unit_interval_random():
             assert (pi == 0.0) == (dev == 0.0)
         else:
             assert pi == 1.0
+
+
+# --- the fused rule against a scalar oracle ---------------------------------------
+
+def judge_oracle(n, total, lowest, params):
+    """(state, pi, reward) of one neighbourhood in Python floats, each rule
+    written out apart from its definition."""
+    eps, rmax = params.epsilon, params.reward_max
+    if n == 0:
+        return StateId.DISCONNECTED, 1.0, -rmax
+    dev = total - n * eps
+    rho = dev / (n * eps)
+    if lowest < params.d_min:
+        state = StateId.TOO_CLOSE
+    elif abs(rho) <= params.tau_s:
+        state = StateId.IDEAL
+    else:
+        state = StateId.NEAR if rho < 0 else StateId.FAR
+    pi = min(1.0, abs(dev) / (n * eps))
+    if lowest < params.d_min:
+        r = -rmax
+    elif abs(dev) <= params.tau_r * n * eps:
+        r = rmax
+    else:
+        r = -min(abs(dev), rmax)
+    return state, pi, r
+
+
+def nudged(x, steps):
+    """``x`` moved ``steps`` representable floats up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def judged_params(draw):
+    epsilon = draw(st.floats(0.5, 50.0))
+    return make_params(epsilon=epsilon, d_min=draw(st.floats(0.01, 0.99)) * epsilon,
+                       tau_r=draw(st.floats(0.001, 0.999)), tau_s=draw(st.floats(0.001, 0.999)),
+                       reward_max=draw(st.sampled_from([0.01, 1.0, 100.0, 1e300])))
+
+
+@st.composite
+def neighbourhoods(draw, params):
+    """(n, total, lowest) as ``sense`` gives them, drawn anywhere or at a
+    boundary of a rule: D = 0, rho at +-tau_s, |D| at tau_r * n * epsilon, and
+    lowest at d_min, each with the floats next to it on either side."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, 0.0, math.inf
+    eps = params.epsilon
+    x = n * eps
+    band = params.tau_r * n * eps
+    base = draw(st.sampled_from([None, x, x + params.tau_s * x, x - params.tau_s * x,
+                                 x + band, x - band]))
+    if base is None:
+        total = draw(st.floats(0.0, 2.0 * x))
+    else:
+        total = max(0.0, nudged(base, draw(st.integers(-2, 2))))
+    if draw(st.booleans()):
+        lowest = draw(st.floats(0.0, eps, exclude_max=True))
+    else:
+        lowest = nudged(params.d_min, draw(st.integers(-1, 1)))
+    return n, total, lowest
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), params=judged_params())
+def test_the_fused_rule_gives_the_bits_of_a_scalar_oracle(data, params):
+    rows = data.draw(st.lists(neighbourhoods(params), min_size=1, max_size=12))
+    n, total, lowest = (np.array(col) for col in zip(*rows))
+    states, pi, r = judge(n.astype(np.int64), total.astype(float), lowest.astype(float), params)
+    expected = [judge_oracle(*row, params) for row in rows]
+    assert states.dtype == np.int64 and states.tolist() == [e[0] for e in expected]
+    assert pi.tobytes() == np.array([e[1] for e in expected]).tobytes()
+    assert r.tobytes() == np.array([e[2] for e in expected]).tobytes()
 
 
 # --- action application --------------------------------------------------------
@@ -207,9 +283,8 @@ def test_every_clamp_keeps_the_min_max_tie_rule_on_signed_zeros(rows, xb, yb, pi
         p[a.axis] += pi * a.magnitude * a.direction
     expected = np.array([clamped(p) for p in stepped])
 
-    moved = move(np.array(start), np.array([a.axis for a in chosen]),
-                 np.array([a.direction for a in chosen]),
-                 np.array([a.magnitude for a in chosen]), np.full(len(rows), pi), world)
+    moved = move(np.array(start), np.array([a.step for a in chosen]),
+                 np.full(len(rows), pi), world)
     assert moved.tobytes() == expected.tobytes()
     for p, a, e in zip(start, chosen, expected):
         one = apply_action(Vec2(*p), a, pi, world)
@@ -228,7 +303,7 @@ def test_reward_disconnected_is_full_penalty():
 def test_reward_full_at_the_rim_formula_level():
     # whole reward for total distance at n * radius; unreachable from raw
     # positions under the strict neighbourhood, so asserted on the formula
-    assert rewards(*rim_summary([5.0, 5.0]), make_params())[0] == 100.0
+    assert judge(*rim_summary([5.0, 5.0]), make_params())[2][0] == 100.0
 
 
 def test_reward_inside_tolerance_band():
@@ -250,7 +325,7 @@ def test_reward_overlap_penalty():
 def test_reward_penalty_capped():
     # 40 neighbours each ~1.5 away: |D| = 40 * 3.5 = 140 -> capped at 100
     params = make_params(epsilon=5.0, d_min=1.0)
-    assert rewards(*rim_summary([1.5] * 40), params)[0] == -100.0
+    assert judge(*rim_summary([1.5] * 40), params)[2][0] == -100.0
 
 
 def test_reward_always_within_scale_random():
@@ -516,7 +591,7 @@ def engines(draw):
 def assert_carries_a_fresh_sensing(engine):
     m = engine.m
     n, total, lowest = sense(engine.pos, np.arange(m), engine.params.epsilon)
-    fresh = (n, total, lowest, encode_states(n, total, lowest, engine.params))
+    fresh = (n, *judge(n, total, lowest, engine.params))
     for carried, expected in zip(engine.sensed, fresh, strict=True):
         assert carried.dtype == expected.dtype and carried.shape == (m,)
         assert carried.tobytes() == expected.tobytes()  # bit for bit

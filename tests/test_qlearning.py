@@ -215,3 +215,26 @@ def test_td_update_over_many_tables_matches_the_rule_per_table():
         others = np.ones((3, 4), dtype=bool)
         others[s, a] = False
         assert (q[k][others] == before[k][others]).all()
+
+
+def test_greedy_with_no_tied_row_leaves_the_generator_alone():
+    rows = np.random.default_rng(14).permuted(np.tile(np.arange(12.0), (40, 1)), axis=1)
+    rng = np.random.default_rng(15)
+    before = rng.bit_generator.state
+    assert greedy_actions(rows, rng).tolist() == rows.argmax(axis=1).tolist()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, IndexError),
+                   reason="a row holding NaN has no column equal to its max, so its tie "
+                          "count is 0 and it takes the first tied column of the next row "
+                          "(IndexError when it is the last row); the overflowing golden "
+                          "runs pin these picks")
+def test_a_nan_row_picks_one_of_its_own_columns():
+    rows = np.array([[1.0, np.nan] + [0.0] * 10,
+                     [0.0] * 11 + [5.0]])
+    rng = np.random.default_rng(16)
+    # a column the NaN row itself could justify: its NaN or its largest number
+    own = {1, 0}
+    assert greedy_actions(rows, rng)[0] in own
+    assert greedy_actions(rows[::-1], rng)[1] in own
