@@ -147,9 +147,10 @@ class MqlParams:
 # Every judgement below reduces a particle's neighbourhood to three numbers:
 # the neighbour count n, the total neighbour distance, and the smallest
 # neighbour distance. ``sense`` computes them for any rows of a swarm through
-# the epsilon-neighbour query ``core.neighbor_blocks``; each rule is one array
-# function of them. The engine calls these on whole swarms, and the public
-# per-particle operations are one-row calls of the same functions.
+# the epsilon-neighbour query ``core.neighbor_blocks``, and ``judge`` turns them
+# into every rule's outcome (state, step scale, reward) in one pass. The engine
+# calls these on whole swarms, and the public per-particle operations are
+# one-row calls of the same functions.
 
 def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
@@ -177,14 +178,10 @@ def sense(pos: np.ndarray, rows, epsilon: float):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def deviation(n, total, epsilon: float):
-    """D = total neighbour distance - n * epsilon."""
-    return total - n * epsilon
-
-
 def judge(n, total, lowest, params: MqlParams):
     """(states, pi, rewards) of each neighbourhood (n, total, lowest), all
-    from one D and one relative deviation rho = D / (n * epsilon):
+    from one deviation D = total - n * epsilon and one relative deviation
+    rho = D / (n * epsilon):
 
     * the coarse state: disconnection and overlap first, then rho against
       tau_s;
@@ -194,8 +191,11 @@ def judge(n, total, lowest, params: MqlParams):
       inside the rim tolerance band |D| <= tau_r * n * epsilon, else -|D|
       capped at reward_max.
     """
-    dev = deviation(n, total, params.epsilon)
-    rho = dev / (np.maximum(n, 1) * params.epsilon)
+    eps = params.epsilon
+    x = n * eps
+    dev = total - x
+    # max(n * eps, eps) is max(n, 1) * eps bit for bit: n * eps >= eps for n >= 1
+    rho = dev / np.maximum(x, eps)
     pi = np.abs(rho)
     lost = n == 0
     # lowest priority first, so each later test overrides the earlier ones
@@ -207,7 +207,7 @@ def judge(n, total, lowest, params: MqlParams):
     pi[lost] = 1.0
     dev = np.abs(dev)
     r = np.negative(np.minimum(dev, params.reward_max))
-    r[dev <= params.tau_r * n * params.epsilon] = params.reward_max
+    r[dev <= params.tau_r * n * eps] = params.reward_max
     r[states <= _TOO_CLOSE] = -params.reward_max
     return states, pi, r
 
@@ -298,6 +298,7 @@ class MqlEngine:
             self.pos = low + span * rng.random((m, 2))
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
         self.cumulative_rewards = np.zeros(m)
+        self._ids = np.arange(m)
         # (n, states, pi, rewards) of every particle, sensed on _sensed_on
         self.sensed = None
         self._sensed_on = None
@@ -312,7 +313,7 @@ class MqlEngine:
     def _sense(self, rows=None) -> None:
         """Sense and judge particles ``rows`` (None: all of them) on the
         current positions into the carried summary ``sensed``."""
-        n, total, lowest = sense(self.pos, np.arange(self.m) if rows is None else rows,
+        n, total, lowest = sense(self.pos, self._ids if rows is None else rows,
                                  self.params.epsilon)
         fresh = (n, *judge(n, total, lowest, self.params))
         if rows is None:
@@ -322,27 +323,27 @@ class MqlEngine:
             carried[rows] = values
         self._sensed_on = self.pos.tobytes()
 
-    def _near(self, movers) -> np.ndarray:
-        # (M,) mask of the movers and their neighbours
+    def _near(self, ids) -> np.ndarray:
+        # (M,) mask of the particles ids and their neighbours
         near = np.zeros(self.m, dtype=bool)
-        for _, cols, _, mask in neighbor_blocks(self.pos, movers, self.params.epsilon):
+        for _, cols, _, mask in neighbor_blocks(self.pos, ids, self.params.epsilon):
             near[cols[mask]] = True
-        near[movers] = True
+        near[ids] = True
         return near
 
-    def _select(self, states, movers) -> np.ndarray:
+    def _select(self, states, ids) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
         if not self.params.recover_lost:
-            return epsilon_greedy_actions(self.q[movers, states], explore_rate, self.rng)
-        actions = np.empty(len(movers), dtype=np.int64)
+            return epsilon_greedy_actions(self.q[ids, states], explore_rate, self.rng)
+        actions = np.empty(len(ids), dtype=np.int64)
         pursuing = (states == _DISCONNECTED) & (self.m > 1)
         if pursuing.any():
-            pursuers = movers[pursuing]
+            pursuers = ids[pursuing]
             actions[pursuing] = self._pursuit_actions(pairwise_distances(self.pos, pursuers),
                                                       pursuers)
         learning = ~pursuing
         actions[learning] = epsilon_greedy_actions(
-            self.q[movers[learning], states[learning]], explore_rate, self.rng)
+            self.q[ids[learning], states[learning]], explore_rate, self.rng)
         return actions
 
     def _pursuit_actions(self, dist_rows, rows) -> np.ndarray:
@@ -378,22 +379,26 @@ class MqlEngine:
         # the sensing is a function of these bytes
         if self.sensed is None or self.pos.tobytes() != self._sensed_on:
             self._sense()
+        # the movers as a slice of the particles, and their ids
         if prm.schedule == "round_robin":
-            movers = np.array([self.tick_index % self.m])
+            i = self.tick_index % self.m
+            movers = slice(i, i + 1)
         else:
-            movers = np.arange(self.m)
-        some_stay = len(movers) < self.m
+            movers = slice(None)
+        ids = self._ids[movers]
+        some_stay = len(ids) < self.m
 
-        states = self.sensed[1][movers]
-        actions = self._select(states, movers)
-        near_before = self._near(movers) if some_stay else None
+        # a copy: the re-sensing below writes the summary in place
+        states = self.sensed[1][movers].copy()
+        actions = self._select(states, ids)
+        near_before = self._near(ids) if some_stay else None
         self.pos[movers] = move(self.pos[movers], self._steps[actions],
                                 self.sensed[2][movers], self.world)
-        self._sense(np.flatnonzero(near_before | self._near(movers)) if some_stay else None)
+        self._sense(np.flatnonzero(near_before | self._near(ids)) if some_stay else None)
 
         n1, states1, _, r1 = self.sensed
         r = r1[movers]
-        td_update(self.q, movers, states, actions, r, states1[movers], prm.learning)
+        td_update(self.q, ids, states, actions, r, states1[movers], prm.learning)
         self.cumulative_rewards[movers] += r
 
         if rows is None:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qswarm.core import Vec2, WorldBounds, neighbor_blocks, neighbor_mask, positions_array
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
-                        apply_action, build_actions, deviation, encode_state, judge,
+                        apply_action, build_actions, encode_state, judge,
                         move, neighborhood, reward, sense, step_scale_pi, summarize)
 from qswarm.qlearning import LearningParams
 
@@ -20,9 +20,9 @@ def make_params(**over):
 
 
 def deviation_of_first(positions, epsilon):
-    """(D, n) of particle 0 from the sensing kernel and ``deviation``."""
+    """(D, n) of particle 0 from the sensing kernel, D = total - n * epsilon."""
     n, total, _ = sense(positions_array(positions), [0], epsilon)
-    return float(deviation(n, total, epsilon)[0]), int(n[0])
+    return float(total[0] - n[0] * epsilon), int(n[0])
 
 
 def rim_summary(dists):
@@ -100,7 +100,7 @@ def test_deviation_zero_at_the_rim_formula_level():
     # two neighbours exactly at the radius give D = 0; unreachable from raw
     # positions (strict < radius), so asserted on the formula itself
     n, total, _ = rim_summary([5.0, 5.0])
-    assert deviation(n, total, 5.0)[0] == 0.0
+    assert total[0] - n[0] * 5.0 == 0.0
 
 
 def test_encode_state_cases():
