@@ -118,16 +118,14 @@ class Trace(Sequence):
                        np.empty((t, m), np.int64), np.empty((t, m)), np.empty((t, m), np.int64))
 
     def at(self, k: int) -> Trace:
-        """Tick row ``k`` as a one-tick Trace that shares this trace's memory,
-        so writing its columns writes this trace (no row: empty columns)."""
-        row = slice(k, k + 1)
-        return Trace._of(self.ticks[row], self.positions[row], self.state[row],
-                         self.action[row], self.reward[row], self.neighbor_count[row])
+        """Tick row ``k`` as a one-tick Trace sharing this trace's memory."""
+        r = slice(k, k + 1)
+        return Trace._of(self.ticks[r], self.positions[r], self.state[r], self.action[r],
+                         self.reward[r], self.neighbor_count[r])
 
     @classmethod
     def _of(cls, ticks, positions, state, action, reward, neighbor_count) -> Trace:
-        # columns known to have the dtypes and shapes __init__ checks: a tick
-        # builds or views one, and the checks would cost it more than its writes
+        # unchecked: a tick's checks would cost it more than its writes
         trace = object.__new__(cls)
         trace.ticks, trace.positions, trace.state = ticks, positions, state
         trace.action, trace.reward, trace.neighbor_count = action, reward, neighbor_count

@@ -66,9 +66,8 @@ class ActionSpec:
 
     @property
     def step(self) -> tuple[float, float]:
-        """The (dx, dy) displacement at full scale. The other axis gets -0.0,
-        which leaves any coordinate as it is, signed zeros included (x + -0.0
-        is x), where +0.0 would turn a -0.0 into 0.0."""
+        """The (dx, dy) displacement at full scale. The other axis gets -0.0:
+        x + -0.0 is x for every x, where +0.0 would turn a -0.0 into 0.0."""
         along = self.magnitude * self.direction
         return (along, -0.0) if self.axis == 0 else (-0.0, along)
 
@@ -179,18 +178,13 @@ def sense(pos: np.ndarray, rows, epsilon: float):
 
 
 def judge(n, total, lowest, params: MqlParams):
-    """(states, pi, rewards) of each neighbourhood (n, total, lowest), all
-    from one deviation D = total - n * epsilon and one relative deviation
-    rho = D / (n * epsilon):
-
-    * the coarse state: disconnection and overlap first, then rho against
-      tau_s;
-    * the step scale pi = min(1, |rho|), 1 when neighbourless (|D| / x and
-      |D / x| round alike for x > 0, so this is min(1, |D| / (n * epsilon)));
-    * the reward: -reward_max for lost contact or any overlap, +reward_max
-      inside the rim tolerance band |D| <= tau_r * n * epsilon, else -|D|
-      capped at reward_max.
-    """
+    """(states, pi, rewards) of each neighbourhood (n, total, lowest), from
+    one D = total - n * epsilon and one rho = D / (n * epsilon): the state
+    (disconnection and overlap first, then rho against tau_s), the step scale
+    pi = min(1, |rho|), 1 when neighbourless (|D| / x and |D / x| round alike
+    for x > 0), and the reward (-reward_max for lost contact or any overlap,
+    +reward_max inside the band |D| <= tau_r * n * epsilon, else -|D| capped
+    at reward_max)."""
     eps = params.epsilon
     x = n * eps
     dev = total - x
@@ -299,7 +293,7 @@ class MqlEngine:
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
         self.cumulative_rewards = np.zeros(m)
         self._ids = np.arange(m)
-        # (n, states, pi, rewards) of every particle, sensed on _sensed_on
+        # (n, states, pi, rewards) of every particle, sensed on the bytes _sensed_on
         self.sensed = None
         self._sensed_on = None
 
@@ -317,10 +311,10 @@ class MqlEngine:
                                  self.params.epsilon)
         fresh = (n, *judge(n, total, lowest, self.params))
         if rows is None:
-            self.sensed, self._sensed_on = fresh, self.pos.tobytes()
-            return
-        for carried, values in zip(self.sensed, fresh):
-            carried[rows] = values
+            self.sensed = fresh
+        else:
+            for carried, values in zip(self.sensed, fresh):
+                carried[rows] = values
         self._sensed_on = self.pos.tobytes()
 
     def _near(self, ids) -> np.ndarray:
@@ -361,20 +355,17 @@ class MqlEngine:
         """One step of the movers: every particle (simultaneous) or particle
         tick % M (round_robin). Movers choose on the summary sensed at the
         start of the tick, move together, and are scored and updated on the
-        summary sensed after the move.
-
-        The tick's row is written into ``rows``, a one-tick Trace (such as
-        ``Trace.at`` of a run's trace), or into a fresh one when None, and
-        returned: a mover's cells carry its state, action and reward, every
-        other particle's its current state and no decision.
+        summary sensed after the move. The tick's row goes into ``rows`` (a
+        one-tick Trace such as ``Trace.at`` of the run's trace; None: a fresh
+        one), which is returned: movers carry their state, action and reward,
+        the rest their current state and no decision.
 
         The summary is carried from tick to tick and re-sensed only in the
         rows a move can change: a row depends on a mover only through their
         distance, so it changes only if the mover was or is within epsilon of
-        it. Each sensed row is judged once (``judge``), so the carried
-        summary holds the states, step scales and rewards that the selection,
-        the move and the update read. The whole swarm is sensed afresh when
-        there is no summary yet or ``pos`` was written since it was sensed."""
+        it. Each sensed row is judged once (``judge``). The whole swarm is
+        sensed afresh when there is no summary yet or ``pos`` was written
+        since it was sensed."""
         prm = self.params
         # the sensing is a function of these bytes
         if self.sensed is None or self.pos.tobytes() != self._sensed_on:
@@ -388,7 +379,7 @@ class MqlEngine:
         ids = self._ids[movers]
         some_stay = len(ids) < self.m
 
-        # a copy: the re-sensing below writes the summary in place
+        # a copy: the re-sensing below may write the summary in place
         states = self.sensed[1][movers].copy()
         actions = self._select(states, ids)
         near_before = self._near(ids) if some_stay else None

@@ -176,8 +176,7 @@ class PsoEngine:
             rows = Trace.empty(1, self.m)
         rows.ticks[0] = self.tick_index
         rows.positions[0] = self.pos
-        rows.state[0] = -1
-        rows.action[0] = -1
+        rows.state[0] = rows.action[0] = -1
         rows.reward[0] = np.nan
         rows.neighbor_count[0] = neighbor_counts(self.pos, self.sensing_radius)
         self.tick_index += 1

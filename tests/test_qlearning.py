@@ -224,6 +224,12 @@ def test_greedy_with_no_tied_row_leaves_the_generator_alone():
     assert greedy_actions(rows, rng).tolist() == rows.argmax(axis=1).tolist()
     assert rng.bit_generator.state == before
 
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("no row ties, so there is nothing to draw")
+
+    assert greedy_actions(rows, NoDraws()).tolist() == rows.argmax(axis=1).tolist()
+
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, IndexError),
                    reason="a row holding NaN has no column equal to its max, so its tie "
