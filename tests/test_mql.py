@@ -158,8 +158,8 @@ def test_step_scale_in_unit_interval_random():
 # --- the fused rule against a scalar oracle ---------------------------------------
 
 def judge_oracle(n, total, lowest, params):
-    """(state, pi, reward) of one neighbourhood in Python floats, each rule
-    written out apart from its definition."""
+    """(state, pi, reward) of one neighbourhood, each rule written out on
+    its own in Python floats, as the module docstring states it."""
     eps, rmax = params.epsilon, params.reward_max
     if n == 0:
         return StateId.DISCONNECTED, 1.0, -rmax
