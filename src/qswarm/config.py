@@ -272,10 +272,8 @@ _KNOWN_KEYS = config_to_dict(SwarmConfig())
 def dump_config(cfg: SwarmConfig) -> str:
     """YAML text of the effective config; load_config on it reproduces ``cfg``
     exactly (floats round-trip via repr)."""
-    # PyYAML's pure-Python dumper, not libyaml's yaml.CSafeDumper. That one
-    # is about 3.5x faster on the default config, but it folds a long
-    # double-quoted string differently (a plain fold where the Python emitter
-    # escapes the line break and the next line's leading space), so
-    # effective_config.yaml would change bytes: 13,687 of 20,000 random
-    # output_dir strings of 0-200 characters did.
+    # PyYAML's pure-Python dumper: libyaml's yaml.CSafeDumper is about 3.5x
+    # faster on the default config, but folds long double-quoted strings
+    # differently, so effective_config.yaml would change bytes (13,687 of
+    # 20,000 random output_dir strings of 0-200 characters did).
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=False, default_flow_style=False)

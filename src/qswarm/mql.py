@@ -392,8 +392,7 @@ class MqlEngine:
         td_update(self.q, ids, states, actions, r, states1[movers], prm.learning)
         self.cumulative_rewards[movers] += r
 
-        if rows is None:
-            rows = Trace.empty(1, self.m)
+        rows = Trace.empty(1, self.m) if rows is None else rows
         rows.ticks[0] = self.tick_index
         rows.positions[0] = self.pos
         rows.state[0] = states1

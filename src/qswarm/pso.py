@@ -172,8 +172,7 @@ class PsoEngine:
         one-tick Trace (such as ``Trace.at`` of a run's trace), or into a
         fresh one when None, and returned; no particle carries a decision."""
         self.inertia = pso_step(self)
-        if rows is None:
-            rows = Trace.empty(1, self.m)
+        rows = Trace.empty(1, self.m) if rows is None else rows
         rows.ticks[0] = self.tick_index
         rows.positions[0] = self.pos
         rows.state[0] = rows.action[0] = -1
