@@ -71,7 +71,7 @@ class Trace(Sequence):
         shape = self.state.shape
         if len(shape) != 2 or self.ticks.shape != shape[:1] \
                 or self.positions.shape != (*shape, 2) \
-                or any(getattr(self, c).shape != shape for c in _COLUMNS[3:]):
+                or not self.action.shape == self.reward.shape == self.neighbor_count.shape == shape:
             raise ValueError("trace columns must be ticks (T,), positions (T, M, 2) "
                              "and (T, M) for the rest")
 
@@ -114,22 +114,14 @@ class Trace(Sequence):
     def empty(cls, t: int, m: int) -> Trace:
         """A trace of T ticks and M particles whose entries are all still to
         be written (an engine's ``tick`` writes one tick's row)."""
-        return cls._of(np.empty(t, np.int64), np.empty((t, m, 2)), np.empty((t, m), np.int64),
-                       np.empty((t, m), np.int64), np.empty((t, m)), np.empty((t, m), np.int64))
+        return cls(np.empty(t, np.int64), np.empty((t, m, 2)), np.empty((t, m), np.int64),
+                   np.empty((t, m), np.int64), np.empty((t, m)), np.empty((t, m), np.int64))
 
     def at(self, k: int) -> Trace:
         """Tick row ``k`` as a one-tick Trace sharing this trace's memory."""
         r = slice(k, k + 1)
-        return Trace._of(self.ticks[r], self.positions[r], self.state[r], self.action[r],
-                         self.reward[r], self.neighbor_count[r])
-
-    @classmethod
-    def _of(cls, ticks, positions, state, action, reward, neighbor_count) -> Trace:
-        # unchecked: a tick's checks would cost it more than its writes
-        trace = object.__new__(cls)
-        trace.ticks, trace.positions, trace.state = ticks, positions, state
-        trace.action, trace.reward, trace.neighbor_count = action, reward, neighbor_count
-        return trace
+        return Trace(self.ticks[r], self.positions[r], self.state[r], self.action[r],
+                     self.reward[r], self.neighbor_count[r])
 
     @property
     def shape(self) -> tuple[int, int]:

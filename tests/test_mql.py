@@ -97,10 +97,11 @@ def test_deviation_none_when_disconnected():
 
 
 def test_deviation_zero_at_the_rim_formula_level():
-    # two neighbours exactly at the radius give D = 0; unreachable from raw
-    # positions (strict < radius), so asserted on the formula itself
-    n, total, _ = rim_summary([5.0, 5.0])
-    assert total[0] - n[0] * 5.0 == 0.0
+    # two neighbours exactly at the radius give D = 0 (unreachable from raw
+    # positions under the strict < radius): no step and the top reward
+    params = make_params()
+    states, pi, rewards = judge(*rim_summary([5.0, 5.0]), params)
+    assert (states[0], pi[0], rewards[0]) == (StateId.IDEAL, 0.0, params.reward_max)
 
 
 def test_encode_state_cases():
