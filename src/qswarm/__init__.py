@@ -7,11 +7,11 @@ from .core import Vec2, WorldBounds, euclidean_distance, pairwise_distances, pos
 from .harness import (PRESETS, RunSummary, preset, read_trace_csv, run_experiment,
                       run_to_dir, write_decisions_csv, write_snapshot_csv,
                       write_summary_json, write_trace_csv)
-from .metrics import (TickRecord, Trace, as_trace, classify_decisions, connected_fraction,
-                      connectivity_components, cumulative_reward, cumulative_rewards,
-                      decision_series, dispersion, drift_onset, drift_onsets)
-from .mql import (ActionSpec, MqlEngine, MqlParams, StateId, apply_action, build_actions,
-                  encode_state, neighborhood, reward, step_scale_pi)
+from .metrics import (StateId, TickRecord, Trace, as_trace, classify_decisions,
+                      connected_fraction, connectivity_components, cumulative_reward,
+                      cumulative_rewards, decision_series, dispersion, drift_onset, drift_onsets)
+from .mql import (ActionSpec, MqlEngine, MqlParams, apply_action, build_actions, encode_state,
+                  neighborhood, reward, step_scale_pi)
 from .pso import Objective, PsoEngine, PsoParams, PsoParticle, pso_step, velocity_update
 from .qlearning import LearningParams, QTable
 

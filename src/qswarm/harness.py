@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
-from .metrics import (Trace, as_trace, classify_decisions, connectivity_components,
+from .metrics import (StateId, Trace, as_trace, classify_decisions, connectivity_components,
                       cumulative_rewards, dispersion, drift_onsets)
-from .mql import MqlEngine, StateId
+from .mql import MqlEngine
 from .pso import PsoEngine
 
 TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
@@ -38,8 +38,9 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # learning swarm's final utility tables are the engine's array, which the
 # writer renders a row at a time: a 20,000-particle, 1-tick run_to_dir peaked
 # at 20.3 MB under tracemalloc, about 1 KB a particle) plus the trace columns (48
-# bytes a row, allocated once: each tick writes its row in place). Sensing and
-# the trace writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
+# bytes a row, allocated once: each tick writes its row in place) plus the
+# snapshots (16 bytes a particle per snapshot tick). Sensing and the trace
+# writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
 # ``BLOCK_ROWS``), whatever M is.
 PARTICLE_BYTES = 4 * 1024
 TRACE_BYTES_PER_ROW = 48
@@ -82,11 +83,11 @@ def check_memory(cfg: SwarmConfig) -> None:
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
         return
     m, t = cfg.swarm_size, cfg.iterations
-    need = PARTICLE_BYTES * m + TRACE_BYTES_PER_ROW * m * t
+    need = m * (PARTICLE_BYTES + TRACE_BYTES_PER_ROW * t + 16 * len(set(cfg.snapshot_ticks)))
     if need > physical:
         raise ConfigError(
             f"swarm_size={m} with iterations={t} needs about {need / 2**30:.3g} GiB "
-            f"(the swarm state plus the trace), more than the "
+            f"(the swarm state, the trace and the snapshots), more than the "
             f"{physical / 2**30:.3g} GiB of physical memory")
 
 
@@ -204,11 +205,17 @@ def write_trace_csv(trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    """Inverse of write_trace_csv at the printed precision."""
+    """Inverse of write_trace_csv at the printed precision. A row without one
+    cell per column or with an unknown state is a ValueError naming its line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path} does not carry the expected trace header")
-    cols = list(zip(*(line.split(",") for line in lines[1:]))) or [()] * len(TRACE_COLUMNS)
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows, start=2):
+        if len(row) != len(TRACE_COLUMNS) or row[4] not in _STATE_IDS:
+            raise ValueError(f"{path} line {k}: expected {len(TRACE_COLUMNS)} cells and a "
+                             f"known state, got {lines[k - 1]!r}")
+    cols = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
     tick, particle, x, y, state, action, reward, ncount = cols
     return Trace.from_rows(
         np.array(tick, dtype=np.int64), np.array(particle, dtype=np.int64),

@@ -12,18 +12,24 @@ proximity-graph components, cohesion fractions and centroid spread.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from enum import IntEnum
 
 import numpy as np
 
 from .core import Vec2, neighbor_blocks, neighbor_counts, positions_array
 
-if TYPE_CHECKING:
-    from .mql import StateId
+
+class StateId(IntEnum):
+    DISCONNECTED = 0   # no peer within the sensing radius
+    TOO_CLOSE = 1      # some peer within the overlap floor d_min
+    NEAR = 2           # neighbourhood noticeably tighter than the rim
+    IDEAL = 3          # total neighbour distance within tau_s of n * epsilon
+    FAR = 4            # total neighbour distance above the rim band
+
+
+_STATES = tuple(StateId)  # indexed by id: a tuple lookup, where StateId(s) is a call
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class TickRecord:
     tick: int
     particle: int
     position: Vec2
-    state: "StateId | None"
+    state: StateId | None
     action: int | None
     reward: float | None
     neighbor_count: int
@@ -59,7 +65,6 @@ class Trace(Sequence):
     """
 
     __slots__ = _COLUMNS
-    __hash__ = None
 
     def __init__(self, ticks, positions, state, action, reward, neighbor_count):
         self.ticks = np.asarray(ticks, dtype=np.int64)
@@ -106,11 +111,6 @@ class Trace(Sequence):
             [r.neighbor_count for r in records])
 
     @classmethod
-    def concat(cls, traces) -> Trace:
-        """The traces' rows one after another (all must have the same M)."""
-        return cls(*(np.concatenate([getattr(t, c) for t in traces]) for c in _COLUMNS))
-
-    @classmethod
     def empty(cls, t: int, m: int) -> Trace:
         """A trace of T ticks and M particles whose entries are all still to
         be written (an engine's ``tick`` writes one tick's row)."""
@@ -140,19 +140,15 @@ class Trace(Sequence):
         return t * m
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"trace index {index} out of range for {len(self)} rows")
-        k %= len(self)
-        return next(self._records(k, k + 1))
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self[k] for k in rows]
+        return next(self._records(rows, rows + 1))
 
     def __iter__(self):
         return self._records(0, len(self))
 
     def _records(self, start: int, stop: int):
-        states = _state_ids()
         ticks = self.ticks.tolist()
         m = self.shape[1]
         rows = zip(range(start, stop),
@@ -162,7 +158,7 @@ class Trace(Sequence):
         for k, s, a, r, c, (x, y) in rows:
             t, i = divmod(k, m)
             # tick, particle, position, state, action, reward, neighbor_count
-            yield TickRecord(ticks[t], i, Vec2(x, y), None if s < 0 else states[s],
+            yield TickRecord(ticks[t], i, Vec2(x, y), None if s < 0 else _STATES[s],
                              None if a < 0 else a, None if math.isnan(r) else r, c)
 
     def __eq__(self, other):
@@ -170,13 +166,6 @@ class Trace(Sequence):
             return NotImplemented
         return all(np.array_equal(getattr(self, c), getattr(other, c),
                                   equal_nan=c == "reward") for c in _COLUMNS)
-
-
-@lru_cache(maxsize=None)
-def _state_ids() -> tuple[StateId, ...]:
-    from .mql import StateId  # mql imports this module
-
-    return tuple(StateId)
 
 
 def as_trace(trace) -> Trace:

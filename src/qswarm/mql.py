@@ -28,24 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (Vec2, WorldBounds, clamp, neighbor_blocks, pairwise_distances,
                    positions_array)
-from .metrics import Trace
+from .metrics import StateId, Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
-
-
-class StateId(IntEnum):
-    DISCONNECTED = 0   # no peer within the sensing radius
-    TOO_CLOSE = 1      # some peer within the overlap floor d_min
-    NEAR = 2           # neighbourhood noticeably tighter than the rim
-    IDEAL = 3          # total neighbour distance within tau_s of n * epsilon
-    FAR = 4            # total neighbour distance above the rim band
-
 
 NUM_STATES = len(StateId)
 
@@ -130,9 +120,9 @@ class MqlParams:
         if not (math.isfinite(self.reward_max) and self.reward_max > 0):
             raise ValueError(f"mql.reward_max must be > 0, got {self.reward_max!r}")
         steps = tuple(float(s) for s in self.step_set)
-        if len(steps) != 3 or any(s <= 0 for s in steps) or not steps[0] < steps[1] < steps[2]:
+        if len(steps) != 3 or not (0 < steps[0] < steps[1] < steps[2] < math.inf):
             raise ValueError(
-                f"mql.step_set must be three ascending positive magnitudes, got {self.step_set!r}"
+                f"mql.step_set must be three ascending finite magnitudes > 0, got {self.step_set!r}"
             )
         object.__setattr__(self, "step_set", steps)
         if self.schedule not in SCHEDULES:
@@ -250,11 +240,10 @@ def reward(i: int, positions, params: MqlParams) -> float:
 
 class MqlEngine:
     """Stateful learning swarm with a fixed particle count, held as arrays:
-    positions ``pos`` (M, 2), every utility table in ``q`` (M, states,
-    actions), and ``cumulative_rewards`` (M,). ``sensed`` carries the
-    swarm's judged neighbourhoods (n, states, pi, rewards), each (M,): the
-    neighbour count and the ``judge`` of every particle, from one tick to the
-    next (None before the first tick).
+    positions ``pos`` (M, 2) and every utility table in ``q`` (M, states,
+    actions). ``sensed`` carries the swarm's judged neighbourhoods (n, states,
+    pi, rewards), each (M,): the neighbour count and the ``judge`` of every
+    particle, from one tick to the next (None before the first tick).
 
     Random draws are consumed in a documented order: first 2*M uniform draws
     for the initial positions (particle order, x then y), then per tick the
@@ -291,7 +280,6 @@ class MqlEngine:
             low = np.array([center.x - span / 2.0, center.y - span / 2.0])
             self.pos = low + span * rng.random((m, 2))
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
-        self.cumulative_rewards = np.zeros(m)
         self._ids = np.arange(m)
         # (n, states, pi, rewards) of every particle, sensed on the bytes _sensed_on
         self.sensed = None
@@ -390,7 +378,6 @@ class MqlEngine:
         n1, states1, _, r1 = self.sensed
         r = r1[movers]
         td_update(self.q, ids, states, actions, r, states1[movers], prm.learning)
-        self.cumulative_rewards[movers] += r
 
         rows = Trace.empty(1, self.m) if rows is None else rows
         rows.ticks[0] = self.tick_index

@@ -104,6 +104,7 @@ def test_repeated_decision_particle_is_rejected_by_name():
     ("mql: {step_set: [0.5, '1', 2]}\n", "mql.step_set"),
     ("mql: {step_set: [0.5, true, 2]}\n", "mql.step_set"),
     ("mql: {step_set: 2}\n", "mql.step_set"),
+    ("mql: {step_set: [0.5, 1.0, .inf]}\n", "mql.step_set"),
     ("pso: {c1: true}\n", "pso.c1"),
     ("pso: {v_max: '2'}\n", "pso.v_max"),
     ("pso: {target: [true, 5]}\n", "pso.target"),

@@ -49,14 +49,15 @@ def test_round_robin_also_logs_every_particle():
 ])
 def test_the_run_trace_is_the_ticks_it_returns(over):
     # run_experiment has each tick write its row into the run's trace; ticks
-    # that write fresh rows, stacked, must give the same columns
+    # that write fresh rows must give the same row, tick by tick
     cfg = small_cfg(swarm_size=7, iterations=40, seed=11, **over)
     trace, _, _ = run_experiment(cfg)
     engine = harness._build_engine(cfg, np.random.default_rng(cfg.seed))
-    ticked = Trace.concat([engine.tick() for _ in range(cfg.iterations)])
-    assert trace == ticked
-    assert trace.positions.tobytes() == ticked.positions.tobytes()
-    assert trace.reward.tobytes() == ticked.reward.tobytes()
+    for t in range(cfg.iterations):
+        ticked, row = engine.tick(), trace.at(t)
+        assert ticked == row
+        assert ticked.positions.tobytes() == row.positions.tobytes()
+        assert ticked.reward.tobytes() == row.reward.tobytes()
 
 
 def test_snapshot_ticks_captured():
@@ -143,6 +144,20 @@ def test_pso_trace_rows_keep_empty_decision_columns(tmp_path):
         assert fields[4] == "" and fields[5] == "" and fields[6] == ""
     reparsed = read_trace_csv(path)
     assert all(r.state is None and r.action is None and r.reward is None for r in reparsed)
+
+
+@pytest.mark.parametrize("bad_row", [
+    "0,1,2.5,3.5,NEAR,4,-1.5,2,extra",
+    "0,1,2.5,3.5,BOGUS,4,-1.5,2",
+    "0,1,2.5,3.5,NEAR,4,-1.5",
+], ids=["ninth-cell", "unknown-state", "short-row"])
+def test_read_trace_csv_names_the_line_of_a_malformed_row(tmp_path, bad_row):
+    path = tmp_path / "trace.csv"
+    path.write_text("tick,particle,x,y,state,action,reward,neighbor_count\n"
+                    "0,0,1.5,2.5,IDEAL,3,100,1\n" + bad_row + "\n")
+    with pytest.raises(ValueError, match="line 3") as err:
+        read_trace_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_snapshot_csv_schema(tmp_path):
@@ -290,6 +305,22 @@ def test_run_too_large_for_memory_fails_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert "\n" not in str(err.value)
     assert peak < 1 << 20
+
+
+def test_the_memory_check_counts_the_snapshots(monkeypatch):
+    from qswarm.config import ConfigError
+
+    m, t = 1000, 1000
+    trace_fits = m * (harness.PARTICLE_BYTES + harness.TRACE_BYTES_PER_ROW * t)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": trace_fits + m * 16 * (t + 1) - 1}
+    monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+    harness.check_memory(small_cfg(swarm_size=m, iterations=t, snapshot_ticks=[]))
+    # one (M, 2) float copy a distinct snapshot tick, here every tick 0..T
+    every_tick = list(range(t + 1))
+    harness.check_memory(small_cfg(swarm_size=m, iterations=t, snapshot_ticks=every_tick[1:]))
+    with pytest.raises(ConfigError, match="snapshots"):
+        harness.check_memory(small_cfg(swarm_size=m, iterations=t,
+                                       snapshot_ticks=every_tick + [t]))
 
 
 def test_a_large_swarm_senses_in_bounded_memory():

@@ -1,14 +1,19 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qswarm
+import qswarm.metrics
+import qswarm.mql
 from qswarm.core import Vec2
-from qswarm.metrics import (TickRecord, Trace, as_trace, classify_decisions,
+from qswarm.metrics import (StateId, TickRecord, Trace, as_trace, classify_decisions,
                             connected_fraction, connectivity_components,
                             cumulative_reward, cumulative_rewards, decision_series,
                             dispersion, drift_onset, drift_onsets)
-from qswarm.mql import StateId
 
 
 def record(tick, particle, reward=None, neighbors=0, x=0.0, y=0.0):
@@ -240,7 +245,25 @@ def test_trace_equality_is_column_wise_and_round_trips_through_records():
     other = two_tick_trace()
     other.reward[1, 1] = 0.25
     assert trace != other
-    assert Trace.concat([trace, trace]).shape == (4, 2)
+    with pytest.raises(TypeError):
+        hash(trace)  # mutable columns: defining __eq__ leaves Trace unhashable
+
+
+def test_the_state_vocabulary_is_one_object_everywhere():
+    assert qswarm.StateId is qswarm.mql.StateId is qswarm.metrics.StateId is StateId
+
+
+def test_metrics_imports_nothing_from_mql():
+    # at any depth: deferred imports in functions and TYPE_CHECKING blocks too
+    imported = []
+    for node in ast.walk(ast.parse(Path(qswarm.metrics.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "core" in imported
+    assert not any("mql" in name.split(".") for name in imported)
 
 
 def test_records_must_cover_every_particle_at_every_tick():

@@ -383,7 +383,6 @@ def test_singleton_swarm_flatlines():
         assert rec.state == StateId.DISCONNECTED
         assert rec.reward == -100.0
         assert rec.neighbor_count == 0
-    assert engine.cumulative_rewards[0] == -100.0 * 10
 
 
 def test_simultaneous_tick_emits_m_records():
@@ -476,16 +475,6 @@ def test_engine_is_deterministic():
     assert a == b
     c = run(100)
     assert a != c
-
-
-def test_cumulative_reward_tracks_trace():
-    engine = MqlEngine(4, MqlParams(), WorldBounds(), np.random.default_rng(36))
-    totals = np.zeros(4)
-    for _ in range(25):
-        for r in engine.tick():
-            totals[r.particle] += r.reward
-    for i in range(4):
-        assert engine.cumulative_rewards[i] == pytest.approx(totals[i], abs=1e-9)
 
 
 def test_initial_cluster_starts_connected():
