@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -139,26 +140,31 @@ def run_experiment(cfg: SwarmConfig):
 # format(x, ".9g")). A writer interleaves its columns into one flat cell list
 # and fills the template for a whole block of rows in one formatting call.
 
-_TRACE_ROW = "%d,%d,%.9g,%.9g,%s,%s,%s,%d\n"
 _SNAPSHOT_ROW = "%d,%.9g,%.9g\n"
 _DECISION_ROW = "%d,%d,%.9g,%s\n"
 
-# trace rows rendered per formatting call, in whole ticks (at least one)
-BLOCK_ROWS = 1024
+# trace rows rendered per formatting call, in whole ticks (at least one); a
+# block pays about 0.1 ms of fixed array calls, so it holds some thousands
+BLOCK_ROWS = 4096
 
 # the state cells indexed by state id + 1: "" for -1, a row without a decision
 _STATE_NAMES = np.array(["", *(s.name for s in sorted(StateId))], dtype=object)
 _STATE_IDS = {name: k - 1 for k, name in enumerate(_STATE_NAMES)}
 
 
-def _render(row: str, *columns) -> str:
-    """``row`` once per entry of the equal-length ``columns``, filled from
-    them in one formatting call."""
+def _interleave(*columns) -> tuple:
+    """The equal-length ``columns`` as one flat tuple, row by row."""
     width = len(columns)
     cells = [None] * (width * len(columns[0]))
     for k, column in enumerate(columns):
         cells[k::width] = column
-    return row * len(columns[0]) % tuple(cells)
+    return tuple(cells)
+
+
+def _render(row: str, *columns) -> str:
+    """``row`` once per entry of the equal-length ``columns``, filled from
+    them in one formatting call."""
+    return row * len(columns[0]) % _interleave(*columns)
 
 
 def _blank_where(values: np.ndarray, missing: np.ndarray) -> list:
@@ -168,45 +174,103 @@ def _blank_where(values: np.ndarray, missing: np.ndarray) -> list:
     return cells.tolist()
 
 
-def _reward_cells(rewards: np.ndarray) -> list[str]:
-    """Each reward at 9 significant digits, "" where it is NaN (no decision)."""
+def _reward_cells(rewards: np.ndarray, missing: np.ndarray) -> list[str]:
+    """Each reward at 9 significant digits, "" where ``missing`` (NaN)."""
     cells = np.full(rewards.shape, "", dtype=object)
-    acted = ~np.isnan(rewards)
-    values = rewards[acted].tolist()
-    cells[acted] = ("\n".join(["%.9g"] * len(values)) % tuple(values)).split("\n")
+    cells[~missing] = _texts(rewards[~missing])
     return cells.tolist()
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` at 9 significant digits, in one formatting call."""
+    return ("%.9g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+
+
+def _decision_column(values: np.ndarray, missing: np.ndarray, spec: str, blanked):
+    """One decision column of a trace block as (template cell, cells): the
+    empty cell baked into the template when no row has a value, ``spec`` over
+    the values when every row has one, else "%s" over ``blanked(values,
+    missing)``, which writes "" for the missing ones."""
+    if missing.all():
+        return "", None
+    if not missing.any():
+        return spec, values.tolist()
+    return "%s", blanked(values, missing)
+
+
+@lru_cache(maxsize=64)
+def _tick_rows(m: int, state: str, action: str, reward: str) -> tuple[str, ...]:
+    """The template of one tick's M trace rows as the parts that the tick's
+    text joins: the particle ids and the decision columns' template cells
+    are baked in."""
+    return ("", *(f",{i},%s,%s,{state},{action},{reward},%d\n" for i in range(m)))
+
+
+def _carried_texts(values: np.ndarray, bits: np.ndarray, carried) -> np.ndarray:
+    """The text of each entry of the (n, w) block ``values``, formatting only
+    those whose ``bits`` (``values`` as int64) differ from the entry one row
+    up; the others take that row's text. ``carried`` is the (bits, texts) of
+    the row above the first one, or None. Returns an (n, w) object array."""
+    n, w = bits.shape
+    changed = np.ones((n, w), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    if carried is not None:
+        np.not_equal(bits[0], carried[0], out=changed[0])
+    fresh = _texts(values[changed])
+    pool = np.empty(w + len(fresh), dtype=object)
+    if carried is not None:
+        pool[:w] = carried[1]
+    pool[w:] = fresh
+    # each entry's index in the pool: the carried row, then the fresh texts in
+    # row-major order, so a running max down a column reaches its last fresh one
+    source = np.where(changed, np.cumsum(changed).reshape(n, w) + (w - 1), -1)
+    source[0, ~changed[0]] = np.flatnonzero(~changed[0])
+    np.maximum.accumulate(source, axis=0, out=source)
+    return pool[source]
 
 
 def write_trace_csv(trace, path) -> None:
     """Header + one row per (tick, particle) of a Trace or a TickRecord
-    sequence; state/action/reward cells are empty when the row carries no
-    decision. Written a block of whole ticks (``BLOCK_ROWS``) at a time."""
+    sequence. A row without a decision has empty action and reward cells;
+    its state cell is empty too unless the row carries one (round-robin
+    non-movers carry their current state). Written a block of whole ticks
+    (``BLOCK_ROWS``) at a time: a coordinate's text is rendered only when its
+    bits differ from the same particle's at the tick before, and each
+    decision column of a block takes the template cell it needs."""
     tr = as_trace(trace)
     t, m = tr.shape
     if tr.state.size and not -1 <= tr.state.min() <= tr.state.max() < len(StateId):
         raise ValueError("trace states must be -1 (no decision) or a StateId")
     ticks_per_block = max(1, BLOCK_ROWS // max(m, 1))
+    coords = tr.positions.reshape(t, 2 * m)
+    bits = coords.view(np.int64)
+    carried = None
     with open(path, "w") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
         for k in range(0, t, ticks_per_block):
             block = slice(k, k + ticks_per_block)
-            pos = tr.positions[block].reshape(-1, 2)
+            texts = _carried_texts(coords[block], bits[block], carried)
+            carried = bits[block][-1], texts[-1]
+            xy = texts.ravel().tolist()
+            state = tr.state[block].ravel()
             action = tr.action[block].ravel()
-            f.write(_render(
-                _TRACE_ROW,
-                tr.ticks[block].repeat(m).tolist(),
-                list(range(m)) * len(tr.ticks[block]),
-                pos[:, 0].tolist(),
-                pos[:, 1].tolist(),
-                _STATE_NAMES[tr.state[block].ravel() + 1].tolist(),
-                _blank_where(action, action < 0),
-                _reward_cells(tr.reward[block].ravel()),
+            reward = tr.reward[block].ravel()
+            # state names carry their own "" for a row without a state
+            decisions = (
+                ("", None) if (state < 0).all() else ("%s", _STATE_NAMES[state + 1].tolist()),
+                _decision_column(action, action < 0, "%d", _blank_where),
+                _decision_column(reward, np.isnan(reward), "%.9g", _reward_cells))
+            parts = _tick_rows(m, *(spec for spec, _ in decisions))
+            rows = "".join([str(tick).join(parts) for tick in tr.ticks[block].tolist()])
+            f.write(rows % _interleave(
+                xy[0::2], xy[1::2], *(cells for _, cells in decisions if cells is not None),
                 tr.neighbor_count[block].ravel().tolist()))
 
 
 def read_trace_csv(path) -> Trace:
     """Inverse of write_trace_csv at the printed precision. A row without one
-    cell per column or with an unknown state is a ValueError naming its line."""
+    cell per column, with an unknown state or with a cell that is not a
+    number where the column holds one is a ValueError naming its line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path} does not carry the expected trace header")
@@ -216,14 +280,29 @@ def read_trace_csv(path) -> Trace:
             raise ValueError(f"{path} line {k}: expected {len(TRACE_COLUMNS)} cells and a "
                              f"known state, got {lines[k - 1]!r}")
     cols = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
-    tick, particle, x, y, state, action, reward, ncount = cols
+
+    def parse(column: int, convert):
+        """``convert`` of one column's cells; a cell it rejects is a
+        ValueError naming its line."""
+        try:
+            return convert(cols[column])
+        except (ValueError, OverflowError):
+            for k, cell in enumerate(cols[column], start=2):
+                try:
+                    convert([cell])
+                except (ValueError, OverflowError):
+                    raise ValueError(f"{path} line {k}: the {TRACE_COLUMNS[column]} cell "
+                                     f"{cell!r} is not a number, got {lines[k - 1]!r}") from None
+            raise
+
+    ints = lambda cells: np.array(cells, dtype=np.int64)
+    floats = lambda cells: np.array(cells, dtype=float)
     return Trace.from_rows(
-        np.array(tick, dtype=np.int64), np.array(particle, dtype=np.int64),
-        np.column_stack([np.array(x, dtype=float), np.array(y, dtype=float)]),
-        [_STATE_IDS[s] for s in state],
-        [-1 if a == "" else int(a) for a in action],
-        [np.nan if r == "" else float(r) for r in reward],
-        np.array(ncount, dtype=np.int64))
+        parse(0, ints), parse(1, ints), np.column_stack([parse(2, floats), parse(3, floats)]),
+        [_STATE_IDS[s] for s in cols[4]],
+        parse(5, lambda cells: [-1 if a == "" else int(a) for a in cells]),
+        parse(6, lambda cells: [np.nan if r == "" else float(r) for r in cells]),
+        parse(7, ints))
 
 
 def write_snapshot_csv(positions: np.ndarray, path) -> None:
@@ -244,8 +323,9 @@ def write_summary_json(summary: RunSummary, path) -> None:
     The q-tables are written from the array a row at a time, one repr per
     float at the indent json gives them, spliced in where json.dumps of the
     rest holds the key: the same bytes without the pure-Python encoder's
-    per-float calls. repr writes inf and nan where json writes Infinity and
-    NaN, words no finite float's repr holds. A None or empty table takes
+    per-float calls. A row with the bits of the row before it reuses that
+    row's text. repr writes inf and nan where json writes Infinity and NaN,
+    words no finite float's repr holds. A None or empty table takes
     json.dumps whole.
     """
     q = summary.final_q_tables
@@ -254,16 +334,23 @@ def write_summary_json(summary: RunSummary, path) -> None:
         return
     rest = json.dumps(replace(summary, final_q_tables=None).to_dict(), indent=2, sort_keys=True)
     head, tail = rest.split(_Q_KEY + "null")
-    row = "    [\n      " + ",\n      ".join(["%r"] * q.shape[1]) + "\n    ]"
+    row = ",\n    [\n      " + ",\n      ".join(["%r"] * q.shape[1]) + "\n    ]"
     finite = np.isfinite(q).all()
+    bits = np.ascontiguousarray(q).view(np.int64)
+    repeats = [False, *(bits[1:] == bits[:-1]).all(axis=1).tolist()]
 
-    def render(values: np.ndarray) -> str:
-        text = row % tuple(values.tolist())
-        return text if finite else text.replace("inf", "Infinity").replace("nan", "NaN")
+    def rows():
+        for values, repeat in zip(q, repeats):
+            if not repeat:
+                text = row % tuple(values.tolist())
+                if not finite:
+                    text = text.replace("inf", "Infinity").replace("nan", "NaN")
+            yield text
 
+    texts = rows()
     with open(path, "w") as f:
-        f.write(head + _Q_KEY + "[\n" + render(q[0]))
-        f.writelines(",\n" + render(values) for values in q[1:])
+        f.write(head + _Q_KEY + "[" + next(texts)[1:])  # the first row takes no comma
+        f.writelines(texts)
         f.write("\n  ]" + tail + "\n")
 
 

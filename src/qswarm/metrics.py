@@ -37,9 +37,10 @@ class TickRecord:
     """One particle's log row for one iteration.
 
     ``position`` and ``neighbor_count`` reflect the end of the tick. ``state``
-    is the state the action was chosen in; ``state``/``action``/``reward`` are
-    None for rows without a decision (PSO runs, and non-movers in round-robin
-    scheduling).
+    is the state the action was chosen in; ``action``/``reward`` are None for
+    rows without a decision (PSO runs, and non-movers in round-robin
+    scheduling). ``state`` is None in PSO runs; a round-robin non-mover
+    carries its current state.
     """
 
     tick: int

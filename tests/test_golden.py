@@ -25,6 +25,12 @@ cumulative rewards 4 -inf, so summary.json holds both ``NaN`` and
 finite. It was recorded before the q-table writer wrote from the engine's
 array.
 
+``mql-negzero-world`` pins the sign of zero in the trace's coordinates: its
+world's lower bounds are -0.0, so a particle clamped to a lower wall sits at
+-0.0 and its cell reads ``-0``. Its traces carry 65, 95 and 69 such cells
+(seeds 0, 1, 2). It was recorded before the trace writer carried a
+coordinate's text from one tick to the next.
+
 To re-record after a deliberate output change:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -75,6 +81,10 @@ CASES = {
     # a sensing radius of 1: the swarm's bounding box falls inside it mid-run
     "pso-small-epsilon": dict(algorithm="pso", swarm_size=20, iterations=60,
                               snapshot_ticks=[0, 30, 60], mql={"epsilon": 1.0}),
+    # a world whose lower bounds are -0.0: particles on those walls write "-0"
+    "mql-negzero-world": dict(swarm_size=12, iterations=60,
+                              world={"x_min": -0.0, "y_min": -0.0, "x_max": 6.0, "y_max": 6.0},
+                              mql={"epsilon": 3.0, "init_span": 6.0}),
     # q-table updates that overflow to NaN, and cumulative rewards to -inf
     "mql-overflow": dict(swarm_size=6, iterations=200,
                          mql={"reward_max": 1.7e308, "learning_rate": 1.0, "discount": 1.0}),
@@ -182,6 +192,18 @@ GOLDEN = {
         'trace': 'ea969db30c5beefe41994656b7209e8f4f9962baa37f19ebe1483c7113e0fd7a',
         'summary': 'a5acf42929cfc5b8a2cb73a43dbac2bd17d1c58b75a99e8f429e8a12cfb8eebc',
         'decisions': '4c63f9f75f1bdefb27672842b16e6d5a8fc49fd32d90895acd35b01281e2e5f4',
+    },
+    'mql-negzero-world-s0': {
+        'trace': '262faeb4146d86984ebebefbc24b093f4b82d95a31e3588bfcefb0ee7b3e432b',
+        'summary': '4ff98d3adf4c6f5b7d22415ec9370a0b5d958960fc51b360276f95b5b15e6b8c',
+    },
+    'mql-negzero-world-s1': {
+        'trace': '24434998b58ee669e85982c5afb2519c2fd33843d251fe1d234120a7bee99e37',
+        'summary': '0dcf6d9c00f8eb78e91323c573bd4683809507fea3e74bd88e8b18da2284c12f',
+    },
+    'mql-negzero-world-s2': {
+        'trace': '23bb2fc474fc762a3d0b5e9bb7312eb384b78f2ac7d67ffc551f8edfc3309ac3',
+        'summary': 'a67ffdf5c99fd9793eca2548a1874fbf14bad92f3881cf4de0d6121f52fa069d',
     },
     'mql-overflow-s0': {
         'trace': '5f47e96254d5007d30d64e21277dd33e627d1e1526ea1b98a10a4cfe17d98c40',

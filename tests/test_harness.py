@@ -150,7 +150,9 @@ def test_pso_trace_rows_keep_empty_decision_columns(tmp_path):
     "0,1,2.5,3.5,NEAR,4,-1.5,2,extra",
     "0,1,2.5,3.5,BOGUS,4,-1.5,2",
     "0,1,2.5,3.5,NEAR,4,-1.5",
-], ids=["ninth-cell", "unknown-state", "short-row"])
+    "0,0,1.5,2.5,IDEAL,x,100,1",
+    "0,1,abc,3.5,NEAR,4,-1.5,2",
+], ids=["ninth-cell", "unknown-state", "short-row", "non-numeric-action", "non-numeric-x"])
 def test_read_trace_csv_names_the_line_of_a_malformed_row(tmp_path, bad_row):
     path = tmp_path / "trace.csv"
     path.write_text("tick,particle,x,y,state,action,reward,neighbor_count\n"
@@ -437,40 +439,61 @@ non_finite_floats = st.sampled_from([math.inf, -math.inf, math.nan])
 
 @st.composite
 def traces(draw):
-    """Random (T, M) traces. A row's decision cells are present in every row,
-    in one mover's row per tick (round robin), in random rows, or in none;
-    the gaps are state and action -1 and reward NaN, and present rewards may
-    be NaN or infinite too."""
+    """Random (T, M) traces. Coordinates are fresh floats, or each one after
+    the first tick is fresh, a copy of the same particle's coordinate one tick
+    earlier, or that copy with its sign bit or its lowest bit flipped (0.0
+    becomes -0.0, a NaN another NaN, and a float its neighbour). Action and
+    reward cells are present in every row, in one mover's row per tick (round
+    robin), in random rows, or in none; the gaps are action -1 and reward
+    NaN. The state cells sit in the same rows or in rows drawn apart from them
+    (round-robin non-movers carry a state), and present rewards may be NaN or
+    infinite too, and are NaN in random rows that have an action."""
     t, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     start = draw(st.integers(-3, 10**6))
     floats = lambda n, elems: np.array(draw(st.lists(elems, min_size=n, max_size=n)))
     ints = lambda n, lo, hi: np.array(draw(st.lists(st.integers(lo, hi), min_size=n,
                                                     max_size=n)), dtype=np.int64)
-    gaps = draw(st.sampled_from(["none", "round_robin", "random", "all"]))
-    if gaps == "round_robin":
-        acted = np.arange(m)[None, :] == (np.arange(t) % m)[:, None]
-    elif gaps == "random":
-        acted = np.array(draw(st.lists(st.booleans(), min_size=t * m, max_size=t * m)))
-    else:
-        acted = np.full(t * m, gaps == "none")
-    acted = acted.reshape(t, m)
-    return Trace(np.arange(start, start + t),
-                 floats(t * m * 2, any_floats).reshape(t, m, 2),
-                 np.where(acted, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1),
+    flags = lambda: ints(t * m, 0, 1).reshape(t, m) == 1
+
+    def rows_with_cells():
+        gaps = draw(st.sampled_from(["none", "round_robin", "random", "all"]))
+        if gaps == "round_robin":
+            return np.arange(m)[None, :] == (np.arange(t) % m)[:, None]
+        if gaps == "random":
+            return flags()
+        return np.full((t, m), gaps == "none")
+
+    positions = floats(t * m * 2, st.one_of(any_floats, st.sampled_from(
+        [0.0, -0.0, math.nan]))).reshape(t, m, 2)
+    if draw(st.booleans()):
+        bits = positions.view(np.uint64)
+        ops = ints(t * m * 2, 0, 3).reshape(t, m, 2)
+        for k in range(1, t):
+            bits[k] = np.where(ops[k] == 0, bits[k], bits[k - 1])
+            bits[k] ^= np.where(ops[k] == 2, np.uint64(1 << 63), np.uint64(0))
+            bits[k] ^= (ops[k] == 3).astype(np.uint64)
+    acted = rows_with_cells()
+    stated = acted if draw(st.booleans()) else rows_with_cells()
+    rewards = np.where(acted, floats(t * m, any_floats).reshape(t, m), np.nan)
+    if draw(st.booleans()):
+        rewards[flags()] = np.nan
+    return Trace(np.arange(start, start + t), positions,
+                 np.where(stated, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1),
                  np.where(acted, ints(t * m, 0, 14).reshape(t, m), -1),
-                 np.where(acted, floats(t * m, any_floats).reshape(t, m), np.nan),
+                 rewards,
                  ints(t * m, 0, 10**9).reshape(t, m))
 
 
 @settings(max_examples=200, deadline=None)
-@given(trace=traces(), block_rows=st.sampled_from([1, 2, 5, harness.BLOCK_ROWS]),
-       data=st.data())
-def test_csv_writers_give_the_per_cell_bytes(trace, block_rows, data):
-    # small blocks put several blocks, and a short last one, in one trace
+@given(trace=traces(), data=st.data())
+def test_csv_writers_give_the_per_cell_bytes(trace, data):
+    # small blocks put several blocks, and a short last one, in one trace;
+    # blocks of two or three ticks carry a tick's texts past their last row
+    m = trace.shape[1]
+    block_rows = data.draw(st.sampled_from([1, 2, 5, 2 * m, 3 * m, harness.BLOCK_ROWS]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_ROWS", block_rows)
         assert written(write_trace_csv, trace) == written(oracle_write_trace_csv, trace)
-    m = trace.shape[1]
     particles = data.draw(st.lists(st.integers(0, m - 1), max_size=4))
     assert written(write_decisions_csv, trace, particles) == \
         written(oracle_write_decisions_csv, trace, particles)
@@ -489,11 +512,21 @@ TRICKY_TEXT = st.sampled_from(['\n  "final_q_tables": null', '"final_q_tables": 
 @st.composite
 def summaries(draw):
     """RunSummaries with an (M, n) q-table array, M and n in 0-7, of finite
-    floats or of finite floats mixed with inf, -inf and nan (which json
-    writes as Infinity, -Infinity and NaN), or with no table."""
+    floats, of zeros of both signs, or of finite floats mixed with inf, -inf
+    and nan (which json writes as Infinity, -Infinity and NaN), or with no
+    table. A row may repeat the row before it, or repeat it with the sign of
+    each zero flipped (equal values, other bits)."""
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    entries = draw(st.sampled_from([finite_floats, st.one_of(finite_floats, non_finite_floats)]))
+    entries = draw(st.sampled_from([finite_floats, st.sampled_from([0.0, -0.0, 1.5]),
+                                    st.one_of(finite_floats, non_finite_floats)]))
     tables = draw(st.none() | arrays(np.float64, (m, n), elements=entries))
+    if tables is not None:
+        for i in range(1, m):
+            repeat = draw(st.sampled_from(["fresh", "copy", "flip zeros"]))
+            if repeat == "copy":
+                tables[i] = tables[i - 1]
+            elif repeat == "flip zeros":
+                tables[i] = np.where(tables[i - 1] == 0, -tables[i - 1], tables[i - 1])
     return RunSummary(
         config={"output_dir": draw(TRICKY_TEXT), "seed": draw(st.integers(0, 2**64 - 1)),
                 "mql": {"final_q_tables": draw(st.none() | TRICKY_TEXT),
