@@ -1,6 +1,23 @@
 """Geometry primitives shared by every engine and the metrics: points, world
-bounds, the clamp into them, distances, the neighbour relation and the
-cell-list query that finds each particle's epsilon-neighbours."""
+bounds, the clamp into them, distances, the neighbour relation, the
+cell-list query that finds each particle's epsilon-neighbours, and the
+neighbour list a moving swarm carries between queries.
+
+The carried list is a Verlet list (Verlet, Phys. Rev. 159, 98 (1967); Allen &
+Tildesley, Computer Simulation of Liquids, 5.3): each particle's peers whose
+computed distance is below (epsilon + skin) * CELL_WIDTH at the positions it
+was built on, kept while the two largest displacements since then sum to
+below the skin. It misses no pair, by this rounding argument. Let d be a
+pair's exact distance at the build, d' its exact distance now, and a, b the
+exact displacements of its two particles, so d <= d' + a + b. Every computed
+distance or displacement (a subtraction, two squares, an addition and a
+sqrt, each rounded to nearest) is within a factor (1 +- 2**-53)**3 of the
+exact one, ignoring underflow (an error below 2**-1074 in a square). So a
+pair whose computed distance now is below epsilon, while the computed sum of
+the two largest computed displacements is below the skin, has a computed
+distance at the build below (epsilon + skin) * (1 + 8 * 2**-53), which is
+below (epsilon + skin) * CELL_WIDTH however that product rounds: the list
+holds it. A NaN or infinite sum is never below the skin, so it rebuilds."""
 
 from __future__ import annotations
 
@@ -173,8 +190,14 @@ def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     sum over a row in which non-neighbours add 0.0 has the bits of the same
     sum over the full (M,) distance row."""
     rows = np.asarray(rows, dtype=np.int64)
+    runs = _cell_runs(arr, rows, epsilon) if len(rows) * len(arr) >= DENSE_PAIRS else None
+    return _query_blocks(arr, rows, epsilon, runs)
+
+
+def _query_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, runs):
+    # the blocks of neighbor_blocks, given its _cell_runs (None: every
+    # particle is a candidate)
     m = len(arr)
-    runs = _cell_runs(arr, rows, epsilon) if len(rows) * m >= DENSE_PAIRS else None
     if runs is None:
         step = max(1, BLOCK_ENTRIES // m)
         tiled = _tiled_ids(m, step)
@@ -185,20 +208,25 @@ def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
             yield block, cols, dist, neighbor_mask(dist, cols, block.astype(cols.dtype), epsilon)
         return
     order, first, size = runs
-    per_row = size.sum(axis=1)
-    step = max(1, BLOCK_ENTRIES // int(per_row.max()))
+    step = max(1, BLOCK_ENTRIES // int(size.sum(axis=1).max()))
     for s in range(0, len(rows), step):
-        block, n_cols = rows[s:s + step], per_row[s:s + step]
-        # the position in ``order`` of every candidate, row by row and strip
-        # by strip: each strip's run is first .. first + size
-        lens = size[s:s + step].ravel()
-        flat = np.arange(lens.sum()) + np.repeat(first[s:s + step].ravel() - (np.cumsum(lens) - lens),
-                                                 lens)
-        cols = np.repeat(block[:, None], int(n_cols.max()), axis=1)
-        cols[np.arange(cols.shape[1]) < n_cols[:, None]] = order[flat]
+        block = rows[s:s + step]
+        cols = _gather(block, first[s:s + step], size[s:s + step], order)
         cols.sort(axis=1)
         dist = pairwise_distances(arr, block, cols)
         yield block, cols, dist, neighbor_mask(dist, cols, block, epsilon)
+
+
+def _gather(block: np.ndarray, first: np.ndarray, size: np.ndarray, source: np.ndarray):
+    """(k, C) ids: for each row of ``block``, the entries of ``source`` in its
+    runs first .. first + size (``first`` and ``size`` (k, r), r runs a row,
+    taken in order), padded with the row's own id up to the longest row."""
+    lens = size.ravel()
+    flat = np.arange(lens.sum()) + np.repeat(first.ravel() - (np.cumsum(lens) - lens), lens)
+    n_cols = size.sum(axis=1)
+    cols = np.repeat(block[:, None], max(int(n_cols.max()), 1), axis=1)
+    cols[np.arange(cols.shape[1]) < n_cols[:, None]] = source[flat]
+    return cols
 
 
 @lru_cache(maxsize=8)
@@ -237,6 +265,97 @@ def _cell_runs(arr: np.ndarray, rows: np.ndarray, epsilon: float):
     if int(size.sum()) >= DENSE_SHARE * len(rows) * len(arr):
         return None
     return order, first, size
+
+
+# --- the carried neighbour list -------------------------------------------------
+#
+# A Verlet list (see the module docstring): the epsilon-query of a swarm that
+# moved less than the skin since the list was built runs on the list's
+# columns, without binning, gathering or sorting candidates.
+
+# The list's skin, as a share of epsilon. More skin lists more peers (a disc
+# of radius epsilon * (1 + SKIN)) and rebuilds less often. With the default
+# steps (at most 2.0 a tick against epsilon = 10) and seeding density, 0.5
+# rebuilt the list 13 times in 100 ticks at M = 400 and 17 at M = 2000, on
+# a 2-CPU x86 VM. 0.3 rebuilt it 36-44 times and gained much less; 0.6-0.7
+# rebuilt it 4-10 times, but their radius puts the cells of a 400-particle
+# swarm near DENSE_SHARE, past which no list is built.
+SKIN = 0.5
+
+
+class NeighborList:
+    """The Verlet list of the swarm ``arr`` for the epsilon-query of every
+    particle: each row's peers whose computed distance is below
+    (epsilon + skin) * CELL_WIDTH, in ascending id order and padded with the
+    row's own id. ``blocks`` yields the query's blocks on later positions
+    while ``stale`` is false, without binning, gathering or sorting.
+
+    Rows are held in blocks of about BLOCK_ENTRIES ids, longest lists first,
+    so the list holds about as many ids as listed pairs; ``rank`` puts the
+    blocks' rows (in that order) back into id order. A swarm whose cells
+    would not prune at the list's radius (a collapsed swarm) lists nothing,
+    and ``blocks`` runs ``neighbor_blocks`` on every particle instead."""
+
+    def __init__(self, arr: np.ndarray, epsilon: float, skin: float):
+        self.epsilon, self.skin = epsilon, skin
+        self.built_on = arr.copy()
+        m = len(arr)
+        ids = np.arange(m)
+        self.rank = ids
+        self._blocks = None
+        radius = (epsilon + skin) * CELL_WIDTH
+        runs = _cell_runs(arr, ids, radius)
+        if runs is None:
+            return
+        counts, peers = [], []
+        for _, cols, _, mask in _query_blocks(arr, ids, radius, runs):
+            counts.append(np.add.reduce(mask, axis=1))
+            peers.append(cols[mask])
+        counts, peers = np.concatenate(counts), np.concatenate(peers)
+        first = np.cumsum(counts) - counts
+        order = np.argsort(-counts, kind="stable")
+        self.rank = np.argsort(order)
+        self._blocks = []
+        s = 0
+        while s < m:
+            block = order[s:s + max(1, BLOCK_ENTRIES // max(int(counts[order[s]]), 1))]
+            self._blocks.append((block, _gather(block, first[block, None], counts[block, None],
+                                                peers)))
+            s += len(block)
+
+    def stale(self, arr: np.ndarray) -> bool:
+        """Whether ``arr`` may hold a pair within epsilon that the list lacks:
+        unless the two largest displacements since the build, each computed
+        as ``pairwise_distances`` computes a distance, sum to below the skin."""
+        d = arr - self.built_on
+        d *= d
+        moved = np.sqrt(d[:, 0] + d[:, 1])
+        if len(moved) > 1:
+            moved = np.partition(moved, len(moved) - 2)[-2:]
+        return not moved.sum() < self.skin
+
+    def blocks(self, arr: np.ndarray):
+        """``neighbor_blocks`` of every particle of ``arr``, with rows in the
+        list's order (``rank`` puts them in id order)."""
+        if self._blocks is None:
+            yield from neighbor_blocks(arr, self.rank, self.epsilon)
+            return
+        for block, cols in self._blocks:
+            dist = pairwise_distances(arr, block, cols)
+            yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
+
+
+def carry_list(arr: np.ndarray, epsilon: float, carried: NeighborList | None):
+    """The NeighborList to sense every particle of ``arr`` through: ``carried``
+    while it is not stale, else one built on ``arr``; None for a swarm below
+    the dense crossover (M * M < DENSE_PAIRS), whose query takes every
+    particle and measures no displacement."""
+    m = len(arr)
+    if m * m < DENSE_PAIRS:
+        return None
+    if carried is None or carried.stale(arr):
+        return NeighborList(arr, epsilon, SKIN * epsilon)
+    return carried
 
 
 def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:

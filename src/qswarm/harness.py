@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
 from .metrics import (StateId, Trace, as_trace, classify_decisions, connectivity_components,
                       cumulative_rewards, dispersion, drift_onsets)
-from .mql import MqlEngine
+from .mql import NUM_ACTIONS, MqlEngine
 from .pso import PsoEngine
 
 TRACE_COLUMNS = ("tick", "particle", "x", "y", "state", "action", "reward",
@@ -42,7 +42,12 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # bytes a row, allocated once: each tick writes its row in place) plus the
 # snapshots (16 bytes a particle per snapshot tick). Sensing and the trace
 # writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
-# ``BLOCK_ROWS``), whatever M is.
+# ``BLOCK_ROWS``), whatever M is, except for the neighbour list a
+# simultaneous swarm carries: about M x C ids of 8 bytes, C being a
+# particle's peers within epsilon * (1 + core.SKIN) (25 on average and 43 at
+# most at M = 400 and the default seeding density, well inside
+# PARTICLE_BYTES). The list is built only where the cells prune, so C
+# averages below core.DENSE_SHARE x M even in a dense swarm.
 PARTICLE_BYTES = 4 * 1024
 TRACE_BYTES_PER_ROW = 48
 
@@ -241,6 +246,10 @@ def write_trace_csv(trace, path) -> None:
     t, m = tr.shape
     if tr.state.size and not -1 <= tr.state.min() <= tr.state.max() < len(StateId):
         raise ValueError("trace states must be -1 (no decision) or a StateId")
+    if tr.action.size and not -1 <= tr.action.min() <= tr.action.max() < NUM_ACTIONS:
+        raise ValueError(f"trace actions must be -1 (no decision) or 0..{NUM_ACTIONS - 1}")
+    if tr.neighbor_count.size and tr.neighbor_count.min() < 0:
+        raise ValueError("trace neighbour counts must not be negative")
     ticks_per_block = max(1, BLOCK_ROWS // max(m, 1))
     coords = tr.positions.reshape(t, 2 * m)
     bits = coords.view(np.int64)
@@ -269,8 +278,9 @@ def write_trace_csv(trace, path) -> None:
 
 def read_trace_csv(path) -> Trace:
     """Inverse of write_trace_csv at the printed precision. A row without one
-    cell per column, with an unknown state or with a cell that is not a
-    number where the column holds one is a ValueError naming its line."""
+    cell per column, with an unknown state, with a cell that is not a number
+    where the column holds one, with an action outside 0..11 or with a
+    negative neighbour count is a ValueError naming its line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path} does not carry the expected trace header")
@@ -295,14 +305,25 @@ def read_trace_csv(path) -> Trace:
                                      f"{cell!r} is not a number, got {lines[k - 1]!r}") from None
             raise
 
+    def refuse(column: int, bad: np.ndarray, expected: str):
+        """A ValueError naming the first line whose cell ``bad`` marks."""
+        if bad.any():
+            k = int(bad.argmax()) + 2
+            raise ValueError(f"{path} line {k}: the {TRACE_COLUMNS[column]} cell "
+                             f"{cols[column][k - 2]!r} is not {expected}, got {lines[k - 1]!r}")
+
     ints = lambda cells: np.array(cells, dtype=np.int64)
     floats = lambda cells: np.array(cells, dtype=float)
+    # an empty action cell is -1 (no decision)
+    action = parse(5, lambda cells: ints([-1 if a == "" else int(a) for a in cells]))
+    written = np.array([a != "" for a in cols[5]], dtype=bool)
+    refuse(5, written & ((action < 0) | (action >= NUM_ACTIONS)), f"an action in 0..{NUM_ACTIONS - 1}")
+    counts = parse(7, ints)
+    refuse(7, counts < 0, "a neighbour count")
     return Trace.from_rows(
         parse(0, ints), parse(1, ints), np.column_stack([parse(2, floats), parse(3, floats)]),
-        [_STATE_IDS[s] for s in cols[4]],
-        parse(5, lambda cells: [-1 if a == "" else int(a) for a in cells]),
-        parse(6, lambda cells: [np.nan if r == "" else float(r) for r in cells]),
-        parse(7, ints))
+        [_STATE_IDS[s] for s in cols[4]], action,
+        parse(6, lambda cells: [np.nan if r == "" else float(r) for r in cells]), counts)
 
 
 def write_snapshot_csv(positions: np.ndarray, path) -> None:

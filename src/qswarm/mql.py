@@ -32,12 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Vec2, WorldBounds, clamp, neighbor_blocks, pairwise_distances,
-                   positions_array)
+from .core import (Vec2, WorldBounds, carry_list, clamp, neighbor_blocks,
+                   pairwise_distances, positions_array)
 from .metrics import StateId, Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
 NUM_STATES = len(StateId)
+# two axes x two directions x three magnitudes (``build_actions``)
+NUM_ACTIONS = 12
 
 # the states as plain ints for array code: numpy converts enum members slowly,
 # and even reading a member's value costs a descriptor call
@@ -161,7 +163,13 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
 def sense(pos: np.ndarray, rows, epsilon: float):
     """(n, total, lowest) arrays for particles ``rows`` of the swarm at
     ``pos`` (M, 2), summed over their neighbours in ascending peer order."""
-    parts = [summarize(dist, mask) for _, _, dist, mask in neighbor_blocks(pos, rows, epsilon)]
+    return summed(neighbor_blocks(pos, rows, epsilon))
+
+
+def summed(blocks):
+    """(n, total, lowest) of the rows of an epsilon-query's ``blocks``
+    (``core.neighbor_blocks`` or ``NeighborList.blocks``), in their order."""
+    parts = [summarize(dist, mask) for _, _, dist, mask in blocks]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(col) for col in zip(*parts))
@@ -284,6 +292,8 @@ class MqlEngine:
         # (n, states, pi, rewards) of every particle, sensed on the bytes _sensed_on
         self.sensed = None
         self._sensed_on = None
+        # the Verlet list a simultaneous swarm senses through (core.carry_list)
+        self._list = None
 
     @property
     def m(self) -> int:
@@ -294,9 +304,16 @@ class MqlEngine:
 
     def _sense(self, rows=None) -> None:
         """Sense and judge particles ``rows`` (None: all of them) on the
-        current positions into the carried summary ``sensed``."""
-        n, total, lowest = sense(self.pos, self._ids if rows is None else rows,
-                                 self.params.epsilon)
+        current positions into the carried summary ``sensed``. Under
+        ``simultaneous`` the whole swarm is sensed through the carried
+        neighbour list, rebuilt once the swarm has moved its skin."""
+        eps = self.params.epsilon
+        if rows is None and self.params.schedule == "simultaneous":
+            self._list = carry_list(self.pos, eps, self._list)
+        if rows is None and self._list is not None:
+            n, total, lowest = (col[self._list.rank] for col in summed(self._list.blocks(self.pos)))
+        else:
+            n, total, lowest = sense(self.pos, self._ids if rows is None else rows, eps)
         fresh = (n, *judge(n, total, lowest, self.params))
         if rows is None:
             self.sensed = fresh
@@ -355,8 +372,10 @@ class MqlEngine:
         sensed afresh when there is no summary yet or ``pos`` was written
         since it was sensed."""
         prm = self.params
-        # the sensing is a function of these bytes
+        # the sensing is a function of these bytes; an outside write to them
+        # also drops the neighbour list
         if self.sensed is None or self.pos.tobytes() != self._sensed_on:
+            self._list = None
             self._sense()
         # the movers as a slice of the particles, and their ids
         if prm.schedule == "round_robin":

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qswarm.core as core
 from qswarm.core import Vec2, WorldBounds, clamp, euclidean_distance, pairwise_distances
 from qswarm.metrics import connected_fraction, connectivity_components
-from qswarm.mql import MqlEngine, MqlParams, neighborhood, sense
+from qswarm.mql import MqlEngine, MqlParams, neighborhood, sense, summed
 from qswarm.pso import Objective, PsoEngine, PsoParams
 
 
@@ -288,3 +288,92 @@ def test_components_are_those_of_a_breadth_first_search(swarm, path, small_block
         fraction = connected_fraction(arr, epsilon)
     assert sizes == components_by_bfs(neighbors)
     assert fraction == float(adjacent.any(axis=1).mean())
+
+
+# --- the carried neighbour list against the dense oracle --------------------------
+
+def top_two_displacements(before, after):
+    """The sum of the two largest displacements from ``before`` to ``after``,
+    each sqrt(dx*dx + dy*dy) as ``pairwise_distances`` computes a distance."""
+    d = after - before
+    moved = np.sort(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+    return float(moved[-2] + moved[-1]) if len(moved) > 1 else float(moved.sum())
+
+
+# where the two largest displacements leave the skin: one step below it (the
+# list is kept), at it, one step above it, and well past it, where the largest
+# displacement alone is still below the skin (each rebuilds)
+SKIN_SIDES = {"below": lambda s: float(np.nextafter(s, np.inf)), "at": lambda s: s,
+              "above": lambda s: float(np.nextafter(s, 0.0)), "past": lambda s: 0.75 * s}
+
+
+@settings(max_examples=300, deadline=None)
+@given(swarm=swarms(), path=st.sampled_from(sorted(PATHS)), small_blocks=st.booleans(),
+       side=st.sampled_from(sorted(SKIN_SIDES)), data=st.data())
+def test_sensing_through_a_carried_list_gives_the_bits_of_the_dense_rows(
+        swarm, path, small_blocks, side, data):
+    arr, epsilon = swarm
+    m = len(arr)
+    # every particle moves the same length (so the two largest are equal) or
+    # a random share of it, in a random direction
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    reach = epsilon * data.draw(st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]))
+    length = reach if data.draw(st.booleans()) else reach * rng.random(m)
+    angle = rng.random(m) * 2.0 * np.pi
+    moved = arr + np.column_stack([np.cos(angle), np.sin(angle)]) * np.reshape(length, (-1, 1))
+    sum_of_two = top_two_displacements(arr, moved)
+    skin = SKIN_SIDES[side](sum_of_two)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(core, name, value)
+        if small_blocks:
+            mp.setattr(core, "BLOCK_ENTRIES", 97)
+        listed = core.NeighborList(arr, epsilon, skin)
+        stale = listed.stale(moved)
+        if stale:
+            listed = core.NeighborList(moved, epsilon, skin)
+        got = [col[listed.rank] for col in summed(listed.blocks(moved))]
+    assert stale == (side != "below" or sum_of_two == skin)
+    for g, want in zip(got, dense_sense(moved, np.arange(m), epsilon), strict=True):
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+def test_the_list_holds_a_pair_that_closes_in_by_just_under_the_skin():
+    # a particle 14.9 from its peer moves one step under the skin of 5.0
+    # towards it and ends within epsilon = 10: the list built at 14.9 holds it
+    under = float(np.nextafter(5.0, 0.0))
+    before = np.array([[0.0, 0.0], [14.9, 0.0]] + [[100.0 + 40.0 * k, 0.0] for k in range(200)])
+    after = before.copy()
+    after[0, 0] = under
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DENSE_SHARE", 2.0)
+        listed = core.NeighborList(before, 10.0, 5.0)
+        assert not listed.stale(after)
+        n, total, lowest = (col[listed.rank] for col in summed(listed.blocks(after)))
+        # at a skin of that step, the move reaches the skin: a rebuild
+        assert core.NeighborList(before, 10.0, under).stale(after)
+    assert n[:2].tolist() == [1, 1] and total[0] == lowest[0] == 14.9 - under < 10.0
+
+
+def test_the_hair_keeps_a_pair_that_rounding_brings_within_epsilon():
+    # found by search: the pair's computed distance at the build is exactly
+    # epsilon + skin (so a list without CELL_WIDTH's hair would lack it), and
+    # a move computed one step under the skin ends computed within epsilon
+    epsilon, skin = 13.0, 6.5
+    before = np.array([[63.56549721085979, 35.61528577486987],
+                       [57.499274612123315, 54.14771528053854]]
+                      + [[100.0 + 40.0 * k, 0.0] for k in range(200)])
+    after = before.copy()
+    after[0] = [61.543423011280964, 41.792762276759426]
+    assert pairwise_distances(before[:2])[0, 1] == epsilon + skin
+    assert top_two_displacements(before, after) < skin
+    assert pairwise_distances(after[:2])[0, 1] < epsilon
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DENSE_SHARE", 2.0)
+        listed = core.NeighborList(before, epsilon, skin)
+        assert not listed.stale(after)
+        n, total, lowest = (col[listed.rank] for col in summed(listed.blocks(after)))
+    want = dense_sense(after, np.arange(len(after)), epsilon)
+    assert n[:2].tolist() == [1, 1]
+    for g, w in zip((n, total, lowest), want, strict=True):
+        assert g.tobytes() == w.tobytes()

@@ -152,7 +152,12 @@ def test_pso_trace_rows_keep_empty_decision_columns(tmp_path):
     "0,1,2.5,3.5,NEAR,4,-1.5",
     "0,0,1.5,2.5,IDEAL,x,100,1",
     "0,1,abc,3.5,NEAR,4,-1.5,2",
-], ids=["ninth-cell", "unknown-state", "short-row", "non-numeric-action", "non-numeric-x"])
+    "0,1,1.5,2.5,IDEAL,-5,100,1",
+    "0,1,1.5,2.5,IDEAL,-1,100,1",
+    "0,1,1.5,2.5,IDEAL,12,100,1",
+    "0,1,1.5,2.5,IDEAL,3,100,-3",
+], ids=["ninth-cell", "unknown-state", "short-row", "non-numeric-action", "non-numeric-x",
+        "negative-action", "written-no-action", "action-past-the-table", "negative-count"])
 def test_read_trace_csv_names_the_line_of_a_malformed_row(tmp_path, bad_row):
     path = tmp_path / "trace.csv"
     path.write_text("tick,particle,x,y,state,action,reward,neighbor_count\n"
@@ -160,6 +165,26 @@ def test_read_trace_csv_names_the_line_of_a_malformed_row(tmp_path, bad_row):
     with pytest.raises(ValueError, match="line 3") as err:
         read_trace_csv(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("column, value", [("action", -5), ("action", -2), ("action", 12),
+                                           ("neighbor_count", -3)])
+def test_write_trace_csv_refuses_a_cell_the_reader_would_refuse(tmp_path, column, value):
+    trace, _, _ = run_experiment(small_cfg(swarm_size=2, iterations=2, snapshot_ticks=[]))
+    getattr(trace, column)[1, 0] = value
+    with pytest.raises(ValueError, match="action" if column == "action" else "count"):
+        write_trace_csv(trace, tmp_path / "trace.csv")
+
+
+def test_trace_csv_keeps_every_action_and_count_the_reader_takes(tmp_path):
+    path = tmp_path / "trace.csv"
+    rows = "".join(f"0,{k},1.5,2.5,IDEAL,{k},100,{3 * k}\n" for k in range(12))
+    path.write_text(",".join(("tick", "particle", "x", "y", "state", "action", "reward",
+                              "neighbor_count")) + "\n" + rows)
+    trace = read_trace_csv(path)
+    assert trace.action[0].tolist() == list(range(12))
+    write_trace_csv(trace, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == path.read_text()
 
 
 def test_snapshot_csv_schema(tmp_path):
@@ -479,7 +504,7 @@ def traces(draw):
         rewards[flags()] = np.nan
     return Trace(np.arange(start, start + t), positions,
                  np.where(stated, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1),
-                 np.where(acted, ints(t * m, 0, 14).reshape(t, m), -1),
+                 np.where(acted, ints(t * m, 0, 11).reshape(t, m), -1),
                  rewards,
                  ints(t * m, 0, 10**9).reshape(t, m))
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qswarm.core import Vec2, WorldBounds, neighbor_blocks, neighbor_mask, positions_array
+import qswarm.core as core
+from qswarm.core import (NeighborList, Vec2, WorldBounds, neighbor_blocks, neighbor_mask,
+                         positions_array)
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
                         apply_action, build_actions, encode_state, judge,
                         move, neighborhood, reward, sense, step_scale_pi, summarize)
@@ -644,6 +646,11 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
         return neighbor_blocks(arr, rows, epsilon)
 
     monkeypatch.setattr(qswarm.mql, "neighbor_blocks", counting)
+    # a simultaneous swarm above the dense crossover senses every row through
+    # its carried neighbour list instead
+    listed_blocks = NeighborList.blocks
+    monkeypatch.setattr(NeighborList, "blocks",
+                        lambda self, arr: sensed_rows.append(len(arr)) or listed_blocks(self, arr))
     # at M=300 a whole-swarm sensing is above the dense crossover, on the cells
     for m, init_span in ((40, 60.0), (300, None)):
         engine = MqlEngine(m, MqlParams(schedule=schedule, init_span=init_span), WorldBounds(),
@@ -660,3 +667,73 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
             # each tick: the mover's row before and after the move, then the
             # touched rows only
             assert len(sensed_rows) == 30 and max(sensed_rows) < m // 2
+
+
+# --- the carried neighbour list (simultaneous swarms above the dense crossover) ---
+
+def counted_builds(monkeypatch):
+    """A list that grows by the swarm a NeighborList is built on, per build."""
+    builds = []
+    build = NeighborList.__init__
+
+    def counting(self, arr, epsilon, skin):
+        builds.append(arr.copy())
+        build(self, arr, epsilon, skin)
+
+    monkeypatch.setattr(NeighborList, "__init__", counting)
+    return builds
+
+
+def test_a_list_rebuilt_every_tick_gives_the_same_run(monkeypatch):
+    # M=300 at the default seeding density: the cells prune, so the list holds
+    # columns; a skin of 0 rebuilds it before every sensing
+    def run():
+        engine = MqlEngine(300, MqlParams(learning=LearningParams(explore_rate=0.1)),
+                           WorldBounds(), np.random.default_rng(41))
+        return [engine.tick() for _ in range(40)], engine
+
+    builds = counted_builds(monkeypatch)
+    kept, kept_engine = run()
+    assert 1 < len(builds) < 41
+    builds.clear()
+    monkeypatch.setattr(core, "SKIN", 0.0)
+    rebuilt, rebuilt_engine = run()
+    assert len(builds) == 41  # before the first tick, then after every move
+    assert kept == rebuilt
+    assert np.array_equal(kept_engine.q, rebuilt_engine.q)
+    assert_carries_a_fresh_sensing(kept_engine)
+
+
+def test_an_outside_write_to_pos_rebuilds_the_list(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    engine = MqlEngine(300, MqlParams(), WorldBounds(), np.random.default_rng(42))
+    for _ in range(3):
+        engine.tick()
+    carried = engine._list
+    # teleport the particle farthest from the centre 3 epsilon towards it
+    centre = np.array(engine.world.center().as_tuple())
+    k = int(np.argmax(((engine.pos - centre) ** 2).sum(axis=1)))
+    away = engine.pos[k] - centre
+    engine.pos[k] -= 3 * engine.params.epsilon * away / np.sqrt((away ** 2).sum())
+    builds.clear()
+    engine.tick()
+    assert engine._list is not carried
+    assert len(builds) >= 1 and builds[0].tobytes() != carried.built_on.tobytes()
+    assert_carries_a_fresh_sensing(engine)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_no_list_below_the_crossover_or_under_round_robin(monkeypatch, schedule):
+    def refuse(*args):
+        raise AssertionError("no neighbour list may be built")
+
+    monkeypatch.setattr(NeighborList, "__init__", refuse)
+    monkeypatch.setattr(NeighborList, "stale", refuse)
+    sizes = (20, 100, 300) if schedule == "round_robin" else (20, 100)
+    for m in sizes:
+        engine = MqlEngine(m, MqlParams(schedule=schedule), WorldBounds(),
+                           np.random.default_rng(43))
+        for _ in range(5):
+            engine.tick()
+        assert engine._list is None
+        assert_carries_a_fresh_sensing(engine)
