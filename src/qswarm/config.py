@@ -104,7 +104,11 @@ def _real(value, key: str, nullable: bool = False):
     if value is None and nullable:
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        try:  # PyYAML reads 1.7e308, whose exponent has no sign, as a string
+            hint = f" (YAML read it as text: write {yaml.safe_dump(float(value)).split()[0]})"
+        except (TypeError, ValueError):
+            hint = ""
+        raise ConfigError(f"{key} must be a number, got {value!r}{hint}")
     return value
 
 

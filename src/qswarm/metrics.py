@@ -18,7 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import Vec2, neighbor_blocks, neighbor_counts, positions_array
+from .core import Vec2, neighbor_counts, neighbor_pairs, positions_array
 
 
 class StateId(IntEnum):
@@ -176,15 +176,23 @@ def as_trace(trace) -> Trace:
 
 def connectivity_components(positions, epsilon: float) -> list[int]:
     """Sizes of the connected components of the proximity graph, whose edges
-    join epsilon-neighbours (``core.neighbor_blocks``). Sorted descending;
+    join epsilon-neighbours (``core.neighbor_pairs``). Sorted descending;
     sums to M."""
     arr = positions_array(positions)
     m = arr.shape[0]
     if m < 1:
         raise ValueError("positions must contain at least one particle")
-    root = np.arange(m)
-    for block, cols, _, mask in neighbor_blocks(arr, np.arange(m), epsilon):
-        _union(root, np.broadcast_to(block[:, None], mask.shape)[mask], cols[mask])
+    root, edges = np.arange(m), []
+    for rows, cols, mask in neighbor_pairs(arr, epsilon):
+        r, c = np.nonzero(mask)
+        edges.append((rows[r], cols[c]))
+        # a round of _union costs O(M) whatever its edges: join at least M
+        # edges a call, and hold no more than about M + BLOCK_ENTRIES
+        if sum(len(u) for u, _ in edges) >= m:
+            _union(root, *map(np.concatenate, zip(*edges)))
+            edges = []
+    if edges:
+        _union(root, *map(np.concatenate, zip(*edges)))
     sizes = np.bincount(root)
     return sorted(sizes[sizes > 0].tolist(), reverse=True)
 

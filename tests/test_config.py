@@ -124,6 +124,36 @@ def test_coercible_values_rejected_by_name(tmp_path, text, key):
         load_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("world", [
+    "{x_min: -1.0e+308, x_max: 1.0e+308}",  # the width overflows to inf
+    "{x_max: 1.0e+300, y_max: 1.0e+300}",  # a squared distance overflows
+    "{x_max: 1.0e+155, y_max: 1.0e+155}",  # only the squared diagonal overflows
+])
+def test_a_world_whose_distances_overflow_is_refused(tmp_path, world):
+    with pytest.raises(ConfigError, match="world's squared diagonal must be finite") as err:
+        load_config(write_cfg(tmp_path, f"world: {world}\n"))
+    assert "\n" not in str(err.value)
+
+
+def test_a_world_whose_squared_diagonal_is_finite_is_accepted(tmp_path):
+    # 1e308 + 1e306, below the largest float (about 1.8e308)
+    cfg = load_config(write_cfg(tmp_path, "world: {x_max: 1.0e+154, y_max: 1.0e+153}\n"))
+    assert (cfg.world.width, cfg.world.height) == (1e154, 1e153)
+
+
+def test_a_number_yaml_reads_as_text_names_its_spelling(tmp_path):
+    # YAML 1.1 reads a float only with a signed exponent: 1.7e308 is a string
+    with pytest.raises(ConfigError, match=r"^mql\.reward_max must be a number, got '1\.7e308' "
+                                          r"\(YAML read it as text: write 1\.7e\+308\)$"):
+        load_config(write_cfg(tmp_path, "mql: {reward_max: 1.7e308}\n"))
+    with pytest.raises(ConfigError, match=r"write 1\.0e\+20\)$"):
+        load_config(write_cfg(tmp_path, "mql: {reward_max: 1e20}\n"))
+    with pytest.raises(ConfigError, match=r"got 'ten'$"):
+        load_config(write_cfg(tmp_path, "mql: {epsilon: ten}\n"))
+    cfg = load_config(write_cfg(tmp_path, "mql: {reward_max: 1.7e+308}\n"))
+    assert cfg.mql.reward_max == 1.7e308
+
+
 def test_integer_for_a_float_key_is_echoed_as_written(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "mql: {epsilon: 12}\npso: {c1: 1}\n"))
     assert cfg.mql.epsilon == 12.0 and cfg.pso.c1 == 1.0

@@ -234,10 +234,11 @@ def queries(draw, m):
     return np.sort(rows) if draw(st.booleans()) else rows
 
 
-# each path the query can take: as configured, and forced onto the cells or
-# onto the dense rows, with blocks as configured or of a few rows each
+# each path the query can take: as configured, and forced onto the cells, onto
+# the dense rows, or past cells too many to number (which prune nothing), with
+# blocks as configured or of a few rows each
 PATHS = {"default": {}, "cells": {"DENSE_PAIRS": 0, "DENSE_SHARE": 2.0},
-         "dense": {"DENSE_PAIRS": 10**18}}
+         "dense": {"DENSE_PAIRS": 10**18}, "unnumbered": {"DENSE_PAIRS": 0, "MAX_CELLS": 3}}
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,6 +289,130 @@ def test_components_are_those_of_a_breadth_first_search(swarm, path, small_block
         fraction = connected_fraction(arr, epsilon)
     assert sizes == components_by_bfs(neighbors)
     assert fraction == float(adjacent.any(axis=1).mean())
+
+
+# --- the count-only sweep against the dense oracle --------------------------------
+
+def sweep_edges(arr, epsilon):
+    """Every (i, j) that ``neighbor_pairs`` yields, in its order."""
+    edges = []
+    for rows, cols, mask in core.neighbor_pairs(arr, epsilon):
+        r, c = np.nonzero(mask)
+        edges += zip(rows[r].tolist(), cols[c].tolist())
+    return edges
+
+
+def assert_the_sweep_yields_each_edge_once(arr, epsilon):
+    _, adjacent = dense_neighbors(arr, np.arange(len(arr)), epsilon)
+    edges = sweep_edges(arr, epsilon)
+    assert all(i != j for i, j in edges)
+    pairs = {(min(e), max(e)) for e in edges}
+    assert len(pairs) == len(edges)
+    assert pairs == set(zip(*(ids.tolist() for ids in np.nonzero(np.triu(adjacent)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(swarm=swarms(), path=st.sampled_from(sorted(PATHS)), small_blocks=st.booleans())
+def test_the_sweep_yields_each_edge_once(swarm, path, small_blocks):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(core, name, value)
+        if small_blocks:
+            mp.setattr(core, "BLOCK_ENTRIES", 97)
+        assert_the_sweep_yields_each_edge_once(*swarm)
+
+
+def sweep_case(kind, m, rng):
+    """(positions, epsilon) of the sweep's corner cases, spread in y beyond
+    epsilon so the bounding-box bound of ``neighbor_counts`` does not hold."""
+    eps = 10.0
+    width = eps * core.CELL_WIDTH
+    y = rng.random(m) * 40.0 * eps
+    if kind == "one column":
+        x = rng.random(m) * width * 0.999
+    elif kind == "own columns":
+        # particle k in column k, so each peer within epsilon is one column away
+        x = (np.arange(m) + 0.01 + 0.98 * rng.random(m)) * width
+        y = rng.random(m) * eps
+    elif kind == "coincident":
+        # every particle shares its point with at least one other
+        x = np.repeat(rng.random((m + 1) // 2) * 20.0 * eps, 2)[:m]
+        y = np.repeat(y[:(m + 1) // 2], 2)[:m]
+    elif kind == "lattice":
+        # an integer epsilon on an integer lattice puts many peers at exactly it
+        x, y, eps = rng.integers(0, 61, m), rng.integers(0, 61, m), 4.0
+    else:
+        x = rng.random(m) * 20.0 * eps
+    return np.column_stack([x, y]).astype(float), eps
+
+
+SWEEP_PATCHES = {"as configured": {}, "small blocks": {"BLOCK_ENTRIES": 97},
+                 "unnumbered": {"MAX_CELLS": 3}, "always sorted": {"DENSE_PAIRS": 0}}
+
+
+# 149 * 149 pairs are below DENSE_PAIRS, 150 * 150 are not
+@pytest.mark.parametrize("m", [149, 150, 400])
+@pytest.mark.parametrize("kind", ["uniform", "one column", "own columns", "coincident",
+                                  "lattice"])
+@pytest.mark.parametrize("patch", sorted(SWEEP_PATCHES))
+def test_the_sweep_counts_and_joins_the_dense_rows_in_its_corner_cases(m, kind, patch):
+    arr, epsilon = sweep_case(kind, m, np.random.default_rng(m))
+    _, adjacent = dense_neighbors(arr, np.arange(m), epsilon)
+    neighbors = [np.flatnonzero(row).tolist() for row in adjacent]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in SWEEP_PATCHES[patch].items():
+            mp.setattr(core, name, value)
+        assert_the_sweep_yields_each_edge_once(arr, epsilon)
+        counts = core.neighbor_counts(arr, epsilon)
+        sizes = connectivity_components(arr, epsilon)
+    assert adjacent.any()
+    assert counts.tobytes() == adjacent.sum(axis=1).tobytes()
+    assert sizes == components_by_bfs(neighbors)
+
+
+def test_the_sweep_keeps_its_own_order_only_where_the_cells_cannot_prune():
+    # a swarm below DENSE_PAIRS, within 2 x 2 cells, in cells too many to
+    # number, or with a coordinate that is not finite keeps its own order:
+    # every row measures every later particle
+    spread = sweep_case("uniform", 400, np.random.default_rng(3))[0]
+    with_nan = spread.copy()
+    with_nan[7, 0] = np.nan
+    for arr, patch, unsorted in [(spread, {}, False), (spread[:149], {}, True),
+                                 (spread * 0.049, {}, True), (with_nan, {}, True),
+                                 (spread, {"MAX_CELLS": 3}, True)]:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(core, name, value)
+            blocks = list(core.neighbor_pairs(arr, 10.0))
+            assert_the_sweep_yields_each_edge_once(arr, 10.0)
+        assert unsorted == all(np.array_equal(cols, np.arange(rows[0], len(arr)))
+                               for rows, cols, _ in blocks)
+
+
+@pytest.mark.parametrize("block_entries", [None, 97])
+@pytest.mark.parametrize("kind", ["tall", "default density", "far clusters"])
+def test_a_spread_swarm_is_swept_in_half_shells(kind, block_entries):
+    # a block whose rows span few of their column's cells measures only the
+    # cells beside its rows, not the strip of two whole columns
+    rng = np.random.default_rng(5)
+    if kind == "tall":
+        arr = rng.random((2000, 2)) * [30.0, 2000.0]
+    elif kind == "default density":
+        arr = rng.random((3000, 2)) * 5.0 * math.sqrt(3000)
+    else:
+        # two clusters some 10**9 cells apart: the cells number them, and no
+        # array is sized by the cells between them
+        arr = np.vstack([rng.random((400, 2)) * 30.0, 1e10 + rng.random((400, 2)) * 30.0])
+    with pytest.MonkeyPatch.context() as mp:
+        if block_entries is not None:
+            mp.setattr(core, "BLOCK_ENTRIES", block_entries)
+        order, key, stride = core._cells(arr, 10.0)
+        _, plan = core._sweep_plan(key[order], stride)
+        assert_the_sweep_yields_each_edge_once(arr, 10.0)
+        counts = core.neighbor_counts(arr, 10.0)
+    shells = [not isinstance(cand, slice) for *_, cand in plan]
+    assert any(shells) == (kind == "tall" or block_entries is not None)
+    assert counts.tobytes() == dense_neighbors(arr, np.arange(len(arr)), 10.0)[1].sum(axis=1).tobytes()
 
 
 # --- the carried neighbour list against the dense oracle --------------------------
