@@ -104,10 +104,12 @@ def _real(value, key: str, nullable: bool = False):
     if value is None and nullable:
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
+        hint = ""
         try:  # PyYAML reads 1.7e308, whose exponent has no sign, as a string
-            hint = f" (YAML read it as text: write {yaml.safe_dump(float(value)).split()[0]})"
-        except (TypeError, ValueError):
-            hint = ""
+            if isinstance(value, str):
+                hint = f" (YAML read it as text: write {yaml.safe_dump(float(value)).split()[0]})"
+        except ValueError:
+            pass
         raise ConfigError(f"{key} must be a number, got {value!r}{hint}")
     return value
 

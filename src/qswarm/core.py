@@ -20,13 +20,11 @@ below (epsilon + skin) * CELL_WIDTH however that product rounds: the list
 holds it. A NaN or infinite sum is never below the skin, so it rebuilds.
 
 The count-only query (``neighbor_pairs``) measures each pair once: rounded to
-nearest, fl(a - b) = -fl(b - a) and squaring drops the sign, so a distance has
-the same bits both ways. It takes the swarm in the cell list's order, cell by
-cell and column by column, and no pair within epsilon is two cells apart on
-either axis (the cell list's argument below). So a block of rows finds every
-later peer within epsilon up to the end of the column after its last row's
-(a strip), and also among the later particles up to the cell after its last
-row's and the cells of the next column beside its rows (a half shell)."""
+nearest, fl(a - b) = -fl(b - a) and squaring drops the sign, so a distance
+has the same bits both ways. Taken in cell order, column by column, a
+particle's later peers within epsilon lie in the rest of its own cell, the
+cell after it and the three cells beside it in the next column, since no such
+pair is two cells apart on either axis (the cell list's argument below)."""
 
 from __future__ import annotations
 
@@ -253,29 +251,18 @@ def _tiled_ids(m: int, k: int) -> np.ndarray:
     return tiled
 
 
-def _box(arr: np.ndarray):
-    """The lowest and the highest (x, y) of the swarm, each a (2,) array.
-    From M = 100 or so, reduced a column at a time: along axis 0 of an
-    (M, 2) array numpy is slower (the box's extents took 18 against 43 us at
-    M = 400 on a 2-CPU x86 VM, but 16 against 9 us at M = 20)."""
-    if len(arr) < 100:
-        return arr.min(axis=0), arr.max(axis=0)
-    x, y = arr.T
-    low, high = np.minimum.reduce, np.maximum.reduce
-    return np.array((low(x), low(y))), np.array((high(x), high(y)))
-
-
 def _cells(arr: np.ndarray, epsilon: float):
     """Bin ``arr`` into the cell list. Returns (order, key, stride): the
     particle ids sorted by cell, each particle's cell key, and the keys a
-    column of cells takes; or None when every particle's 3 x 3 cells hold
-    the whole swarm, or the cells are too many to number. Cells are numbered
-    column by column with a margin of empty cells all round, so the three
-    cells of a column's strip have consecutive keys."""
-    (low, high), width = _box(arr), epsilon * CELL_WIDTH
-    span = np.floor((high - low) / width) + 1
+    column of cells takes; or None when the cells would not prune."""
+    low, width = arr.min(axis=0), epsilon * CELL_WIDTH
+    span = np.floor((arr.max(axis=0) - low) / width) + 1
     if not 2 < span.max() < MAX_CELLS:
+        # every particle's 3 x 3 cells hold the whole swarm, or the cells are
+        # too many to number
         return None
+    # a margin of empty cells all round; cells are numbered column by column,
+    # so the three cells of a strip have consecutive keys
     cell = np.floor((arr - low) / width).astype(np.int64) + 1
     stride = int(span[1]) + 2
     key = cell[:, 0] * stride + cell[:, 1]
@@ -394,20 +381,33 @@ def carry_list(arr: np.ndarray, epsilon: float, carried: NeighborList | None):
 def neighbor_pairs(arr: np.ndarray, epsilon: float):
     """Yield ``(rows, cols, mask)`` blocks whose masks (k, C) pick each pair
     (rows[r], cols[c]) strictly within ``epsilon`` once, never a particle with
-    itself: the count-only query (see the module docstring). A small swarm
-    (M * M below DENSE_PAIRS), or one the cells cannot prune or number, is
-    swept in its own order, each row against every later particle."""
+    itself (see the module docstring). A block of rows in cell order measures
+    the later particles up to the cell after its last row's, then the next
+    column's cells beside its rows. A small swarm (M * M below DENSE_PAIRS) is
+    one block, and one that the cells would not prune is one cell."""
     m = len(arr)
-    cells = _cells(arr, epsilon) if m * m >= DENSE_PAIRS else None
-    if cells is None:
-        step = max(1, BLOCK_ENTRIES // max(m, 1))
-        order, plan = np.arange(m), [(s, min(s + step, m), slice(s, m)) for s in range(0, m, step)]
-    else:
-        order, key, stride = cells
-        key, arr = key[order], arr[order]
-        step, plan = _sweep_plan(key, stride)
+    if m * m < DENSE_PAIRS:
+        ids = np.arange(m)
+        yield ids, ids, (pairwise_distances(arr) < epsilon) & _later(m)
+        return
+    order, key, stride = _cells(arr, epsilon) or (np.arange(m), np.zeros(m, dtype=np.int64), 3)
+    key, arr = key[order], arr[order]
+    # k rows whose strips to the end of the next column are at most w wide
+    # measure at most k (k + w) <= BLOCK_ENTRIES entries; more than 64 rows
+    # measured more pairs beside them than numpy's per-call cost saved
+    w = int((np.searchsorted(key, key - key % stride + 2 * stride) - np.arange(m)).max())
+    step = max(1, min(int((math.sqrt(w * w + 4 * BLOCK_ENTRIES) - w) / 2), 64))
+    s = np.arange(0, m, step)
+    last = key[np.minimum(s + step, m) - 1]
+    # a block measures its column up to the cell after its last row's (keys
+    # are whole: below last + 2), then the next column's cells beside its rows
+    ends = np.searchsorted(key, np.stack((last + 2, key[s] + stride - 1, last + stride + 2)))
     later = _later(min(step, m))
-    for s, e, cand in plan:
+    for s, mid, n0, n1 in zip(s.tolist(), *ends.tolist()):
+        e = min(s + step, m)
+        # one slice (a view) where the next column's cells follow on
+        cand = (slice(s, n1) if n0 <= mid
+                else np.concatenate((np.arange(s, mid), np.arange(n0, n1))))
         mask = pairwise_distances(arr[cand], slice(0, e - s)) < epsilon
         mask[:, :e - s] &= later[:e - s, :e - s]
         yield order[s:e], order[cand], mask
@@ -415,47 +415,10 @@ def neighbor_pairs(arr: np.ndarray, epsilon: float):
 
 @lru_cache(maxsize=16)
 def _later(k: int) -> np.ndarray:
-    """Read-only (k, k) mask of the strict upper triangle (column after row):
-    the pairs of a block's own rows, each once."""
+    """Read-only (k, k) mask of the strict upper triangle: a block's own pairs, each once."""
     later = np.arange(k)[None] > np.arange(k)[:, None]
     later.flags.writeable = False
     return later
-
-
-def _sweep_plan(key: np.ndarray, stride: int):
-    """The rows a block at most, and ``(s, e, cand)`` of each block of rows
-    s..e of a swarm in cell order (``key`` its sorted cell keys, ``stride``
-    keys a column): ``cand`` are the positions the rows measure, their own
-    first. A block measures the strip up to the end of the column after its
-    last row's, unless the half shell holds at most half as many: the later
-    particles up to the cell after its last row's (and after the cell beside
-    the last row of the column before), then the cells of the next column
-    beside its rows in the last column. Blocks take at least BLOCK_ENTRIES //
-    M rows, and for a large swarm about as many as keep a block's half shell
-    near BLOCK_ENTRIES entries."""
-    m = len(key)
-    # where each column that holds any particle starts, and the particles in
-    # the widest two consecutive such columns
-    column = key // stride
-    starts = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1, [m]))
-    widest = int((starts[2:] - starts[:-2]).max(initial=m if len(starts) == 2 else 0))
-    step = max(1, BLOCK_ENTRIES // m, min(BLOCK_ENTRIES // widest, math.isqrt(BLOCK_ENTRIES)) // 2)
-    s = np.arange(0, m, step)
-    e = np.minimum(s + step, m)
-    last = key[e - 1]
-    base = last - last % stride  # the key of the margin cell of the last row's column
-    # the block's first row in the column of its last row
-    first = np.maximum(s, np.searchsorted(key, base))
-    strip = np.searchsorted(key, base + 2 * stride)
-    top = np.maximum(last, np.where(first > s, key[first - 1] + stride, last))
-    stop = np.searchsorted(key, top + 1, "right")
-    near = np.searchsorted(key, key[first] + stride - 1), np.searchsorted(key, last + stride + 2)
-    # a gathered shell costs more per entry than a strip's slice
-    shell = 2 * (stop - s + near[1] - near[0]) <= strip - s
-    return step, [(s, e, np.concatenate((np.arange(s, stop), np.arange(n0, n1))) if half
-                   else slice(s, whole))
-                  for s, e, whole, stop, n0, n1, half
-                  in zip(*(a.tolist() for a in (s, e, strip, stop, *near, shell)))]
 
 
 def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
@@ -471,8 +434,7 @@ def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
     (``math.hypot`` rounds differently and would break the argument.)
     Otherwise ``neighbor_pairs`` measures each pair once, booked to both ends:
     a distance has the same bits either way (see the module docstring)."""
-    low, high = _box(arr)
-    wx, wy = (high - low).tolist()
+    wx, wy = (arr.max(axis=0) - arr.min(axis=0)).tolist()
     if math.sqrt(wx * wx + wy * wy) < epsilon:
         return np.full(len(arr), len(arr) - 1)
     counts = np.zeros(len(arr), dtype=int)

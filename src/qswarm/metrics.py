@@ -182,15 +182,16 @@ def connectivity_components(positions, epsilon: float) -> list[int]:
     m = arr.shape[0]
     if m < 1:
         raise ValueError("positions must contain at least one particle")
-    root, edges = np.arange(m), []
+    root, edges, pending = np.arange(m), [], 0
     for rows, cols, mask in neighbor_pairs(arr, epsilon):
         r, c = np.nonzero(mask)
         edges.append((rows[r], cols[c]))
+        pending += len(r)
         # a round of _union costs O(M) whatever its edges: join at least M
         # edges a call, and hold no more than about M + BLOCK_ENTRIES
-        if sum(len(u) for u, _ in edges) >= m:
+        if pending >= m:
             _union(root, *map(np.concatenate, zip(*edges)))
-            edges = []
+            edges, pending = [], 0
     if edges:
         _union(root, *map(np.concatenate, zip(*edges)))
     sizes = np.bincount(root)

@@ -150,6 +150,9 @@ def test_a_number_yaml_reads_as_text_names_its_spelling(tmp_path):
         load_config(write_cfg(tmp_path, "mql: {reward_max: 1e20}\n"))
     with pytest.raises(ConfigError, match=r"got 'ten'$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: ten}\n"))
+    # a YAML boolean is no number written as text, though float(True) is 1.0
+    with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got True$"):
+        load_config(write_cfg(tmp_path, "mql: {epsilon: true}\n"))
     cfg = load_config(write_cfg(tmp_path, "mql: {reward_max: 1.7e+308}\n"))
     assert cfg.mql.reward_max == 1.7e308
 

@@ -391,9 +391,10 @@ def test_the_sweep_keeps_its_own_order_only_where_the_cells_cannot_prune():
 
 @pytest.mark.parametrize("block_entries", [None, 97])
 @pytest.mark.parametrize("kind", ["tall", "default density", "far clusters"])
-def test_a_spread_swarm_is_swept_in_half_shells(kind, block_entries):
-    # a block whose rows span few of their column's cells measures only the
-    # cells beside its rows, not the strip of two whole columns
+def test_a_spread_swarm_is_swept_beside_its_rows(kind, block_entries):
+    # a block measures the cells beside its rows, not the strips to the end
+    # of the next column (a small share of them where the columns are tall),
+    # and never more than BLOCK_ENTRIES entries where a strip is narrower
     rng = np.random.default_rng(5)
     if kind == "tall":
         arr = rng.random((2000, 2)) * [30.0, 2000.0]
@@ -407,11 +408,13 @@ def test_a_spread_swarm_is_swept_in_half_shells(kind, block_entries):
         if block_entries is not None:
             mp.setattr(core, "BLOCK_ENTRIES", block_entries)
         order, key, stride = core._cells(arr, 10.0)
-        _, plan = core._sweep_plan(key[order], stride)
+        key = key[order]
+        strips = np.searchsorted(key, key - key % stride + 2 * stride) - np.arange(len(arr))
+        sizes = [mask.size for *_, mask in core.neighbor_pairs(arr, 10.0)]
         assert_the_sweep_yields_each_edge_once(arr, 10.0)
         counts = core.neighbor_counts(arr, 10.0)
-    shells = [not isinstance(cand, slice) for *_, cand in plan]
-    assert any(shells) == (kind == "tall" or block_entries is not None)
+        assert max(sizes) <= max(core.BLOCK_ENTRIES, strips.max())
+    assert kind != "tall" or sum(sizes) < strips.sum() / 10
     assert counts.tobytes() == dense_neighbors(arr, np.arange(len(arr)), 10.0)[1].sum(axis=1).tobytes()
 
 
