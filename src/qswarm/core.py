@@ -304,44 +304,24 @@ SKIN = 0.5
 
 
 class NeighborList:
-    """The Verlet list of the swarm ``arr`` for the epsilon-query of every
-    particle: each row's peers whose computed distance is below
-    (epsilon + skin) * CELL_WIDTH, in ascending id order and padded with the
-    row's own id. ``blocks`` yields the query's blocks on later positions
-    while ``stale`` is false, without binning, gathering or sorting.
+    """The Verlet list the epsilon-query of every particle of a moving swarm
+    runs on: each row's peers whose computed distance is below
+    (epsilon + skin) * CELL_WIDTH at the positions ``built_on``, in ascending
+    id order and padded with the row's own id. The skin is SKIN * epsilon.
 
-    Rows are held in blocks of about BLOCK_ENTRIES ids, longest lists first,
-    so the list holds about as many ids as listed pairs; ``rank`` puts the
-    blocks' rows (in that order) back into id order. A swarm whose cells
-    would not prune at the list's radius (a collapsed swarm) lists nothing,
-    and ``blocks`` runs ``neighbor_blocks`` on every particle instead."""
+    ``blocks`` rebuilds the list first when it was never built or is
+    ``stale``, and then yields the build's own blocks, masked at epsilon, so a
+    rebuild measures each distance once. Otherwise it yields the listed
+    blocks, without binning, gathering or sorting. Listed rows are held in
+    blocks of about BLOCK_ENTRIES ids, longest lists first, so the list holds
+    about as many ids as listed pairs. A swarm whose cells would not prune at
+    the list's radius (a collapsed swarm) lists nothing, and its queries run
+    ``neighbor_blocks`` on every particle instead."""
 
-    def __init__(self, arr: np.ndarray, epsilon: float, skin: float):
-        self.epsilon, self.skin = epsilon, skin
-        self.built_on = arr.copy()
-        m = len(arr)
-        ids = np.arange(m)
-        self.rank = ids
+    def __init__(self, epsilon: float):
+        self.epsilon, self.skin = epsilon, SKIN * epsilon
+        self.built_on = None
         self._blocks = None
-        radius = (epsilon + skin) * CELL_WIDTH
-        runs = _cell_runs(arr, ids, radius)
-        if runs is None:
-            return
-        counts, peers = [], []
-        for _, cols, _, mask in _query_blocks(arr, ids, radius, runs):
-            counts.append(np.add.reduce(mask, axis=1))
-            peers.append(cols[mask])
-        counts, peers = np.concatenate(counts), np.concatenate(peers)
-        first = np.cumsum(counts) - counts
-        order = np.argsort(-counts, kind="stable")
-        self.rank = np.argsort(order)
-        self._blocks = []
-        s = 0
-        while s < m:
-            block = order[s:s + max(1, BLOCK_ENTRIES // max(int(counts[order[s]]), 1))]
-            self._blocks.append((block, _gather(block, first[block, None], counts[block, None],
-                                                peers)))
-            s += len(block)
 
     def stale(self, arr: np.ndarray) -> bool:
         """Whether ``arr`` may hold a pair within epsilon that the list lacks:
@@ -355,27 +335,43 @@ class NeighborList:
         return not moved.sum() < self.skin
 
     def blocks(self, arr: np.ndarray):
-        """``neighbor_blocks`` of every particle of ``arr``, with rows in the
-        list's order (``rank`` puts them in id order)."""
-        if self._blocks is None:
-            yield from neighbor_blocks(arr, self.rank, self.epsilon)
+        """``neighbor_blocks`` of every particle of ``arr``: each block names
+        its rows, which come in id order on a rebuild, else in the list's."""
+        if self.built_on is None or self.stale(arr):
+            yield from self._rebuild(arr)
+        elif self._blocks is None:
+            yield from neighbor_blocks(arr, np.arange(len(arr)), self.epsilon)
+        else:
+            for block, cols in self._blocks:
+                dist = pairwise_distances(arr, block, cols)
+                yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
+
+    def _rebuild(self, arr: np.ndarray):
+        # the query's blocks on arr, from the cells at the list's radius
+        # masked at epsilon; their peers within the radius are listed once
+        # all are yielded, and until then an empty list takes neighbor_blocks
+        self.built_on, self._blocks = arr.copy(), None
+        m = len(arr)
+        ids = np.arange(m)
+        radius = (self.epsilon + self.skin) * CELL_WIDTH
+        runs = _cell_runs(arr, ids, radius)
+        if runs is None:
+            yield from neighbor_blocks(arr, ids, self.epsilon)
             return
-        for block, cols in self._blocks:
-            dist = pairwise_distances(arr, block, cols)
+        counts, peers = [], []
+        for block, cols, dist, within in _query_blocks(arr, ids, radius, runs):
+            counts.append(np.add.reduce(within, axis=1))
+            peers.append(cols[within])
             yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
-
-
-def carry_list(arr: np.ndarray, epsilon: float, carried: NeighborList | None):
-    """The NeighborList to sense every particle of ``arr`` through: ``carried``
-    while it is not stale, else one built on ``arr``; None for a swarm below
-    the dense crossover (M * M < DENSE_PAIRS), whose query takes every
-    particle and measures no displacement."""
-    m = len(arr)
-    if m * m < DENSE_PAIRS:
-        return None
-    if carried is None or carried.stale(arr):
-        return NeighborList(arr, epsilon, SKIN * epsilon)
-    return carried
+        counts, peers = np.concatenate(counts), np.concatenate(peers)
+        first = np.cumsum(counts) - counts
+        order = np.argsort(-counts, kind="stable")
+        listed, s = [], 0
+        while s < m:
+            block = order[s:s + max(1, BLOCK_ENTRIES // max(int(counts[order[s]]), 1))]
+            listed.append((block, _gather(block, first[block, None], counts[block, None], peers)))
+            s += len(block)
+        self._blocks = listed
 
 
 def neighbor_pairs(arr: np.ndarray, epsilon: float):

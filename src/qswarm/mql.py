@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Vec2, WorldBounds, carry_list, clamp, neighbor_blocks,
+from .core import (DENSE_PAIRS, NeighborList, Vec2, WorldBounds, clamp, neighbor_blocks,
                    pairwise_distances, positions_array)
 from .metrics import StateId, Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
@@ -137,11 +137,12 @@ class MqlParams:
 #
 # Every judgement below reduces a particle's neighbourhood to three numbers:
 # the neighbour count n, the total neighbour distance, and the smallest
-# neighbour distance. ``sense`` computes them for any rows of a swarm through
-# the epsilon-neighbour query ``core.neighbor_blocks``, and ``judge`` turns them
-# into every rule's outcome (state, step scale, reward) in one pass. The engine
-# calls these on whole swarms, and the public per-particle operations are
-# one-row calls of the same functions.
+# neighbour distance. ``summarize`` computes them from any block of an
+# epsilon-query: ``sense`` for any rows (``core.neighbor_blocks``), ``booked``
+# for a whole swarm through its ``core.NeighborList``. ``judge`` turns them
+# into every rule's outcome (state, step scale, reward) in one pass. The
+# engine calls these on whole swarms, and the public per-particle operations
+# are one-row calls of the same functions.
 
 def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
@@ -163,16 +164,20 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
 def sense(pos: np.ndarray, rows, epsilon: float):
     """(n, total, lowest) arrays for particles ``rows`` of the swarm at
     ``pos`` (M, 2), summed over their neighbours in ascending peer order."""
-    return summed(neighbor_blocks(pos, rows, epsilon))
-
-
-def summed(blocks):
-    """(n, total, lowest) of the rows of an epsilon-query's ``blocks``
-    (``core.neighbor_blocks`` or ``NeighborList.blocks``), in their order."""
-    parts = [summarize(dist, mask) for _, _, dist, mask in blocks]
+    parts = [summarize(dist, mask) for _, _, dist, mask in neighbor_blocks(pos, rows, epsilon)]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def booked(blocks, m: int):
+    """(n, total, lowest) arrays (M,) of all M particles, from the blocks of
+    their query in any row order (``NeighborList.blocks``): each block's
+    summary is booked to the rows it names."""
+    n, total, lowest = np.empty(m, dtype=int), np.empty(m), np.empty(m)
+    for block, _, dist, mask in blocks:
+        n[block], total[block], lowest[block] = summarize(dist, mask)
+    return n, total, lowest
 
 
 def judge(n, total, lowest, params: MqlParams):
@@ -292,8 +297,9 @@ class MqlEngine:
         # (n, states, pi, rewards) of every particle, sensed on the bytes _sensed_on
         self.sensed = None
         self._sensed_on = None
-        # the Verlet list a simultaneous swarm senses through (core.carry_list)
-        self._list = None
+        # the Verlet list of a simultaneous swarm past the dense crossover
+        self._list = (NeighborList(params.epsilon)
+                      if params.schedule == "simultaneous" and m * m >= DENSE_PAIRS else None)
 
     @property
     def m(self) -> int:
@@ -304,16 +310,13 @@ class MqlEngine:
 
     def _sense(self, rows=None) -> None:
         """Sense and judge particles ``rows`` (None: all of them) on the
-        current positions into the carried summary ``sensed``. Under
-        ``simultaneous`` the whole swarm is sensed through the carried
-        neighbour list, rebuilt once the swarm has moved its skin."""
-        eps = self.params.epsilon
-        if rows is None and self.params.schedule == "simultaneous":
-            self._list = carry_list(self.pos, eps, self._list)
+        current positions into the carried summary ``sensed``. A swarm that
+        carries a neighbour list senses the whole swarm through it."""
         if rows is None and self._list is not None:
-            n, total, lowest = (col[self._list.rank] for col in summed(self._list.blocks(self.pos)))
+            n, total, lowest = booked(self._list.blocks(self.pos), self.m)
         else:
-            n, total, lowest = sense(self.pos, self._ids if rows is None else rows, eps)
+            n, total, lowest = sense(self.pos, self._ids if rows is None else rows,
+                                     self.params.epsilon)
         fresh = (n, *judge(n, total, lowest, self.params))
         if rows is None:
             self.sensed = fresh
@@ -372,10 +375,9 @@ class MqlEngine:
         sensed afresh when there is no summary yet or ``pos`` was written
         since it was sensed."""
         prm = self.params
-        # the sensing is a function of these bytes; an outside write to them
-        # also drops the neighbour list
+        # the sensing is a function of these bytes (the neighbour list checks
+        # its own: an outside write is a displacement like any other)
         if self.sensed is None or self.pos.tobytes() != self._sensed_on:
-            self._list = None
             self._sense()
         # the movers as a slice of the particles, and their ids
         if prm.schedule == "round_robin":

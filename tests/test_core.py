@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qswarm.core as core
 from qswarm.core import Vec2, WorldBounds, clamp, euclidean_distance, pairwise_distances
 from qswarm.metrics import connected_fraction, connectivity_components
-from qswarm.mql import MqlEngine, MqlParams, neighborhood, sense, summed
+from qswarm.mql import MqlEngine, MqlParams, booked, neighborhood, sense
 from qswarm.pso import Objective, PsoEngine, PsoParams
 
 
@@ -456,14 +456,28 @@ def test_sensing_through_a_carried_list_gives_the_bits_of_the_dense_rows(
             mp.setattr(core, name, value)
         if small_blocks:
             mp.setattr(core, "BLOCK_ENTRIES", 97)
-        listed = core.NeighborList(arr, epsilon, skin)
+        listed = core.NeighborList(epsilon)
+        listed.skin = skin
+        # the build's own blocks, then the list's or a rebuild's
+        built = booked(listed.blocks(arr), m)
+        first = listed.built_on
         stale = listed.stale(moved)
-        if stale:
-            listed = core.NeighborList(moved, epsilon, skin)
-        got = [col[listed.rank] for col in summed(listed.blocks(moved))]
+        got = booked(listed.blocks(moved), m)
     assert stale == (side != "below" or sum_of_two == skin)
-    for g, want in zip(got, dense_sense(moved, np.arange(m), epsilon), strict=True):
-        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+    assert (listed.built_on is not first) == stale
+    assert np.array_equal(listed.built_on, moved if stale else arr)
+    for at, sensed in ((arr, built), (moved, got)):
+        for g, want in zip(sensed, dense_sense(at, np.arange(m), epsilon), strict=True):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+def built_list(arr, epsilon, skin):
+    """A NeighborList of the given skin, built on ``arr``."""
+    listed = core.NeighborList(epsilon)
+    listed.skin = skin
+    for _ in listed.blocks(arr):
+        pass
+    return listed
 
 
 def test_the_list_holds_a_pair_that_closes_in_by_just_under_the_skin():
@@ -475,11 +489,13 @@ def test_the_list_holds_a_pair_that_closes_in_by_just_under_the_skin():
     after[0, 0] = under
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "DENSE_SHARE", 2.0)
-        listed = core.NeighborList(before, 10.0, 5.0)
+        listed = built_list(before, 10.0, 5.0)
         assert not listed.stale(after)
-        n, total, lowest = (col[listed.rank] for col in summed(listed.blocks(after)))
+        n, total, lowest = booked(listed.blocks(after), len(after))
+        assert np.array_equal(listed.built_on, before)
         # at a skin of that step, the move reaches the skin: a rebuild
-        assert core.NeighborList(before, 10.0, under).stale(after)
+        listed.skin = under
+        assert listed.stale(after)
     assert n[:2].tolist() == [1, 1] and total[0] == lowest[0] == 14.9 - under < 10.0
 
 
@@ -498,9 +514,10 @@ def test_the_hair_keeps_a_pair_that_rounding_brings_within_epsilon():
     assert pairwise_distances(after[:2])[0, 1] < epsilon
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "DENSE_SHARE", 2.0)
-        listed = core.NeighborList(before, epsilon, skin)
+        listed = built_list(before, epsilon, skin)
         assert not listed.stale(after)
-        n, total, lowest = (col[listed.rank] for col in summed(listed.blocks(after)))
+        n, total, lowest = booked(listed.blocks(after), len(after))
+        assert np.array_equal(listed.built_on, before)
     want = dense_sense(after, np.arange(len(after)), epsilon)
     assert n[:2].tolist() == [1, 1]
     for g, w in zip((n, total, lowest), want, strict=True):

@@ -674,13 +674,15 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
 def counted_builds(monkeypatch):
     """A list that grows by the swarm a NeighborList is built on, per build."""
     builds = []
-    build = NeighborList.__init__
+    listed_blocks = NeighborList.blocks
 
-    def counting(self, arr, epsilon, skin):
-        builds.append(arr.copy())
-        build(self, arr, epsilon, skin)
+    def counting(self, arr):
+        built_on = self.built_on
+        yield from listed_blocks(self, arr)
+        if self.built_on is not built_on:
+            builds.append(self.built_on)
 
-    monkeypatch.setattr(NeighborList, "__init__", counting)
+    monkeypatch.setattr(NeighborList, "blocks", counting)
     return builds
 
 
@@ -704,21 +706,52 @@ def test_a_list_rebuilt_every_tick_gives_the_same_run(monkeypatch):
     assert_carries_a_fresh_sensing(kept_engine)
 
 
+def test_a_rebuild_tick_measures_each_distance_once(monkeypatch):
+    # a skin of 0 rebuilds the list before every sensing; the tick's
+    # distances are then the build's own blocks: every particle's row once,
+    # against its cell candidates at the list's radius, and no listed pass
+    monkeypatch.setattr(core, "SKIN", 0.0)
+    engine = MqlEngine(300, MqlParams(), WorldBounds(), np.random.default_rng(44))
+    engine.tick()
+    measured = []
+    distances = core.pairwise_distances
+
+    def counting(arr, rows=None, cols=None):
+        measured.append((rows, cols))
+        return distances(arr, rows, cols)
+
+    monkeypatch.setattr(core, "pairwise_distances", counting)
+    builds = counted_builds(monkeypatch)
+    for _ in range(3):
+        measured.clear()
+        builds.clear()
+        engine.tick()
+        assert np.array_equal(np.concatenate([r for r, _ in measured]), np.arange(engine.m))
+        assert len(builds) == 1
+        radius = (engine.params.epsilon + engine._list.skin) * core.CELL_WIDTH
+        *_, size = core._cell_runs(builds[0], np.arange(engine.m), radius)
+        assert [c.shape[1] for _, c in measured] == [
+            max(int(size[r].sum(axis=1).max()), 1) for r, _ in measured]
+    assert_carries_a_fresh_sensing(engine)
+
+
 def test_an_outside_write_to_pos_rebuilds_the_list(monkeypatch):
     builds = counted_builds(monkeypatch)
     engine = MqlEngine(300, MqlParams(), WorldBounds(), np.random.default_rng(42))
     for _ in range(3):
         engine.tick()
-    carried = engine._list
+    carried = engine._list.built_on
     # teleport the particle farthest from the centre 3 epsilon towards it
     centre = np.array(engine.world.center().as_tuple())
     k = int(np.argmax(((engine.pos - centre) ** 2).sum(axis=1)))
     away = engine.pos[k] - centre
     engine.pos[k] -= 3 * engine.params.epsilon * away / np.sqrt((away ** 2).sum())
+    written = engine.pos.copy()
     builds.clear()
     engine.tick()
-    assert engine._list is not carried
-    assert len(builds) >= 1 and builds[0].tobytes() != carried.built_on.tobytes()
+    # the tick senses the written swarm first, on a list built on it
+    assert len(builds) >= 1 and np.array_equal(builds[0], written)
+    assert not np.array_equal(written, carried)
     assert_carries_a_fresh_sensing(engine)
 
 
