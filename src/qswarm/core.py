@@ -19,6 +19,16 @@ distance at the build below (epsilon + skin) * (1 + 8 * 2**-53), which is
 below (epsilon + skin) * CELL_WIDTH however that product rounds: the list
 holds it. A NaN or infinite sum is never below the skin, so it rebuilds.
 
+The epsilon-query (``neighbor_blocks``) gives each row its neighbours in
+ascending id order, so a left-to-right running sum over a row in which
+non-neighbours add 0.0 has the bits of the same sum over the full (M,)
+distance row; the rows of one cell share one candidate list, sorted once. A
+one-particle move changes only the rows whose computed distance to the mover
+p was or is below epsilon, and such a row r's neighbours q lie below 2 *
+epsilon * CELL_WIDTH from p in the same distance row: the exact d(q, p) <=
+d(q, r) + d(r, p) is below 2 * epsilon * (1 + 2**-53)**3, so the computed
+one is below 2 * epsilon * (1 + 8 * 2**-53), as in the argument above.
+
 The count-only query (``neighbor_pairs``) measures each pair once: rounded to
 nearest, fl(a - b) = -fl(b - a) and squaring drops the sign, so a distance
 has the same bits both ways. Taken in cell order, column by column, a
@@ -186,51 +196,60 @@ MAX_CELLS = 1 << 30
 
 def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     """Yield ``(block, cols, dist, mask)`` for successive blocks of the query
-    ``rows`` (ids into ``arr``, in the given order): ``cols`` (k, C) holds
-    each row's candidate peers in ascending id order, ``dist`` their
+    ``rows`` (ids into ``arr``): ``block`` names its rows, ``cols`` (k, C)
+    holds each one's candidate peers in ascending id order, ``dist`` their
     ``pairwise_distances`` and ``mask`` their ``neighbor_mask``, which picks
-    exactly the row's epsilon-neighbours. Padding columns repeat the row's
-    own id, which the mask never picks.
+    exactly the row's epsilon-neighbours. Padding columns repeat the row's own
+    id, which the mask never picks.
 
     The candidates are the particles in the 3 x 3 cells around the row's own,
-    or every particle (C = M) when the query is small (K * M below
-    DENSE_PAIRS) or the cells would not prune (at least DENSE_SHARE of the
-    K * M pairs would be candidates, as in a collapsed swarm). Either way a
-    row's neighbours come in ascending id order, so a left-to-right running
-    sum over a row in which non-neighbours add 0.0 has the bits of the same
-    sum over the full (M,) distance row."""
+    and the blocks then name the rows grouped by cell; or every particle (C =
+    M), with the rows in the given order (one block names the int64 ``rows``
+    itself), when the query is small (K * M below DENSE_PAIRS) or the cells
+    would not prune (at least DENSE_SHARE of the K * M pairs would be
+    candidates, as in a collapsed swarm). Either way a row's neighbours come
+    in ascending id order (see the module docstring)."""
     rows = np.asarray(rows, dtype=np.int64)
-    runs = _cell_runs(arr, rows, epsilon) if len(rows) * len(arr) >= DENSE_PAIRS else None
-    return _query_blocks(arr, rows, epsilon, runs)
+    plan = _cell_plan(arr, rows, epsilon) if len(rows) * len(arr) >= DENSE_PAIRS else None
+    return _query_blocks(arr, rows, epsilon, plan)
 
 
-def _query_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, runs):
-    # the blocks of neighbor_blocks, given its _cell_runs (None: every
+def _query_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, plan):
+    # the blocks of neighbor_blocks, given its _cell_plan (None: every
     # particle is a candidate)
     m = len(arr)
-    if runs is None:
+    if plan is None:
         step = max(1, BLOCK_ENTRIES // m)
         tiled = _tiled_ids(m, step)
-        for s in range(0, max(len(rows), 1), step):
-            block = rows[s:s + step]
+        for block in [rows] if len(rows) <= step else np.split(rows, range(step, len(rows), step)):
             cols = tiled[:len(block)]
             dist = pairwise_distances(arr, block)
             yield block, cols, dist, neighbor_mask(dist, cols, block.astype(cols.dtype), epsilon)
         return
-    order, first, size = runs
-    step = max(1, BLOCK_ENTRIES // int(size.sum(axis=1).max()))
-    for s in range(0, len(rows), step):
-        block = rows[s:s + step]
-        cols = _gather(block, first[s:s + step], size[s:s + step], order)
-        cols.sort(axis=1)
+    order, rows, cell, first, size = plan
+    lengths = size.sum(axis=1).tolist()
+    s = 0
+    while s < len(rows):
+        # a block of rows whose first cell's list is the longest, so its lists
+        # are of about one length: each cell's candidates once, sorted, padded
+        # with M (which sorts last); past the shortest, each row's own id
+        e = s + max(1, BLOCK_ENTRIES // lengths[cell[s]])
+        block, own = rows[s:e], cell[s:e]
+        c0, c1 = int(own[0]), int(own[-1]) + 1
+        lists = _gather(np.full(c1 - c0, m), first[c0:c1], size[c0:c1], order)
+        lists.sort(axis=1)
+        cols = lists[own - c0]
+        pad = cols[:, lengths[c1 - 1]:]
+        np.copyto(pad, block[:, None], where=pad == m)
         dist = pairwise_distances(arr, block, cols)
         yield block, cols, dist, neighbor_mask(dist, cols, block, epsilon)
+        s = e
 
 
 def _gather(block: np.ndarray, first: np.ndarray, size: np.ndarray, source: np.ndarray):
-    """(k, C) ids: for each row of ``block``, the entries of ``source`` in its
-    runs first .. first + size (``first`` and ``size`` (k, r), r runs a row,
-    taken in order), padded with the row's own id up to the longest row."""
+    """(k, C) ids: for each entry of ``block``, the entries of ``source`` in
+    its runs first .. first + size (``first`` and ``size`` (k, r), r runs an
+    entry, taken in order), padded with the entry itself up to the longest."""
     lens = size.ravel()
     flat = np.arange(lens.sum()) + np.repeat(first.ravel() - (np.cumsum(lens) - lens), lens)
     n_cols = size.sum(axis=1)
@@ -269,22 +288,27 @@ def _cells(arr: np.ndarray, epsilon: float):
     return np.argsort(key, kind="stable"), key, stride
 
 
-def _cell_runs(arr: np.ndarray, rows: np.ndarray, epsilon: float):
-    """Bin ``arr`` into the cell list (``_cells``). Returns (order, first,
-    size): the particle ids sorted by cell, and for each query row (K, 3) the
-    start and length in ``order`` of the three strips of 3 cells (one per
-    column of cells) around its own; or None when the cells would not prune."""
+def _cell_plan(arr: np.ndarray, rows: np.ndarray, epsilon: float):
+    """Bin ``arr`` into the cell list (``_cells``). Returns (order, rows, cell,
+    first, size): the particle ids sorted by cell; the query rows grouped by
+    cell, longest candidate list first, and each one's cell; and for each cell
+    (c, 3) the start and length in ``order`` of the three strips of 3 cells
+    (one per column of cells) around it; or None when the cells would not prune."""
     cells = _cells(arr, epsilon)
     if cells is None:
         return None
     order, key, stride = cells
-    sorted_key = key[order]
-    middle = key[rows][:, None] + np.array([-stride, 0, stride])
+    sorted_key, key = key[order], key[rows]
+    middle = key[:, None] + np.array([-stride, 0, stride])
     first = np.searchsorted(sorted_key, middle - 1, side="left")
     size = np.searchsorted(sorted_key, middle + 1, side="right") - first
-    if int(size.sum()) >= DENSE_SHARE * len(rows) * len(arr):
+    lengths = size.sum(axis=1)
+    if int(lengths.sum()) >= DENSE_SHARE * len(rows) * len(arr):
         return None
-    return order, first, size
+    by_cell = np.lexsort((key, -lengths))
+    opens = np.ones(len(rows), dtype=bool)
+    opens[1:] = np.diff(key[by_cell]) != 0
+    return order, rows[by_cell], np.cumsum(opens) - 1, first[by_cell[opens]], size[by_cell[opens]]
 
 
 # --- the carried neighbour list -------------------------------------------------
@@ -312,11 +336,11 @@ class NeighborList:
     ``blocks`` rebuilds the list first when it was never built or is
     ``stale``, and then yields the build's own blocks, masked at epsilon, so a
     rebuild measures each distance once. Otherwise it yields the listed
-    blocks, without binning, gathering or sorting. Listed rows are held in
-    blocks of about BLOCK_ENTRIES ids, longest lists first, so the list holds
-    about as many ids as listed pairs. A swarm whose cells would not prune at
-    the list's radius (a collapsed swarm) lists nothing, and its queries run
-    ``neighbor_blocks`` on every particle instead."""
+    blocks, without binning, gathering or sorting: the build's blocks, whose
+    rows have candidate lists of about one length, each padded to its longest
+    list of peers. A swarm whose cells would not prune at the list's radius (a
+    collapsed swarm) lists nothing, and its queries run ``neighbor_blocks`` on
+    every particle instead."""
 
     def __init__(self, epsilon: float):
         self.epsilon, self.skin = epsilon, SKIN * epsilon
@@ -336,7 +360,7 @@ class NeighborList:
 
     def blocks(self, arr: np.ndarray):
         """``neighbor_blocks`` of every particle of ``arr``: each block names
-        its rows, which come in id order on a rebuild, else in the list's."""
+        its rows, which come in cell order on a rebuild, else in the list's."""
         if self.built_on is None or self.stale(arr):
             yield from self._rebuild(arr)
         elif self._blocks is None:
@@ -354,23 +378,16 @@ class NeighborList:
         m = len(arr)
         ids = np.arange(m)
         radius = (self.epsilon + self.skin) * CELL_WIDTH
-        runs = _cell_runs(arr, ids, radius)
-        if runs is None:
+        plan = _cell_plan(arr, ids, radius)
+        if plan is None:
             yield from neighbor_blocks(arr, ids, self.epsilon)
             return
-        counts, peers = [], []
-        for block, cols, dist, within in _query_blocks(arr, ids, radius, runs):
-            counts.append(np.add.reduce(within, axis=1))
-            peers.append(cols[within])
+        listed = []
+        for block, cols, dist, within in _query_blocks(arr, ids, radius, plan):
+            counts = np.add.reduce(within, axis=1)
+            first = np.cumsum(counts) - counts
+            listed.append((block, _gather(block, first[:, None], counts[:, None], cols[within])))
             yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
-        counts, peers = np.concatenate(counts), np.concatenate(peers)
-        first = np.cumsum(counts) - counts
-        order = np.argsort(-counts, kind="stable")
-        listed, s = [], 0
-        while s < m:
-            block = order[s:s + max(1, BLOCK_ENTRIES // max(int(counts[order[s]]), 1))]
-            listed.append((block, _gather(block, first[block, None], counts[block, None], peers)))
-            s += len(block)
         self._blocks = listed
 
 

@@ -42,12 +42,14 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # bytes a row, allocated once: each tick writes its row in place) plus the
 # snapshots (16 bytes a particle per snapshot tick). Sensing and the trace
 # writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
-# ``BLOCK_ROWS``), whatever M is, except for the neighbour list a
-# simultaneous swarm carries: about M x C ids of 8 bytes, C being a
-# particle's peers within epsilon * (1 + core.SKIN) (25 on average and 43 at
-# most at M = 400 and the default seeding density, well inside
-# PARTICLE_BYTES). The list is built only where the cells prune, so C
-# averages below core.DENSE_SHARE x M even in a dense swarm.
+# ``BLOCK_ROWS``), whatever M is: the cell query's sorted candidate lists, one
+# per cell of a block, are no larger than the block, and a round-robin tick
+# adds its mover's two (1, M) distance rows. The exception is the neighbour
+# list a simultaneous swarm carries: about M x C ids of 8 bytes, C being the
+# longest list of peers within epsilon * (1 + core.SKIN) in a particle's
+# build block (43 and 32 in the two blocks at M = 400 and the default seeding
+# density, well inside PARTICLE_BYTES). The list is built only where the
+# cells prune, where candidates average below core.DENSE_SHARE x M a particle.
 PARTICLE_BYTES = 4 * 1024
 TRACE_BYTES_PER_ROW = 48
 
@@ -341,19 +343,29 @@ _Q_KEY = '\n  "final_q_tables": '
 def write_summary_json(summary: RunSummary, path) -> None:
     """``json.dumps(summary.to_dict(), indent=2, sort_keys=True)`` and a newline.
 
-    The q-tables are written from the array a row at a time, one repr per
-    float at the indent json gives them, spliced in where json.dumps of the
-    rest holds the key: the same bytes without the pure-Python encoder's
-    per-float calls. A row with the bits of the row before it reuses that
-    row's text. repr writes inf and nan where json writes Infinity and NaN,
-    words no finite float's repr holds. A None or empty table takes
-    json.dumps whole.
+    The per-particle lists and the q-tables are spliced in where json.dumps
+    of the rest holds their keys, at the indent json gives them: the same
+    bytes without the pure-Python encoder that ``indent`` selects. A list is
+    written by json's C encoder, which parts items with ", "; the q-tables a
+    row at a time, one repr per float, a row with the bits of the row before
+    it reusing that row's text. repr writes inf and nan where json writes
+    Infinity and NaN, words no finite float's repr holds. Empty lists and a
+    None or empty table take json.dumps.
     """
     q = summary.final_q_tables
-    if q is None or q.size == 0:
-        Path(path).write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+    tables = q is not None and q.size > 0
+    lists = [name for name in ("cumulative_rewards", "drift_onsets") if getattr(summary, name)]
+    rest = json.dumps(replace(summary, **dict.fromkeys(lists),
+                              final_q_tables=None if tables else q).to_dict(),
+                      indent=2, sort_keys=True)
+    for name in lists:
+        key = f'\n  "{name}": '  # occurs once, as _Q_KEY does
+        # no ", " occurs inside a number, null, Infinity or NaN
+        items = json.dumps(getattr(summary, name))[1:-1].replace(", ", ",\n    ")
+        rest = rest.replace(key + "null", key + "[\n    " + items + "\n  ]")
+    if not tables:
+        Path(path).write_text(rest + "\n")
         return
-    rest = json.dumps(replace(summary, final_q_tables=None).to_dict(), indent=2, sort_keys=True)
     head, tail = rest.split(_Q_KEY + "null")
     row = ",\n    [\n      " + ",\n      ".join(["%r"] * q.shape[1]) + "\n    ]"
     finite = np.isfinite(q).all()

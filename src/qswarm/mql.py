@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (DENSE_PAIRS, NeighborList, Vec2, WorldBounds, clamp, neighbor_blocks,
-                   pairwise_distances, positions_array)
+from .core import (BLOCK_ENTRIES, CELL_WIDTH, DENSE_PAIRS, NeighborList, Vec2, WorldBounds,
+                   clamp, neighbor_blocks, neighbor_mask, pairwise_distances, positions_array)
 from .metrics import StateId, Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
@@ -139,10 +139,11 @@ class MqlParams:
 # the neighbour count n, the total neighbour distance, and the smallest
 # neighbour distance. ``summarize`` computes them from any block of an
 # epsilon-query: ``sense`` for any rows (``core.neighbor_blocks``), ``booked``
-# for a whole swarm through its ``core.NeighborList``. ``judge`` turns them
-# into every rule's outcome (state, step scale, reward) in one pass. The
-# engine calls these on whole swarms, and the public per-particle operations
-# are one-row calls of the same functions.
+# for a whole swarm through its ``core.NeighborList``, and a round-robin tick
+# for the rows its mover can change (``MqlEngine._sense_near``). ``judge``
+# turns them into every rule's outcome (state, step scale, reward) in one
+# pass. The engine calls these on whole swarms, and the public per-particle
+# operations are one-row calls of the same functions.
 
 def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
@@ -163,11 +164,16 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
 
 def sense(pos: np.ndarray, rows, epsilon: float):
     """(n, total, lowest) arrays for particles ``rows`` of the swarm at
-    ``pos`` (M, 2), summed over their neighbours in ascending peer order."""
-    parts = [summarize(dist, mask) for _, _, dist, mask in neighbor_blocks(pos, rows, epsilon)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    ``pos`` (M, 2), in the query's order, each summed over the particle's
+    neighbours in ascending peer order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n, total, lowest = np.empty(len(pos), dtype=int), np.empty(len(pos)), np.empty(len(pos))
+    for block, _, dist, mask in neighbor_blocks(pos, rows, epsilon):
+        if block is rows:  # one dense block, naming the rows as given
+            return summarize(dist, mask)
+        # the blocks may name the rows grouped by cell: book them by id
+        n[block], total[block], lowest[block] = summarize(dist, mask)
+    return n[rows], total[rows], lowest[rows]
 
 
 def booked(blocks, m: int):
@@ -308,30 +314,32 @@ class MqlEngine:
     def positions(self) -> list[Vec2]:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
-    def _sense(self, rows=None) -> None:
-        """Sense and judge particles ``rows`` (None: all of them) on the
-        current positions into the carried summary ``sensed``. A swarm that
-        carries a neighbour list senses the whole swarm through it."""
-        if rows is None and self._list is not None:
+    def _sense(self) -> None:
+        """Sense and judge every particle on the current positions into the
+        carried summary ``sensed``, through the swarm's neighbour list if it
+        carries one."""
+        if self._list is not None:
             n, total, lowest = booked(self._list.blocks(self.pos), self.m)
         else:
-            n, total, lowest = sense(self.pos, self._ids if rows is None else rows,
-                                     self.params.epsilon)
-        fresh = (n, *judge(n, total, lowest, self.params))
-        if rows is None:
-            self.sensed = fresh
-        else:
-            for carried, values in zip(self.sensed, fresh):
-                carried[rows] = values
+            n, total, lowest = sense(self.pos, self._ids, self.params.epsilon)
+        self.sensed = (n, *judge(n, total, lowest, self.params))
         self._sensed_on = self.pos.tobytes()
 
-    def _near(self, ids) -> np.ndarray:
-        # (M,) mask of the particles ids and their neighbours
-        near = np.zeros(self.m, dtype=bool)
-        for _, cols, _, mask in neighbor_blocks(self.pos, ids, self.params.epsilon):
-            near[cols[mask]] = True
-        near[ids] = True
-        return near
+    def _sense_near(self, before: np.ndarray, after: np.ndarray) -> None:
+        """Sense and judge again the rows a one-particle move can change, the
+        mover and its epsilon-peers in its (1, M) distance rows ``before`` and
+        ``after`` the move, against the peers within reach (see ``core``)."""
+        eps = self.params.epsilon
+        rows = np.flatnonzero((before < eps) | (after < eps))
+        reach = 2.0 * eps * CELL_WIDTH
+        cols = np.flatnonzero((before < reach) | (after < reach))[None]
+        step = max(1, BLOCK_ENTRIES // cols.shape[1])
+        for block in np.split(rows, range(step, len(rows), step)):
+            dist = pairwise_distances(self.pos, block, cols)
+            n, total, lowest = summarize(dist, neighbor_mask(dist, cols, block, eps))
+            for carried, values in zip(self.sensed, (n, *judge(n, total, lowest, self.params))):
+                carried[block] = values
+        self._sensed_on = self.pos.tobytes()
 
     def _select(self, states, ids) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
@@ -391,10 +399,13 @@ class MqlEngine:
         # a copy: the re-sensing below may write the summary in place
         states = self.sensed[1][movers].copy()
         actions = self._select(states, ids)
-        near_before = self._near(ids) if some_stay else None
+        before = pairwise_distances(self.pos, ids) if some_stay else None
         self.pos[movers] = move(self.pos[movers], self._steps[actions],
                                 self.sensed[2][movers], self.world)
-        self._sense(np.flatnonzero(near_before | self._near(ids)) if some_stay else None)
+        if some_stay:
+            self._sense_near(before, pairwise_distances(self.pos, ids))
+        else:
+            self._sense()
 
         n1, states1, _, r1 = self.sensed
         r = r1[movers]

@@ -639,10 +639,10 @@ def test_tick_rows_are_not_written_by_later_ticks():
 def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule):
     import qswarm.mql
 
-    sensed_rows = []
+    queried, measured, binned = [], [], []
 
     def counting(arr, rows, epsilon):
-        sensed_rows.append(len(rows))
+        queried.append(len(rows))
         return neighbor_blocks(arr, rows, epsilon)
 
     monkeypatch.setattr(qswarm.mql, "neighbor_blocks", counting)
@@ -650,23 +650,119 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
     # its carried neighbour list instead
     listed_blocks = NeighborList.blocks
     monkeypatch.setattr(NeighborList, "blocks",
-                        lambda self, arr: sensed_rows.append(len(arr)) or listed_blocks(self, arr))
+                        lambda self, arr: queried.append(len(arr)) or listed_blocks(self, arr))
+    distances, cells = core.pairwise_distances, core._cells
+    monkeypatch.setattr(qswarm.mql, "pairwise_distances", lambda arr, rows=None, cols=None: (
+        measured.append(np.array(rows)) or distances(arr, rows, cols)))
+    monkeypatch.setattr(core, "_cells", lambda arr, epsilon: (
+        binned.append(len(arr)) or cells(arr, epsilon)))
     # at M=300 a whole-swarm sensing is above the dense crossover, on the cells
     for m, init_span in ((40, 60.0), (300, None)):
         engine = MqlEngine(m, MqlParams(schedule=schedule, init_span=init_span), WorldBounds(),
                            np.random.default_rng(39))
-        sensed_rows.clear()
+        eps = engine.params.epsilon
+        queried.clear()
         engine.tick()  # no carried summary yet: the whole swarm is sensed first
-        assert sensed_rows[0] == m
-        sensed_rows.clear()
+        assert queried[0] == m
         for _ in range(10):
+            queried.clear()
+            measured.clear()
+            binned.clear()
+            i, before = engine.tick_index % m, engine.pos.copy()
             engine.tick()
-        if schedule == "simultaneous":
-            assert sensed_rows == [m] * 10
-        else:
-            # each tick: the mover's row before and after the move, then the
-            # touched rows only
-            assert len(sensed_rows) == 30 and max(sensed_rows) < m // 2
+            if schedule == "simultaneous":
+                assert queried == [m]
+                continue
+            # the mover's distance row before and after the move, then the
+            # mover and its epsilon-peers in either, with no query or binning
+            assert queried == [] and binned == []
+            assert [r.tolist() for r in measured[:2]] == [[i], [i]]
+            resensed = np.concatenate(measured[2:])
+            peers = {int(j) for pos in (before, engine.pos)
+                     for j in np.flatnonzero(core.pairwise_distances(pos, [i])[0] < eps)}
+            assert sorted(resensed.tolist()) == sorted(peers) and i in peers
+            assert len(resensed) < m // 2
+
+
+def dense_judged(engine):
+    """(n, states, pi, rewards) of every particle from the full (M, M)
+    distance matrix, each total a running sum in ascending peer order."""
+    dist = core.pairwise_distances(engine.pos)
+    mask = (dist < engine.params.epsilon) & ~np.eye(engine.m, dtype=bool)
+    n = mask.sum(axis=1)
+    lowest = np.where(mask, dist, np.inf).min(axis=1)
+    total = np.cumsum(np.where(mask, dist, 0.0), axis=1)[:, -1].copy()
+    return (n, *judge(n, total, lowest, engine.params))
+
+
+def stepped(x, ulps):
+    """``x`` moved ``|ulps|`` floating-point steps, up for ulps > 0, else down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def round_robin_rims(draw):
+    """A round-robin engine whose first mover, particle 0 at the origin, has
+    peers a few ulps either side of epsilon, 2 * epsilon and 2 * epsilon *
+    CELL_WIDTH away, in rays from it (so peers near epsilon neighbour peers
+    near 2 epsilon), among a scatter within 3 epsilon of it. On the axes a
+    peer's computed distance is its radius exactly."""
+    epsilon = draw(st.floats(1.0, 10.0))
+    pos = [(0.0, 0.0)]
+    for _ in range(draw(st.integers(1, 4))):
+        angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0))
+        unit = {0.0: (1.0, 0.0), 0.5: (0.0, 1.0), 1.0: (-1.0, 0.0), 1.5: (0.0, -1.0)}.get(
+            angle, (math.cos(angle * math.pi), math.sin(angle * math.pi)))
+        for radius in (epsilon, 2.0 * epsilon, 2.0 * epsilon * core.CELL_WIDTH):
+            for _ in range(draw(st.integers(0, 3))):
+                r = stepped(radius, draw(st.integers(-4, 4)))
+                pos.append((r * unit[0], r * unit[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos += ((rng.random((draw(st.integers(0, 20)), 2)) - 0.5) * 6.0 * epsilon).tolist()
+    params = MqlParams(epsilon=epsilon, schedule="round_robin",
+                       learning=LearningParams(explore_rate=draw(st.sampled_from([0.0, 0.3]))),
+                       recover_lost=draw(st.booleans()))
+    return MqlEngine(len(pos), params, WorldBounds(-100.0, 100.0, -100.0, 100.0), rng,
+                     initial_positions=[Vec2(x, y) for x, y in pos])
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine=round_robin_rims(), ticks=st.integers(1, 40))
+def test_a_round_robin_tick_senses_the_bits_of_a_dense_sensing(engine, ticks):
+    for _ in range(ticks):
+        rows = engine.tick()
+        for carried, expected in zip(engine.sensed, dense_judged(engine), strict=True):
+            assert carried.dtype == expected.dtype and carried.tobytes() == expected.tobytes()
+        assert np.array_equal(rows.neighbor_count[0], engine.sensed[0])
+
+
+# (epsilon, r, q) with computed distances |r| < epsilon and |q - r| < epsilon
+# but |q| >= 2 epsilon (found by search over rays with a few ulps of jitter):
+# the mover at the origin re-senses r, whose neighbour q lies past 2 epsilon
+PAST_TWO_EPSILON = [
+    (6.28107102968663, (-4.422642854515538, -4.460054199375979),
+     (-8.84528570903108, -8.920108398751955)),
+    (1.901592030904495, (1.6921836744049177, 0.8675060023290633),
+     (3.384367348809835, 1.7350120046581274)),
+    (4.103776826033747, (3.4255035353747734, -2.2598472884304686),
+     (6.8510070707495485, -4.5196945768609345)),
+]
+
+
+@pytest.mark.parametrize("epsilon, r, q", PAST_TWO_EPSILON)
+def test_the_mover_reach_holds_a_neighbour_rounded_past_two_epsilon(epsilon, r, q):
+    start = [Vec2(0.0, 0.0), Vec2(*r), Vec2(*q)]
+    dist = core.pairwise_distances(positions_array(start))
+    assert dist[0, 1] < epsilon and dist[1, 2] < epsilon and dist[0, 2] >= 2 * epsilon
+    engine = MqlEngine(3, MqlParams(epsilon=epsilon, schedule="round_robin"),
+                       WorldBounds(-100.0, 100.0, -100.0, 100.0), np.random.default_rng(0),
+                       initial_positions=start)
+    engine.tick()
+    for carried, expected in zip(engine.sensed, dense_judged(engine), strict=True):
+        assert carried.tobytes() == expected.tobytes()
+    assert engine.sensed[0][1] == 2  # r neighbours the mover and q
 
 
 # --- the carried neighbour list (simultaneous swarms above the dense crossover) ---
@@ -726,12 +822,17 @@ def test_a_rebuild_tick_measures_each_distance_once(monkeypatch):
         measured.clear()
         builds.clear()
         engine.tick()
-        assert np.array_equal(np.concatenate([r for r, _ in measured]), np.arange(engine.m))
+        rows = np.concatenate([r for r, _ in measured])
+        assert np.array_equal(np.sort(rows), np.arange(engine.m))
         assert len(builds) == 1
+        # each block as wide as its rows' longest candidate list: the
+        # particles in the 3 x 3 cells around the row's own at the list's radius
         radius = (engine.params.epsilon + engine._list.skin) * core.CELL_WIDTH
-        *_, size = core._cell_runs(builds[0], np.arange(engine.m), radius)
-        assert [c.shape[1] for _, c in measured] == [
-            max(int(size[r].sum(axis=1).max()), 1) for r, _ in measured]
+        _, key, stride = core._cells(builds[0], radius)
+        column, row = np.divmod(key, stride)
+        around = ((np.abs(column[:, None] - column) <= 1) & (np.abs(row[:, None] - row) <= 1))
+        candidates = around.sum(axis=1)
+        assert [c.shape[1] for _, c in measured] == [int(candidates[r].max()) for r, _ in measured]
     assert_carries_a_fresh_sensing(engine)
 
 
