@@ -194,7 +194,7 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def _decision_column(values: np.ndarray, missing: np.ndarray, spec: str, blanked):
-    """One decision column of a trace block as (template cell, cells): the
+    """One decision column of some trace rows as (template cell, cells): the
     empty cell baked into the template when no row has a value, ``spec`` over
     the values when every row has one, else "%s" over ``blanked(values,
     missing)``, which writes "" for the missing ones."""
@@ -213,20 +213,22 @@ def _tick_rows(m: int, state: str, action: str, reward: str) -> tuple[str, ...]:
     return ("", *(f",{i},%s,%s,{state},{action},{reward},%d\n" for i in range(m)))
 
 
-def _carried_texts(values: np.ndarray, bits: np.ndarray, carried) -> np.ndarray:
-    """The text of each entry of the (n, w) block ``values``, formatting only
-    those whose ``bits`` (``values`` as int64) differ from the entry one row
-    up; the others take that row's text. ``carried`` is the (bits, texts) of
-    the row above the first one, or None. Returns an (n, w) object array."""
-    n, w = bits.shape
-    changed = np.ones((n, w), dtype=bool)
+def _changed(bits: np.ndarray, carried) -> np.ndarray:
+    """Which entries of the (n, w) block ``bits`` differ from the entry a row
+    up, the first row from ``carried`` (w,), or all of it when that is None."""
+    changed = np.ones(bits.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=changed[1:])
     if carried is not None:
-        np.not_equal(bits[0], carried[0], out=changed[0])
-    fresh = _texts(values[changed])
+        np.not_equal(bits[0], carried, out=changed[0])
+    return changed
+
+
+def _filled(changed: np.ndarray, fresh: list, carried) -> np.ndarray:
+    """The (n, w) object array of the ``fresh`` texts (row-major) where ``changed``
+    is set, else of the text a row up; ``carried`` holds the w texts above."""
+    n, w = changed.shape
     pool = np.empty(w + len(fresh), dtype=object)
-    if carried is not None:
-        pool[:w] = carried[1]
+    pool[:w] = carried
     pool[w:] = fresh
     # each entry's index in the pool: the carried row, then the fresh texts in
     # row-major order, so a running max down a column reaches its last fresh one
@@ -241,9 +243,12 @@ def write_trace_csv(trace, path) -> None:
     sequence. A row without a decision has empty action and reward cells;
     its state cell is empty too unless the row carries one (round-robin
     non-movers carry their current state). Written a block of whole ticks
-    (``BLOCK_ROWS``) at a time: a coordinate's text is rendered only when its
-    bits differ from the same particle's at the tick before, and each
-    decision column of a block takes the template cell it needs."""
+    (``BLOCK_ROWS``) at a time: a row with the bits of the same particle's
+    row a tick earlier in every cell (0.0 and -0.0 differ) reuses its text,
+    and the changed rows fill per-particle templates in one call; a block
+    whose rows all changed fills its ticks' templates, and its last tick is
+    split into row texts only if the next block keeps a row. A coordinate's
+    text is likewise carried while its bits repeat."""
     tr = as_trace(trace)
     t, m = tr.shape
     if tr.state.size and not -1 <= tr.state.min() <= tr.state.max() < len(StateId):
@@ -255,27 +260,52 @@ def write_trace_csv(trace, path) -> None:
     ticks_per_block = max(1, BLOCK_ROWS // max(m, 1))
     coords = tr.positions.reshape(t, 2 * m)
     bits = coords.view(np.int64)
-    carried = None
+    # the last tick's cells and coordinate texts, and its row texts (after a
+    # block whose rows all changed, a function splitting them off its text)
+    last = row_texts = None
     with open(path, "w") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
         for k in range(0, t, ticks_per_block):
             block = slice(k, k + ticks_per_block)
-            texts = _carried_texts(coords[block], bits[block], carried)
-            carried = bits[block][-1], texts[-1]
-            xy = texts.ravel().tolist()
-            state = tr.state[block].ravel()
-            action = tr.action[block].ravel()
-            reward = tr.reward[block].ravel()
+            ticks = [str(tick) for tick in tr.ticks[block].tolist()]
+            state, action, reward, count = (column[block] for column in (
+                tr.state, tr.action, tr.reward, tr.neighbor_count))
+            cells = reward.view(np.int64), state, action, count
+            # a row changed where a coordinate did, else where another cell did
+            moved = _changed(bits[block], last and last[0])
+            changed = moved[:, 0::2] | moved[:, 1::2]
+            if not changed.all():
+                changed |= _changed(np.hstack(cells), last and np.hstack(last[1])).reshape(
+                    len(ticks), 4, m).any(axis=1)
+            texts = _filled(moved, _texts(coords[block][moved]), last and last[2])
+            last = bits[block][-1], [column[-1] for column in cells], texts[-1]
+            x, y = (texts[:, axis::2][changed].tolist() for axis in (0, 1))
+            every = changed.all()
+            state, action, reward = state[changed], action[changed], reward[changed]
             # state names carry their own "" for a row without a state
             decisions = (
                 ("", None) if (state < 0).all() else ("%s", _STATE_NAMES[state + 1].tolist()),
                 _decision_column(action, action < 0, "%d", _blank_where),
                 _decision_column(reward, np.isnan(reward), "%.9g", _reward_cells))
             parts = _tick_rows(m, *(spec for spec, _ in decisions))
-            rows = "".join([str(tick).join(parts) for tick in tr.ticks[block].tolist()])
-            f.write(rows % _interleave(
-                xy[0::2], xy[1::2], *(cells for _, cells in decisions if cells is not None),
-                tr.neighbor_count[block].ravel().tolist()))
+            template = "".join([tick.join(parts) for tick in ticks] if every else
+                               [parts[i + 1] for i in np.nonzero(changed)[1].tolist()])
+            text = template % _interleave(
+                x, y, *(values for _, values in decisions if values is not None),
+                count[changed].tolist())
+            if every:  # the lines of its last tick, split off if the next block needs them
+                tail = text[text.rfind(f"\n{ticks[-1]},0,") + 1:]
+                row_texts = lambda tail=tail, cut=len(ticks[-1]): [
+                    line[cut:] for line in tail.split("\n")[:-1]]
+            else:
+                if callable(row_texts):  # needed only where the first tick keeps a row
+                    row_texts = None if changed[0].all() else row_texts()
+                rows = _filled(changed, text.split("\n")[:-1], row_texts)
+                row_texts = rows[-1]
+                text = "".join([tick + ("\n" + tick).join(row) + "\n"
+                                for tick, row in zip(ticks, rows.tolist())])
+            f.write(text)
+            del text  # the next block is built without this one's text
 
 
 def read_trace_csv(path) -> Trace:

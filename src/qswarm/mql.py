@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,9 +42,10 @@ NUM_STATES = len(StateId)
 # two axes x two directions x three magnitudes (``build_actions``)
 NUM_ACTIONS = 12
 
-# the states as plain ints for array code: numpy converts enum members slowly,
-# and even reading a member's value costs a descriptor call
-_DISCONNECTED, _TOO_CLOSE, _NEAR, _IDEAL, _FAR = (s.value for s in StateId)
+# the states and judge's constants as 0-d arrays for array code: numpy converts
+# a Python scalar operand on every call, and enum members more slowly still
+_DISCONNECTED, _TOO_CLOSE, _NEAR, _IDEAL, _FAR = (np.array(s.value) for s in StateId)
+_ZERO, _ONE = np.array(0), np.array(1.0)
 
 SCHEDULES = ("simultaneous", "round_robin")
 
@@ -149,17 +151,22 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
     the peers ``mask`` picks; a neighbourless row gets (0, 0.0, inf).
 
-    Each total is a left-to-right sum in column order (a running sum in
-    which non-neighbours add 0.0), so it is bit-reproducible against any
-    independent accumulation in the same order.
+    Each total is a left-to-right sum in column order (non-neighbours add
+    0.0), so it is bit-reproducible against any independent accumulation in
+    the same order. numpy reduces a non-fast axis a row at a time, summing
+    pairwise only along the fast axis (see ``numpy.sum``), so each total is
+    one reduction over axis 0 of a C-contiguous (C, K) copy; a one-row block
+    (K = 1) keeps a running sum, since there axis 0 is the fast axis.
     """
     # the ufuncs called directly: their method and function wrappers cost
     # more than the work on a few-particle swarm
     n = np.add.reduce(mask, axis=1)
     lowest = np.minimum.reduce(np.where(mask, dist, np.inf), axis=1)
+    # where, not a product: a NaN distance times 0 is NaN
     masked = np.where(mask, dist, 0.0)
-    total = np.add.accumulate(masked, axis=1, out=masked)[:, -1].copy()
-    return n, total, lowest
+    if len(masked) > 1:
+        return n, np.add.reduce(masked.T.copy(), axis=0), lowest
+    return n, np.add.accumulate(masked, axis=1, out=masked)[:, -1].copy(), lowest
 
 
 def sense(pos: np.ndarray, rows, epsilon: float):
@@ -186,28 +193,28 @@ def booked(blocks, m: int):
     return n, total, lowest
 
 
-def judge(n, total, lowest, params: MqlParams):
+def judge(n, total, lowest, params):
     """(states, pi, rewards) of each neighbourhood (n, total, lowest), from
     one D = total - n * epsilon and one rho = D / (n * epsilon): the state
     (disconnection and overlap first, then rho against tau_s), the step scale
     pi = min(1, |rho|), 1 when neighbourless (|D| / x and |D / x| round alike
     for x > 0), and the reward (-reward_max for lost contact or any overlap,
     +reward_max inside the band |D| <= tau_r * n * epsilon, else -|D| capped
-    at reward_max)."""
+    at reward_max). ``params`` is an MqlParams or holds its scalars as 0-d arrays."""
     eps = params.epsilon
     x = n * eps
     dev = total - x
     # max(n * eps, eps) is max(n, 1) * eps bit for bit: n * eps >= eps for n >= 1
     rho = dev / np.maximum(x, eps)
     pi = np.abs(rho)
-    lost = n == 0
+    lost = n == _ZERO
     # lowest priority first, so each later test overrides the earlier ones
-    states = np.where(rho < 0, _NEAR, _FAR)
+    states = np.where(rho < _ZERO, _NEAR, _FAR)
     states[pi <= params.tau_s] = _IDEAL
     states[lowest < params.d_min] = _TOO_CLOSE
     states[lost] = _DISCONNECTED
-    np.minimum(pi, 1.0, out=pi)
-    pi[lost] = 1.0
+    np.minimum(pi, _ONE, out=pi)
+    pi[lost] = _ONE
     dev = np.abs(dev)
     r = np.negative(np.minimum(dev, params.reward_max))
     r[dev <= params.tau_r * n * eps] = params.reward_max
@@ -276,6 +283,9 @@ class MqlEngine:
         if m < 1:
             raise ValueError(f"swarm size must be >= 1, got {m}")
         self.params = params
+        # judge's scalars as 0-d arrays, which numpy need not convert on each call
+        self._rules = SimpleNamespace(**{name: np.array(getattr(params, name)) for name in
+                                         ("epsilon", "tau_s", "d_min", "reward_max", "tau_r")})
         self.world = world
         self.rng = rng
         self.actions, self._steps = _action_table(params.step_set)
@@ -322,7 +332,7 @@ class MqlEngine:
             n, total, lowest = booked(self._list.blocks(self.pos), self.m)
         else:
             n, total, lowest = sense(self.pos, self._ids, self.params.epsilon)
-        self.sensed = (n, *judge(n, total, lowest, self.params))
+        self.sensed = (n, *judge(n, total, lowest, self._rules))
         self._sensed_on = self.pos.tobytes()
 
     def _sense_near(self, before: np.ndarray, after: np.ndarray) -> None:
@@ -337,7 +347,7 @@ class MqlEngine:
         for block in np.split(rows, range(step, len(rows), step)):
             dist = pairwise_distances(self.pos, block, cols)
             n, total, lowest = summarize(dist, neighbor_mask(dist, cols, block, eps))
-            for carried, values in zip(self.sensed, (n, *judge(n, total, lowest, self.params))):
+            for carried, values in zip(self.sensed, (n, *judge(n, total, lowest, self._rules))):
                 carried[block] = values
         self._sensed_on = self.pos.tobytes()
 

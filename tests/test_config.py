@@ -150,6 +150,11 @@ def test_a_number_yaml_reads_as_text_names_its_spelling(tmp_path):
         load_config(write_cfg(tmp_path, "mql: {reward_max: 1e20}\n"))
     with pytest.raises(ConfigError, match=r"got 'ten'$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: ten}\n"))
+    # only text that float() reads gets the hint; a quoted number is text too
+    with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got 'abc'$"):
+        load_config(write_cfg(tmp_path, "mql: {epsilon: abc}\n"))
+    with pytest.raises(ConfigError, match=r"got '2\.5E3' \(YAML read it as text: write 2500\.0\)$"):
+        load_config(write_cfg(tmp_path, "mql: {epsilon: '2.5E3'}\n"))
     # a YAML boolean is no number written as text, though float(True) is 1.0
     with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got True$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: true}\n"))

@@ -472,7 +472,16 @@ def traces(draw):
     robin), in random rows, or in none; the gaps are action -1 and reward
     NaN. The state cells sit in the same rows or in rows drawn apart from them
     (round-robin non-movers carry a state), and present rewards may be NaN or
-    infinite too, and are NaN in random rows that have an action."""
+    infinite too, and are NaN in random rows that have an action.
+
+    Then, if drawn, each row after the first tick is kept, repeats every cell
+    of the same particle's row one tick earlier, or repeats it with one cell
+    nudged: a coordinate's or the reward's sign bit or lowest bit flipped,
+    the reward turned to NaN or from NaN to a number, or the state, action or
+    count moved to a neighbouring valid value. About a quarter of the ticks
+    repeat no row, so a block whose rows all changed can precede one that
+    keeps rows. Rewards are drawn from all floats, or from 0.0, -0.0 and 1.5
+    only, so a repeated reward's sign bit is often flipped on a zero."""
     t, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     start = draw(st.integers(-3, 10**6))
     floats = lambda n, elems: np.array(draw(st.lists(elems, min_size=n, max_size=n)))
@@ -499,23 +508,49 @@ def traces(draw):
             bits[k] ^= (ops[k] == 3).astype(np.uint64)
     acted = rows_with_cells()
     stated = acted if draw(st.booleans()) else rows_with_cells()
-    rewards = np.where(acted, floats(t * m, any_floats).reshape(t, m), np.nan)
+    entries = draw(st.sampled_from([any_floats, st.sampled_from([0.0, -0.0, 1.5])]))
+    rewards = np.where(acted, floats(t * m, entries).reshape(t, m), np.nan)
     if draw(st.booleans()):
         rewards[flags()] = np.nan
-    return Trace(np.arange(start, start + t), positions,
-                 np.where(stated, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1),
-                 np.where(acted, ints(t * m, 0, 11).reshape(t, m), -1),
-                 rewards,
-                 ints(t * m, 0, 10**9).reshape(t, m))
+    state = np.where(stated, ints(t * m, 0, len(StateId) - 1).reshape(t, m), -1)
+    action = np.where(acted, ints(t * m, 0, 11).reshape(t, m), -1)
+    count = ints(t * m, 0, 10**9).reshape(t, m)
+    if draw(st.integers(0, 3)):
+        # 0 keeps the row, 1 repeats it, 2 or 3 repeats it and nudges one cell
+        kinds = ints(t * m, 0, 3).reshape(t, m)
+        kinds[ints(t, 0, 3) == 0] = 0
+        for k, i in np.argwhere(kinds[1:] > 0).tolist():
+            k += 1
+            for column in (positions, rewards, state, action, count):
+                column[k, i] = column[k - 1, i]
+            nudge = draw(st.integers(0, 9)) if kinds[k, i] >= 2 else None
+            if nudge is None:
+                continue
+            if nudge < 6:  # x, y or the reward: its sign bit (even) or its lowest bit
+                cell = (positions[k, i, :1], positions[k, i, 1:], rewards[k, i:i + 1])[nudge // 2]
+                cell.view(np.uint64)[0] ^= np.uint64(1 if nudge % 2 else 1 << 63)
+            elif nudge == 6:
+                rewards[k, i] = draw(finite_floats) if math.isnan(rewards[k, i]) else np.nan
+            else:  # the state, action or count, moved up unless it is the largest one
+                column, top = ((state, len(StateId) - 1), (action, 11), (count, 10**9))[nudge - 7]
+                column[k, i] += 1 if column[k, i] < top else -1
+    return Trace(np.arange(start, start + t), positions, state, action, rewards, count)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(trace=traces(), data=st.data())
 def test_csv_writers_give_the_per_cell_bytes(trace, data):
     # small blocks put several blocks, and a short last one, in one trace;
-    # blocks of two or three ticks carry a tick's texts past their last row
-    m = trace.shape[1]
-    block_rows = data.draw(st.sampled_from([1, 2, 5, 2 * m, 3 * m, harness.BLOCK_ROWS]))
+    # blocks of two or three ticks carry a tick's texts past their last row,
+    # blocks of any whole number of ticks split runs of repeated rows, and a
+    # block that ends before the first tick keeping a row has all rows changed
+    t, m = trace.shape
+    cells = np.dstack((trace.positions.view(np.int64), trace.reward.view(np.int64),
+                       trace.state, trace.action, trace.neighbor_count))
+    keeps = np.flatnonzero((cells[1:] == cells[:-1]).all(axis=2).any(axis=1))
+    block_rows = data.draw(st.sampled_from([1, 2, 5, 2 * m, 3 * m, harness.BLOCK_ROWS])
+                           | st.integers(1, t).map(lambda ticks: ticks * m)
+                           | st.just((keeps[0] + 1 if len(keeps) else t) * m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_ROWS", block_rows)
         assert written(write_trace_csv, trace) == written(oracle_write_trace_csv, trace)

@@ -1,5 +1,6 @@
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ def test_neighborhood_never_contains_self_and_is_symmetric():
             for k in sets[i]:
                 assert i in sets[k]
 
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 17, 64, 131])
+def test_summarize_sums_each_row_left_to_right(k):
+    # numpy sums pairwise along a fast axis of 8 or more entries, so a total
+    # taken along one (a one-row block reduced over axis 0) differs in its bits
+    rng = np.random.default_rng(k)
+    for c in (1, 8, 9, 17, 129, 300):
+        dist = rng.random((k, c)) * 10.0 ** rng.integers(-6, 7, (k, c))
+        mask = rng.random((k, c)) < 0.7
+        # masked-out cells change no total, whatever they hold
+        dist[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e308], (k, c))[~mask]
+        n, total, lowest = summarize(dist, mask)
+        rows = [[d for d, picked in zip(row, picks) if picked]
+                for row, picks in zip(dist.tolist(), mask.tolist())]
+        expected = []
+        for row in rows:
+            running = 0.0
+            for d in row:
+                running += d
+            expected.append(running)
+        assert total.tobytes() == np.array(expected).tobytes(), (k, c)
+        assert n.tolist() == [len(row) for row in rows]
+        assert lowest.tolist() == [min(row, default=math.inf) for row in rows]
 
 # --- deviation, state, step scale ----------------------------------------------
 
@@ -228,7 +253,13 @@ def neighbourhoods(draw, params):
 def test_the_fused_rule_gives_the_bits_of_a_scalar_oracle(data, params):
     rows = data.draw(st.lists(neighbourhoods(params), min_size=1, max_size=12))
     n, total, lowest = (np.array(col) for col in zip(*rows))
-    states, pi, r = judge(n.astype(np.int64), total.astype(float), lowest.astype(float), params)
+    n, total, lowest = n.astype(np.int64), total.astype(float), lowest.astype(float)
+    states, pi, r = judge(n, total, lowest, params)
+    # the scalars as 0-d arrays, as an engine holds them, give the same bits
+    scalars = SimpleNamespace(**{name: np.array(getattr(params, name)) for name in
+                                 ("epsilon", "tau_s", "d_min", "reward_max", "tau_r")})
+    for ours, theirs in zip(judge(n, total, lowest, scalars), (states, pi, r)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
     expected = [judge_oracle(*row, params) for row in rows]
     assert states.dtype == np.int64 and states.tolist() == [e[0] for e in expected]
     assert pi.tobytes() == np.array([e[1] for e in expected]).tobytes()
