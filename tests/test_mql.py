@@ -902,3 +902,194 @@ def test_no_list_below_the_crossover_or_under_round_robin(monkeypatch, schedule)
             engine.tick()
         assert engine._list is None
         assert_carries_a_fresh_sensing(engine)
+
+
+# --- a whole run against the scalar rules ------------------------------------------
+#
+# The oracle below plays a learning swarm from its seed with Python floats, one
+# particle at a time, from the rules as the docstrings state them: the seeding
+# of ``MqlEngine``, the peers strictly within epsilon summed in ascending id
+# order, ``judge_oracle``, the documented action order (axes outer, directions
+# +1 then -1, magnitudes inner), selection draws in mover order (the
+# exploration coin first, then one ``rng.integers(ties)`` per tied row),
+# pursuit, the clamp ``min(max(v, lo), hi)`` and the TD update. It shares no
+# engine code, and it senses the whole swarm afresh after every move.
+
+def scalar_senses(pos, epsilon):
+    """(n, total, lowest) of every particle: its peers strictly within
+    epsilon, their distances summed in ascending peer order from 0.0."""
+    sensed = []
+    for i, (xi, yi) in enumerate(pos):
+        n, total, lowest = 0, 0.0, math.inf
+        for j, (xj, yj) in enumerate(pos):
+            dx, dy = xi - xj, yi - yj
+            d = math.sqrt(dx * dx + dy * dy)
+            if j != i and d < epsilon:
+                n, total, lowest = n + 1, total + d, min(lowest, d)
+        sensed.append((n, total, lowest))
+    return sensed
+
+
+def scalar_pursuit(pos, i):
+    """The longest step along the dominant axis (y only where |dy| > |dx|)
+    towards the nearest peer, the lowest id among equally near ones."""
+    xi, yi = pos[i]
+    near = min((math.sqrt((xi - x) ** 2 + (yi - y) ** 2), j)
+               for j, (x, y) in enumerate(pos) if j != i)[1]
+    dx, dy = pos[near][0] - xi, pos[near][1] - yi
+    axis = 1 if abs(dx) < abs(dy) else 0
+    backward = (dx, dy)[axis] < 0
+    return 6 * axis + 3 * backward + 2
+
+
+NUM_ACTIONS_ORACLE = 12
+
+
+def scalar_select(q_row, prm, rng):
+    """Exploration coin first (only when explore_rate > 0), then the greedy
+    column, one draw among tied columns."""
+    rate = prm.learning.explore_rate
+    if rate > 0 and rng.random() < rate:
+        return int(rng.integers(NUM_ACTIONS_ORACLE))
+    best = max(q_row)
+    tied = [a for a, v in enumerate(q_row) if v == best]
+    return tied[int(rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+
+
+def scalar_run(m, prm, world, seed, start, ticks):
+    """Yield (positions, states, actions, rewards, counts, q, rng) after every
+    tick of the scalar learning swarm."""
+    rng = np.random.default_rng(seed)
+    clamp = lambda v, lo, hi: min(max(v, lo), hi)
+    if start is None:
+        span = prm.init_span if prm.init_span is not None else prm.epsilon * math.sqrt(m) / 2.0
+        span = min(span, world.width, world.height)
+        cx, cy = (world.x_min + world.x_max) / 2.0, (world.y_min + world.y_max) / 2.0
+        pos = []
+        for _ in range(m):
+            x = cx - span / 2.0 + span * rng.random()
+            pos.append((x, cy - span / 2.0 + span * rng.random()))
+    else:
+        pos = [(clamp(x, world.x_min, world.x_max), clamp(y, world.y_min, world.y_max))
+               for x, y in start]
+    q = [[[0.0] * NUM_ACTIONS_ORACLE for _ in StateId] for _ in range(m)]
+    judged = [judge_oracle(*s, prm) for s in scalar_senses(pos, prm.epsilon)]
+    for tick in range(ticks):
+        movers = [tick % m] if prm.schedule == "round_robin" else range(m)
+        chosen = {}
+        for i in movers:
+            s = judged[i][0]
+            if prm.recover_lost and s == StateId.DISCONNECTED and m > 1:
+                chosen[i] = scalar_pursuit(pos, i)
+            else:
+                chosen[i] = scalar_select(q[i][s], prm, rng)
+        moved = list(pos)
+        for i, a in chosen.items():
+            axis, sign, k = a // 6, (1.0, -1.0)[a // 3 % 2], a % 3
+            x, y = pos[i]
+            if axis == 0:
+                x = x + judged[i][1] * (sign * prm.step_set[k])
+            else:
+                y = y + judged[i][1] * (sign * prm.step_set[k])
+            moved[i] = (clamp(x, world.x_min, world.x_max), clamp(y, world.y_min, world.y_max))
+        pos = moved
+        sensed = scalar_senses(pos, prm.epsilon)
+        after = [judge_oracle(*s, prm) for s in sensed]
+        states, actions, rewards = [int(a[0]) for a in after], [-1] * m, [math.nan] * m
+        lr, gamma = prm.learning.learning_rate, prm.learning.discount
+        for i, a in chosen.items():
+            s, (s1, _, r) = judged[i][0], after[i]
+            old = q[i][s][a]
+            q[i][s][a] = old + lr * (r + gamma * max(q[i][s1]) - old)
+            states[i], actions[i], rewards[i] = int(s), a, r
+        judged = after
+        yield pos, states, actions, rewards, [n for n, _, _ in sensed], q, rng
+
+
+@st.composite
+def world_sides(draw):
+    """(lo, hi) with a signed-zero lower end, a signed-zero upper end, or neither."""
+    kind = draw(st.sampled_from(["zero_lo", "zero_hi", "free"]))
+    width = draw(st.floats(1.0, 60.0))
+    if kind == "zero_lo":
+        return draw(st.sampled_from([0.0, -0.0])), width
+    if kind == "zero_hi":
+        return -width, draw(st.sampled_from([0.0, -0.0]))
+    lo = draw(st.floats(-50.0, 50.0))
+    return lo, lo + width
+
+
+@st.composite
+def learning_runs(draw):
+    """(M, params, world, seed, start, ticks) for ``scalar_run``: worlds with
+    signed-zero walls; epsilon drawn freely, a few ulps around the world's
+    side, or around the seeding span; and either a seeded scatter or a start
+    whose particle 0 has peers a few ulps either side of epsilon and d_min on
+    the axes through it (where a computed distance is the radius exactly),
+    among a scatter that may lie past the walls. Rewards stay small enough
+    that no q-value can overflow ((2T + 1) x reward_max is finite)."""
+    world = WorldBounds(*draw(world_sides()), *draw(world_sides()))
+    side = min(world.width, world.height)
+    init_span = draw(st.none() | st.floats(0.5, 80.0))
+    near = draw(st.sampled_from(["free", "side", "span"]))
+    if near == "side":
+        epsilon = stepped(side, draw(st.integers(-3, 3)))
+    elif near == "span" and init_span is not None:
+        epsilon = stepped(init_span, draw(st.integers(-3, 3)))
+    else:
+        epsilon = draw(st.floats(0.5, 30.0))
+    d_min = epsilon * draw(st.floats(0.01, 0.9))
+    unit = st.floats(0.001, 0.999)
+    a = draw(st.floats(0.05, 3.0))
+    b = a * draw(st.floats(1.01, 3.0))
+    step_set = draw(st.sampled_from([(0.5, 1.0, 2.0), (a, b, b * draw(st.floats(1.01, 3.0)))]))
+    prm = MqlParams(
+        epsilon=epsilon, d_min=d_min, tau_r=draw(unit), tau_s=draw(unit),
+        reward_max=draw(st.sampled_from([100.0, 1.0]) | st.floats(1e-3, 1e6)),
+        step_set=step_set, schedule=draw(st.sampled_from(SCHEDULES)), init_span=init_span,
+        recover_lost=draw(st.booleans()),
+        learning=LearningParams(learning_rate=draw(st.sampled_from([0.1, 1.0]) | unit),
+                                discount=draw(st.sampled_from([0.9, 1.0]) | unit),
+                                explore_rate=draw(st.sampled_from([0.0, 0.2]))))
+    start = None
+    if draw(st.booleans()):
+        x0, y0 = (0.0 if lo <= 0.0 <= hi else lo for lo, hi in
+                  ((world.x_min, world.x_max), (world.y_min, world.y_max)))
+        start = [(x0, y0)]
+        for radius in (epsilon, d_min):
+            for _ in range(draw(st.integers(0, 3))):
+                r = stepped(radius, draw(st.integers(-3, 3)))
+                start.append(draw(st.sampled_from([(x0 + r, y0), (x0 - r, y0),
+                                                   (x0, y0 + r), (x0, y0 - r)])))
+        coords = lambda lo, hi: st.floats(lo - 2.0, hi + 2.0)
+        start += draw(st.lists(st.tuples(coords(world.x_min, world.x_max),
+                                         coords(world.y_min, world.y_max)), max_size=25))
+        m = len(start)
+    else:
+        m = draw(st.integers(1, 40))
+    return m, prm, world, draw(st.integers(0, 2**32 - 1)), start, draw(st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=learning_runs())
+# past DENSE_PAIRS a whole-swarm sensing takes the cell query, and a
+# simultaneous swarm carries its neighbour list
+@example(run=(160, MqlParams(), WorldBounds(), 3, None, 6))
+@example(run=(170, MqlParams(schedule="round_robin"), WorldBounds(), 4, None, 8))
+@example(run=(155, MqlParams(init_span=40.0, recover_lost=True,
+                             learning=LearningParams(explore_rate=0.2)),
+                  WorldBounds(-0.0, 60.0, -60.0, -0.0), 5, None, 5))
+def test_a_whole_run_gives_the_bits_of_the_scalar_rules(run):
+    m, prm, world, seed, start, ticks = run
+    engine = MqlEngine(m, prm, world, np.random.default_rng(seed),
+                       initial_positions=None if start is None else [Vec2(*p) for p in start])
+    for pos, states, actions, rewards, counts, q, rng in scalar_run(m, prm, world, seed,
+                                                                    start, ticks):
+        rows = engine.tick()
+        assert engine.pos.tobytes() == np.array(pos).tobytes()  # signed zeros count
+        assert rows.positions[0].tobytes() == engine.pos.tobytes()
+        assert rows.state[0].tolist() == states and rows.action[0].tolist() == actions
+        assert rows.reward[0].tobytes() == np.array(rewards).tobytes()
+        assert rows.neighbor_count[0].tolist() == counts
+        assert engine.q.tobytes() == np.array(q).tobytes()
+        assert engine.rng.bit_generator.state == rng.bit_generator.state
