@@ -91,7 +91,10 @@ def main(argv=None) -> int:
         return _cmd_validate(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a run that failed in the engine or a writer
+        detail = " ".join(str(exc).split())  # on one line
+        print(f"error: the run failed: {type(exc).__name__}: {detail}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ config reproduces the trace CSV and summary JSON byte-for-byte. Floats in CSV
 output are rendered with 9 significant digits; the summary is recomputable
 from the trace plus the echoed config.
 
+A run streams. The engine ticks into one reused block of whole ticks
+(``BLOCK_ROWS`` rows), and each filled block goes to the trace writer, to
+running totals for the summary and to the decision particles' columns. So
+``run_to_dir`` holds a block, the snapshots and those columns, never the
+whole (T, M) trace; ``run_experiment`` runs the same loop and keeps every block.
+
 The two bundled experiment presets:
 
 * ``fig3-compare``   matched learning-swarm and baseline configs (same seed,
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -25,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, SwarmConfig, config_to_dict, dump_config
-from .metrics import (StateId, Trace, as_trace, classify_decisions, connectivity_components,
-                      cumulative_rewards, dispersion, drift_onsets)
+from .metrics import (RunningTotals, StateId, Trace, as_trace, classify_decisions,
+                      connectivity_components, dispersion)
 from .mql import NUM_ACTIONS, MqlEngine
 from .pso import PsoEngine
 
@@ -38,9 +45,12 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # Memory a run needs at least: the per-particle state and its summary (the
 # learning swarm's final utility tables are the engine's array, which the
 # writer renders a row at a time: a 20,000-particle, 1-tick run_to_dir peaked
-# at 20.3 MB under tracemalloc, about 1 KB a particle) plus the trace columns (48
-# bytes a row, allocated once: each tick writes its row in place) plus the
-# snapshots (16 bytes a particle per snapshot tick). Sensing and the trace
+# at 20.3 MB under tracemalloc, about 1 KB a particle) plus the snapshots (16
+# bytes a particle per snapshot tick) plus the trace columns it holds, 48 bytes
+# a row: all T x M rows for run_experiment, T rows per decision particle for
+# run_to_dir. run_to_dir holds no other term in T: its summary keeps (M,)
+# running totals, and its ticks stream through one block of BLOCK_ROWS rows, or
+# of one tick where M is larger (48 bytes a particle). Sensing and the trace
 # writer add only blocks of a fixed size (``core.BLOCK_ENTRIES``,
 # ``BLOCK_ROWS``), whatever M is: the cell query's sorted candidate lists, one
 # per cell of a block, are no larger than the block, and a round-robin tick
@@ -83,20 +93,92 @@ def _build_engine(cfg: SwarmConfig, rng: np.random.Generator):
     return MqlEngine(cfg.swarm_size, cfg.mql, cfg.world, rng)
 
 
-def check_memory(cfg: SwarmConfig) -> None:
+def check_memory(cfg: SwarmConfig, whole_trace: bool = True) -> None:
     """Raise ConfigError if the run's estimated memory exceeds the machine's
-    physical memory, before anything is allocated."""
+    physical memory, before anything is allocated. ``whole_trace``: the run
+    holds its whole trace (``run_experiment``), else only its blocks and the
+    decision particles' columns (``run_to_dir``)."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
         return
     m, t = cfg.swarm_size, cfg.iterations
-    need = m * (PARTICLE_BYTES + TRACE_BYTES_PER_ROW * t + 16 * len(set(cfg.snapshot_ticks)))
+    columns = m if whole_trace else len(cfg.decision_particles)
+    need = (m * (PARTICLE_BYTES + 16 * len(set(cfg.snapshot_ticks)))
+            + TRACE_BYTES_PER_ROW * t * columns)
+    held = "the trace" if whole_trace else "the decision columns"
     if need > physical:
         raise ConfigError(
             f"swarm_size={m} with iterations={t} needs about {need / 2**30:.3g} GiB "
-            f"(the swarm state, the trace and the snapshots), more than the "
+            f"(the swarm state, {held} and the snapshots), more than the "
             f"{physical / 2**30:.3g} GiB of physical memory")
+
+
+def _keeper(kept: Trace, columns=slice(None)):
+    """A sink copying the ``columns`` of each block into ``kept`` at the
+    block's ticks."""
+    def keep(block: Trace, start: int) -> None:
+        rows = kept.window(start, start + len(block.ticks))
+        rows.ticks[:] = block.ticks
+        for name in ("positions", "state", "action", "reward", "neighbor_count"):
+            getattr(rows, name)[:] = getattr(block, name)[:, columns]
+    return keep
+
+
+class _Run:
+    """One seeded run: its engine, its tick loop (``blocks``) and what its
+    summary needs, gathered as the ticks go."""
+
+    def __init__(self, cfg: SwarmConfig):
+        self.cfg = cfg
+        self.engine = _build_engine(cfg, np.random.default_rng(cfg.seed))
+        self.snapshots: dict[int, np.ndarray] = {}
+        if 0 in cfg.snapshot_ticks:
+            self.snapshots[0] = self.engine.pos.copy()
+        self.initial_dispersion = dispersion(self.engine.pos)
+        self.totals = RunningTotals(cfg.swarm_size)
+
+    def blocks(self, *sinks) -> Iterator[Trace]:
+        """Tick the run into one reused block Trace of max(1, BLOCK_ROWS // M)
+        whole ticks; hand each filled block (the last may be shorter) to the
+        running totals and to each ``sink(block, start)``, ``start`` being its
+        first tick's row, then yield it. The next block overwrites it, so a
+        consumer copies what it keeps."""
+        cfg, engine = self.cfg, self.engine
+        t, m = cfg.iterations, cfg.swarm_size
+        per_block = max(1, BLOCK_ROWS // m)
+        buffer = Trace.empty(min(per_block, t), m)
+        for start in range(0, t, per_block):
+            block = buffer.window(0, min(per_block, t - start))
+            for k in range(len(block.ticks)):
+                engine.tick(block.at(k))
+                if start + k + 1 in cfg.snapshot_ticks:
+                    self.snapshots[start + k + 1] = engine.pos.copy()
+            self.totals.add(block)
+            for sink in sinks:
+                sink(block, start)
+            yield block
+
+    def summary(self) -> RunSummary:
+        """The summary of the finished run."""
+        cfg, engine, totals = self.cfg, self.engine, self.totals
+        if totals.ticks != cfg.iterations:
+            raise RuntimeError(f"the run stopped after {totals.ticks} of {cfg.iterations} ticks")
+        learning = cfg.algorithm == "mql"
+        return RunSummary(
+            config=config_to_dict(cfg),
+            cumulative_rewards=totals.cumulative_rewards(),
+            drift_onsets=totals.drift_onsets(),
+            initial_dispersion=self.initial_dispersion,
+            final_dispersion=dispersion(engine.pos),
+            # the last tick's neighbour counts are the final positions' proximity
+            # graph, so this is connected_fraction(engine.pos, epsilon)
+            final_connected_fraction=float((totals.last_counts > 0).mean()),
+            snapshot_components={t: connectivity_components(pos, cfg.mql.epsilon)
+                                 for t, pos in sorted(self.snapshots.items())},
+            q_table_shape=list(engine.q.shape[1:]) if learning else None,
+            final_q_tables=engine.q.reshape(cfg.swarm_size, -1) if learning else None,
+        )
 
 
 def run_experiment(cfg: SwarmConfig):
@@ -105,40 +187,15 @@ def run_experiment(cfg: SwarmConfig):
     Returns (trace, snapshots, summary): the Trace of every (tick, particle)
     row, a {tick: (M, 2) positions} dict for each requested snapshot (tick 0
     meaning the initial scatter), and the RunSummary. Raises ConfigError without
-    starting if the run cannot fit in memory (see ``check_memory``).
+    starting if the run cannot fit in memory (see ``check_memory``). The ticks
+    run through the same loop as ``run_to_dir``'s, whose blocks are kept here.
     """
     check_memory(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    engine = _build_engine(cfg, rng)
-    epsilon = cfg.mql.epsilon
-
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in cfg.snapshot_ticks:
-        snapshots[0] = engine.pos.copy()
-    initial_dispersion = dispersion(engine.pos)
-
+    run = _Run(cfg)
     trace = Trace.empty(cfg.iterations, cfg.swarm_size)
-    for t in range(cfg.iterations):
-        engine.tick(trace.at(t))
-        if (t + 1) in cfg.snapshot_ticks:
-            snapshots[t + 1] = engine.pos.copy()
-
-    learning = cfg.algorithm == "mql"
-    summary = RunSummary(
-        config=config_to_dict(cfg),
-        cumulative_rewards=cumulative_rewards(trace),
-        drift_onsets=drift_onsets(trace),
-        initial_dispersion=initial_dispersion,
-        final_dispersion=dispersion(engine.pos),
-        # the last tick's neighbour counts are the final positions' proximity
-        # graph, so this is connected_fraction(engine.pos, epsilon)
-        final_connected_fraction=float((trace.neighbor_count[-1] > 0).mean()),
-        snapshot_components={t: connectivity_components(pos, epsilon)
-                             for t, pos in sorted(snapshots.items())},
-        q_table_shape=list(engine.q.shape[1:]) if learning else None,
-        final_q_tables=engine.q.reshape(cfg.swarm_size, -1) if learning else None,
-    )
-    return trace, snapshots, summary
+    for _ in run.blocks(_keeper(trace)):
+        pass
+    return trace, run.snapshots, run.summary()
 
 
 # --- on-disk formats ----------------------------------------------------------
@@ -150,8 +207,9 @@ def run_experiment(cfg: SwarmConfig):
 _SNAPSHOT_ROW = "%d,%.9g,%.9g\n"
 _DECISION_ROW = "%d,%d,%.9g,%s\n"
 
-# trace rows rendered per formatting call, in whole ticks (at least one); a
-# block pays about 0.1 ms of fixed array calls, so it holds some thousands
+# trace rows a run ticks into before it hands the block on, and the writer
+# renders per formatting call, in whole ticks (at least one); a block pays
+# some 0.1 ms of fixed array calls, so it holds some thousands
 BLOCK_ROWS = 4096
 
 # the state cells indexed by state id + 1: "" for -1, a row without a decision
@@ -213,6 +271,33 @@ def _tick_rows(m: int, state: str, action: str, reward: str) -> tuple[str, ...]:
     return ("", *(f",{i},%s,%s,{state},{action},{reward},%d\n" for i in range(m)))
 
 
+def _row_cells(pick, xy, state, action, reward, count):
+    """The ``_tick_rows`` parts and the cells, in row-major order, of the rows
+    of an (n, M) block that ``pick`` selects: an (n, M) mask, or None for
+    every row, taken through views. ``xy`` holds the (n, M, 2) coordinate
+    texts."""
+    take = (lambda a: a.reshape(-1, *a.shape[2:])) if pick is None else (lambda a: a[pick])
+    xy, state, action, reward = take(xy), take(state), take(action), take(reward)
+    # state names carry their own "" for a row without a state
+    decisions = (
+        ("", None) if (state < 0).all() else ("%s", _STATE_NAMES[state + 1].tolist()),
+        _decision_column(action, action < 0, "%d", _blank_where),
+        _decision_column(reward, np.isnan(reward), "%.9g", _reward_cells))
+    parts = _tick_rows(len(count[0]), *(spec for spec, _ in decisions))
+    return parts, _interleave(xy[:, 0].tolist(), xy[:, 1].tolist(),
+                              *(values for _, values in decisions if values is not None),
+                              take(count).tolist())
+
+
+def _rendered(pick, xy, state, action, reward, count) -> list[str]:
+    """The texts of the rows of a block that ``pick`` selects (see
+    ``_row_cells``), one string each without its tick: from the comma before
+    its particle id through its line break."""
+    parts, row_cells = _row_cells(pick, xy, state, action, reward, count)
+    template = "".join([parts[i + 1] for i in np.nonzero(pick)[1].tolist()])
+    return (template % row_cells).splitlines(True)  # a row holds no other line break
+
+
 def _changed(bits: np.ndarray, carried) -> np.ndarray:
     """Which entries of the (n, w) block ``bits`` differ from the entry a row
     up, the first row from ``carried`` (w,), or all of it when that is None."""
@@ -223,89 +308,117 @@ def _changed(bits: np.ndarray, carried) -> np.ndarray:
     return changed
 
 
-def _filled(changed: np.ndarray, fresh: list, carried) -> np.ndarray:
+def _filled(changed: np.ndarray, fresh, carried) -> np.ndarray:
     """The (n, w) object array of the ``fresh`` texts (row-major) where ``changed``
     is set, else of the text a row up; ``carried`` holds the w texts above."""
     n, w = changed.shape
+    # the pool holds, column by column, the text above the block and then the
+    # column's fresh texts in row order. An entry's index in it is its column
+    # plus the fresh texts up to it in column-major order, which for an
+    # unchanged entry is the index of the text above it
+    source = (np.cumsum(changed.T).reshape(w, n) + np.arange(w)[:, None]).T
     pool = np.empty(w + len(fresh), dtype=object)
-    pool[:w] = carried
-    pool[w:] = fresh
-    # each entry's index in the pool: the carried row, then the fresh texts in
-    # row-major order, so a running max down a column reaches its last fresh one
-    source = np.where(changed, np.cumsum(changed).reshape(n, w) + (w - 1), -1)
-    source[0, ~changed[0]] = np.flatnonzero(~changed[0])
-    np.maximum.accumulate(source, axis=0, out=source)
+    pool[source[changed]] = fresh
+    pool[source[0] - changed[0]] = carried
     return pool[source]
 
 
 def write_trace_csv(trace, path) -> None:
-    """Header + one row per (tick, particle) of a Trace or a TickRecord
-    sequence. A row without a decision has empty action and reward cells;
-    its state cell is empty too unless the row carries one (round-robin
-    non-movers carry their current state). Written a block of whole ticks
-    (``BLOCK_ROWS``) at a time: a row with the bits of the same particle's
-    row a tick earlier in every cell (0.0 and -0.0 differ) reuses its text,
-    and the changed rows fill per-particle templates in one call; a block
-    whose rows all changed fills its ticks' templates, and its last tick is
-    split into row texts only if the next block keeps a row. A coordinate's
-    text is likewise carried while its bits repeat."""
-    tr = as_trace(trace)
-    t, m = tr.shape
-    if tr.state.size and not -1 <= tr.state.min() <= tr.state.max() < len(StateId):
-        raise ValueError("trace states must be -1 (no decision) or a StateId")
-    if tr.action.size and not -1 <= tr.action.min() <= tr.action.max() < NUM_ACTIONS:
-        raise ValueError(f"trace actions must be -1 (no decision) or 0..{NUM_ACTIONS - 1}")
-    if tr.neighbor_count.size and tr.neighbor_count.min() < 0:
-        raise ValueError("trace neighbour counts must not be negative")
-    ticks_per_block = max(1, BLOCK_ROWS // max(m, 1))
-    coords = tr.positions.reshape(t, 2 * m)
-    bits = coords.view(np.int64)
-    # the last tick's cells and coordinate texts, and its row texts (after a
-    # block whose rows all changed, a function splitting them off its text)
-    last = row_texts = None
+    """Header + one row per (tick, particle) of a Trace, of a TickRecord
+    sequence, or of an iterator of tick blocks: Traces of whole consecutive
+    ticks, as ``run_to_dir`` streams them, each read only while it is current
+    (what the writer carries from one block to the next, it copies). A row
+    without a decision has empty action and reward cells; its state cell is
+    empty too unless the row carries one (round-robin non-movers carry their
+    current state).
+
+    A Trace is written a block of whole ticks (``BLOCK_ROWS``) at a time. A
+    row with the bits of the same particle's row a tick earlier in every cell
+    (0.0 and -0.0 differ) reuses that row's text, and so does a coordinate
+    whose bits repeat. A block whose rows all changed fills its ticks'
+    templates in one call, and its last tick is split into row texts only if
+    the next block keeps a row. In a block where most rows changed, only the
+    changed rows a later tick keeps are rendered apart, one string each, and
+    the ticks' templates are filled with the kept rows' texts baked in; where
+    most rows are kept, the changed rows are rendered one string each and
+    each tick joins its row texts, since a template would have to scan
+    every kept text again. So a block's string work grows with its changed
+    rows.
+    """
+    if isinstance(trace, Iterator):
+        blocks = trace
+    else:
+        tr = as_trace(trace)
+        ticks_per_block = max(1, BLOCK_ROWS // max(tr.shape[1], 1))
+        blocks = (tr.window(k, k + ticks_per_block)
+                  for k in range(0, tr.shape[0], ticks_per_block))
+    carried = None, None
     with open(path, "w") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
-        for k in range(0, t, ticks_per_block):
-            block = slice(k, k + ticks_per_block)
-            ticks = [str(tick) for tick in tr.ticks[block].tolist()]
-            state, action, reward, count = (column[block] for column in (
-                tr.state, tr.action, tr.reward, tr.neighbor_count))
-            cells = reward.view(np.int64), state, action, count
-            # a row changed where a coordinate did, else where another cell did
-            moved = _changed(bits[block], last and last[0])
-            changed = moved[:, 0::2] | moved[:, 1::2]
-            if not changed.all():
-                changed |= _changed(np.hstack(cells), last and np.hstack(last[1])).reshape(
-                    len(ticks), 4, m).any(axis=1)
-            texts = _filled(moved, _texts(coords[block][moved]), last and last[2])
-            last = bits[block][-1], [column[-1] for column in cells], texts[-1]
-            x, y = (texts[:, axis::2][changed].tolist() for axis in (0, 1))
-            every = changed.all()
-            state, action, reward = state[changed], action[changed], reward[changed]
-            # state names carry their own "" for a row without a state
-            decisions = (
-                ("", None) if (state < 0).all() else ("%s", _STATE_NAMES[state + 1].tolist()),
-                _decision_column(action, action < 0, "%d", _blank_where),
-                _decision_column(reward, np.isnan(reward), "%.9g", _reward_cells))
-            parts = _tick_rows(m, *(spec for spec, _ in decisions))
-            template = "".join([tick.join(parts) for tick in ticks] if every else
-                               [parts[i + 1] for i in np.nonzero(changed)[1].tolist()])
-            text = template % _interleave(
-                x, y, *(values for _, values in decisions if values is not None),
-                count[changed].tolist())
-            if every:  # the lines of its last tick, split off if the next block needs them
-                tail = text[text.rfind(f"\n{ticks[-1]},0,") + 1:]
-                row_texts = lambda tail=tail, cut=len(ticks[-1]): [
-                    line[cut:] for line in tail.split("\n")[:-1]]
-            else:
-                if callable(row_texts):  # needed only where the first tick keeps a row
-                    row_texts = None if changed[0].all() else row_texts()
-                rows = _filled(changed, text.split("\n")[:-1], row_texts)
-                row_texts = rows[-1]
-                text = "".join([tick + ("\n" + tick).join(row) + "\n"
-                                for tick, row in zip(ticks, rows.tolist())])
-            f.write(text)
-            del text  # the next block is built without this one's text
+        for block in blocks:
+            carried = _write_block(f, block, *carried)
+
+
+def _write_block(f, block: Trace, last, row_texts):
+    """Write the rows of one block of whole ticks to ``f`` (see
+    ``write_trace_csv``) and return what the next block reuses: ``last``,
+    the last tick's cells and coordinate texts (copies: a streamed block is
+    overwritten), and ``row_texts``, its row texts (after a block whose rows
+    all changed, a function splitting them off its text). Its other
+    temporaries die with the call, before the next block's ticks run."""
+    n, m = block.shape
+    state, action, reward, count = (block.state, block.action, block.reward,
+                                    block.neighbor_count)
+    if state.size and not -1 <= state.min() <= state.max() < len(StateId):
+        raise ValueError("trace states must be -1 (no decision) or a StateId")
+    if action.size and not -1 <= action.min() <= action.max() < NUM_ACTIONS:
+        raise ValueError(f"trace actions must be -1 (no decision) or 0..{NUM_ACTIONS - 1}")
+    if count.size and count.min() < 0:
+        raise ValueError("trace neighbour counts must not be negative")
+    ticks = [str(tick) for tick in block.ticks.tolist()]
+    coords = block.positions.reshape(n, 2 * m)
+    bits = coords.view(np.int64)
+    cells = reward.view(np.int64), state, action, count
+    # a row changed where a coordinate did, else where another cell did
+    moved = _changed(bits, last and last[0])
+    changed = moved[:, 0::2] | moved[:, 1::2]
+    if not changed.all():
+        changed |= _changed(np.hstack(cells), last and np.hstack(last[1])).reshape(
+            n, 4, m).any(axis=1)
+    texts = _filled(moved, _texts(coords[moved]), last and last[2])
+    last = bits[-1].copy(), [column[-1].copy() for column in cells], texts[-1].copy()
+    xy = texts.reshape(n, m, 2)
+    if changed.all():
+        parts, row_cells = _row_cells(None, xy, state, action, reward, count)
+        text = "".join([tick.join(parts) for tick in ticks]) % row_cells
+        # the lines of its last tick, split off if the next block needs them
+        tail = text[text.rfind(f"\n{ticks[-1]},0,") + 1:]
+        f.write(text)
+        return last, lambda cut=len(ticks[-1]): [line[cut:] for line in tail.splitlines(True)]
+    if callable(row_texts):  # needed only where the first tick keeps a row
+        row_texts = None if changed[0].all() else row_texts()
+    fresh = np.count_nonzero(changed)
+    if 2 * fresh > changed.size:
+        # most rows changed: the changed rows that a later tick keeps (the
+        # last tick's, for the next block) are rendered apart, one string
+        # each, and the ticks' templates render the other changed rows with
+        # those texts and the kept rows' texts baked in (a text holds no "%")
+        apart = changed.copy()
+        apart[:-1] &= ~changed[1:]
+        texts_apart = np.empty(fresh, dtype=object)
+        texts_apart[apart[changed]] = _rendered(apart, xy, state, action, reward, count)
+        rows = _filled(changed, texts_apart, row_texts)
+        render = changed & ~apart
+        parts, row_cells = _row_cells(render, xy, state, action, reward, count)
+        templates = np.where(render, np.array(parts[1:], dtype=object), rows)
+        f.write("".join([tick.join(("", *row)) for tick, row in zip(ticks, templates.tolist())])
+                % row_cells)
+    else:
+        # most rows kept: the changed rows are rendered one string each, and
+        # each tick joins its rows' texts
+        rows = _filled(changed, _rendered(changed, xy, state, action, reward, count), row_texts)
+        f.write("".join([tick + tick.join(row) for tick, row in zip(ticks, rows.tolist())]))
+    return last, rows[-1].copy()
 
 
 def read_trace_csv(path) -> Trace:
@@ -417,14 +530,16 @@ def write_summary_json(summary: RunSummary, path) -> None:
         f.write("\n  ]" + tail + "\n")
 
 
-def write_decisions_csv(trace, particles, path) -> None:
-    """Per-tick decision series (reward sign) for the designated particles."""
+def write_decisions_csv(trace, particles, path, columns=None) -> None:
+    """Per-tick decision series (reward sign) for the designated particles.
+    ``columns`` names the trace column of each particle when the trace holds
+    only some particles' columns; by default particle i's is column i."""
     tr = as_trace(trace)
     parts = ["particle,tick,reward,decision\n"]
-    for i in particles:
-        rewards = tr.column(i).reward[:, 0]
+    for i, column in zip(particles, particles if columns is None else columns):
+        rewards = tr.column(column).reward[:, 0]
         acted = ~np.isnan(rewards)
-        decisions = classify_decisions(tr, i)
+        decisions = classify_decisions(tr, column)
         parts.append(_render(_DECISION_ROW, [i] * len(decisions), tr.ticks[acted].tolist(),
                              rewards[acted].tolist(), decisions))
     Path(path).write_text("".join(parts))
@@ -449,27 +564,44 @@ def run_to_dir(cfg: SwarmConfig, out_dir) -> dict[str, Path]:
     Writes trace.csv, snapshot_t{k}.csv per requested snapshot, summary.json,
     effective_config.yaml, and decisions.csv when decision particles are
     designated, each one atomically. Returns the written paths keyed by
-    artifact name.
+    artifact name. The ticks stream into trace.csv a block at a time (see
+    ``_Run.blocks``), so the run holds its blocks, its snapshots and the
+    decision particles' columns, never the whole trace. If the run raises
+    before an artifact is in place, the directories it made for ``out_dir``
+    are removed again.
     """
+    check_memory(cfg, whole_trace=False)
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    trace, snapshots, summary = run_experiment(cfg)
-
-    paths: dict[str, Path] = {}
-    paths["trace"] = _write_atomically(out / "trace.csv",
-                                       lambda p: write_trace_csv(trace, p))
-    for t, positions in sorted(snapshots.items()):
-        key = f"snapshot_t{t}"
-        paths[key] = _write_atomically(out / f"{key}.csv",
-                                       lambda p: write_snapshot_csv(positions, p))
-    paths["summary"] = _write_atomically(out / "summary.json",
-                                         lambda p: write_summary_json(summary, p))
-    paths["config"] = _write_atomically(out / "effective_config.yaml",
-                                        lambda p: p.write_text(dump_config(cfg)))
-    if cfg.decision_particles:
-        paths["decisions"] = _write_atomically(
-            out / "decisions.csv",
-            lambda p: write_decisions_csv(trace, cfg.decision_particles, p))
+    try:
+        run = _Run(cfg)
+        particles = list(cfg.decision_particles)
+        decided = Trace.empty(cfg.iterations, len(particles))
+        sinks = [_keeper(decided, particles)] if particles else []
+        paths: dict[str, Path] = {}
+        paths["trace"] = _write_atomically(
+            out / "trace.csv", lambda p: write_trace_csv(run.blocks(*sinks), p))
+        summary = run.summary()
+        for t, positions in sorted(run.snapshots.items()):
+            key = f"snapshot_t{t}"
+            paths[key] = _write_atomically(out / f"{key}.csv",
+                                           lambda p: write_snapshot_csv(positions, p))
+        paths["summary"] = _write_atomically(out / "summary.json",
+                                             lambda p: write_summary_json(summary, p))
+        paths["config"] = _write_atomically(out / "effective_config.yaml",
+                                            lambda p: p.write_text(dump_config(cfg)))
+        if particles:
+            paths["decisions"] = _write_atomically(
+                out / "decisions.csv",
+                lambda p: write_decisions_csv(decided, particles, p, range(len(particles))))
+    except BaseException:
+        for d in made:  # deepest first; one holding an artifact stays
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     return paths
 
 

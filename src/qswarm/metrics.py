@@ -118,11 +118,15 @@ class Trace(Sequence):
         return cls(np.empty(t, np.int64), np.empty((t, m, 2)), np.empty((t, m), np.int64),
                    np.empty((t, m), np.int64), np.empty((t, m)), np.empty((t, m), np.int64))
 
-    def at(self, k: int) -> Trace:
-        """Tick row ``k`` as a one-tick Trace sharing this trace's memory."""
-        r = slice(k, k + 1)
+    def window(self, start: int, stop: int) -> Trace:
+        """Tick rows ``start`` to ``stop`` - 1 as a Trace sharing this trace's memory."""
+        r = slice(start, stop)
         return Trace(self.ticks[r], self.positions[r], self.state[r], self.action[r],
                      self.reward[r], self.neighbor_count[r])
+
+    def at(self, k: int) -> Trace:
+        """Tick row ``k`` as a one-tick Trace sharing this trace's memory."""
+        return self.window(k, k + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -152,15 +156,27 @@ class Trace(Sequence):
     def _records(self, start: int, stop: int):
         ticks = self.ticks.tolist()
         m = self.shape[1]
-        rows = zip(range(start, stop),
-                   *(getattr(self, c).reshape(-1)[start:stop].tolist()
-                     for c in _COLUMNS[2:]),
-                   self.positions.reshape(-1, 2)[start:stop].tolist())
-        for k, s, a, r, c, (x, y) in rows:
-            t, i = divmod(k, m)
-            # tick, particle, position, state, action, reward, neighbor_count
-            yield TickRecord(ticks[t], i, Vec2(x, y), None if s < 0 else _STATES[s],
-                             None if a < 0 else a, None if math.isnan(r) else r, c)
+        xy = self.positions.ravel()[2 * start:2 * stop].tolist()
+        # Vec2's finiteness check, once for the whole read: the first
+        # non-finite position raises Vec2's own ValueError
+        if not all(map(math.isfinite, xy)):
+            k = next(k for k, v in enumerate(xy) if not math.isfinite(v)) & ~1
+            Vec2(xy[k], xy[k + 1])
+        # so each record and position is made without its dataclass __init__,
+        # whose one object.__setattr__ per field costs more than the row
+        new, flat = object.__new__, slice(start, stop)
+        rows = zip(range(start, stop), xy[0::2], xy[1::2], self.state.ravel()[flat].tolist(),
+                   self.action.ravel()[flat].tolist(), self.reward.ravel()[flat].tolist(),
+                   self.neighbor_count.ravel()[flat].tolist())
+        for k, x, y, s, a, r, c in rows:
+            position = new(Vec2)
+            position.__dict__.update(x=x, y=y)
+            record = new(TickRecord)
+            record.__dict__.update(
+                tick=ticks[k // m], particle=k % m, position=position,
+                state=None if s < 0 else _STATES[s], action=None if a < 0 else a,
+                reward=None if math.isnan(r) else r, neighbor_count=c)
+            yield record
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -255,6 +271,53 @@ def cumulative_rewards(trace) -> list[float]:
     tr = as_trace(trace)
     steps = np.where(np.isnan(tr.reward), 0.0, tr.reward)
     return np.cumsum(np.vstack([np.zeros((1, tr.shape[1])), steps]), axis=0)[-1].tolist()
+
+
+class RunningTotals:
+    """``cumulative_rewards``, ``drift_onsets`` and the last tick's neighbour
+    counts of a trace fed to ``add`` a block of whole consecutive ticks at a
+    time, in tick order, holding (M,) arrays only.
+
+    The reward sums give the bits of ``cumulative_rewards`` on the whole
+    trace. That is ``np.cumsum`` over axis 0, which is ``np.add.accumulate``:
+    row k of its output is row k - 1 plus row k of its input, one IEEE
+    addition per entry, never reassociated, from a first row of 0.0. ``add``
+    runs the same recurrence a block at a time: it adds the carried sums into
+    the block's first row (x + y and y + x are the same float), then sums the
+    block down each column, so each column adds the same operands in the same
+    order and ends on the same bits. numpy reduces a non-fast axis a row at a
+    time, summing pairwise only along the fast axis (see ``numpy.sum`` and
+    ``mql.summarize``), so a block of M >= 2 columns is one reduction over
+    axis 0; a one-column block keeps the running sum, since there axis 0 is
+    the fast axis.
+    """
+
+    def __init__(self, m: int):
+        self.rewards = np.zeros(m)
+        self.last_connected = np.full(m, -1)
+        self.last_counts = None
+        self.ticks = 0
+
+    def add(self, block: Trace) -> None:
+        steps = np.where(np.isnan(block.reward), 0.0, block.reward)
+        steps[0] += self.rewards
+        if steps.shape[1] > 1:
+            self.rewards = np.add.reduce(steps, axis=0)
+        else:
+            self.rewards = np.add.accumulate(steps, axis=0)[-1]
+        rows = np.arange(self.ticks, self.ticks + len(steps))[:, None]
+        connected = np.where(block.neighbor_count > 0, rows, -1).max(axis=0)
+        np.maximum(self.last_connected, connected, out=self.last_connected)
+        self.last_counts = block.neighbor_count[-1].copy()
+        self.ticks += len(steps)
+
+    def cumulative_rewards(self) -> list[float]:
+        """``cumulative_rewards`` of the ticks added so far."""
+        return self.rewards.tolist()
+
+    def drift_onsets(self) -> list[int | None]:
+        """``drift_onsets`` of the ticks added so far."""
+        return [None if k == self.ticks - 1 else k + 1 for k in self.last_connected.tolist()]
 
 
 def decision_series(trace) -> list[list[str]]:

@@ -89,3 +89,25 @@ def test_run_too_large_for_memory_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "physical memory" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_a_run_that_fails_is_a_one_line_error_and_leaves_no_directory(tmp_path, capsys,
+                                                                      monkeypatch):
+    from qswarm.mql import MqlEngine
+
+    ticked = MqlEngine.tick
+
+    def tick(self, rows=None):
+        if self.tick_index == 3:  # a middle tick
+            raise IndexError("index 6 is out of bounds for axis 0 with size 6")
+        return ticked(self, rows)
+
+    monkeypatch.setattr(MqlEngine, "tick", tick)
+    cfg = write_cfg(tmp_path, "swarm_size: 3\niterations: 5\n")
+    for argv in (["run", "--config", cfg, "--out", str(tmp_path / "out")],
+                 ["preset", "fig3-compare", "--out", str(tmp_path / "fig3")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run failed: IndexError: index 6")
+        assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]

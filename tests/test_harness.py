@@ -623,3 +623,107 @@ def test_run_artifacts_are_those_of_the_per_cell_writers(over):
             written(oracle_write_snapshot_csv, positions)
     assert written(write_decisions_csv, trace, [0, 2]) == \
         written(oracle_write_decisions_csv, trace, [0, 2])
+
+
+# --- the streamed run against the whole-trace writers --------------------------
+
+@st.composite
+def streamed_runs(draw):
+    """Small configs of both engines and both schedules, with snapshot ticks
+    and decision particles, and a block size (``BLOCK_ROWS``) around M."""
+    m, t = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    cfg = small_cfg(
+        algorithm=draw(st.sampled_from(["mql", "pso"])), swarm_size=m, iterations=t,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        snapshot_ticks=draw(st.lists(st.integers(0, t), unique=True, max_size=4)),
+        decision_particles=draw(st.lists(st.integers(0, m - 1), unique=True, max_size=4)),
+        mql={"schedule": draw(st.sampled_from(["simultaneous", "round_robin"])),
+             "init_span": draw(st.sampled_from([None, 40.0]))})
+    return cfg, draw(st.sampled_from([1, 2, m - 1, m, m + 1, 3 * m]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=streamed_runs())
+def test_streamed_artifacts_are_those_of_the_whole_trace_writers(run):
+    cfg, block_rows = run
+    trace, snapshots, summary = run_experiment(cfg)
+    expected = {"trace.csv": written(write_trace_csv, trace),
+                "summary.json": written(write_summary_json, summary),
+                **{f"snapshot_t{t}.csv": written(write_snapshot_csv, positions)
+                   for t, positions in snapshots.items()}}
+    if cfg.decision_particles:
+        expected["decisions.csv"] = written(write_decisions_csv, trace, cfg.decision_particles)
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_ROWS", block_rows)
+        paths = run_to_dir(cfg, d)
+        got = {p.name: p.read_bytes() for p in paths.values() if p.suffix != ".yaml"}
+    assert got == expected
+
+
+def test_run_to_dir_holds_blocks_where_run_experiment_holds_the_trace(monkeypatch, tmp_path):
+    from qswarm.config import ConfigError
+
+    m, t = 3, 1000
+    cfg = small_cfg(swarm_size=m, iterations=t, snapshot_ticks=[], decision_particles=[1])
+    # room for the swarm, its blocks and one decision column, not for the trace
+    fits = m * harness.PARTICLE_BYTES + harness.TRACE_BYTES_PER_ROW * t
+    assert fits < m * (harness.PARTICLE_BYTES + harness.TRACE_BYTES_PER_ROW * t)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": fits}
+    monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match="the trace"):
+        run_experiment(cfg)
+    paths = run_to_dir(cfg, tmp_path)
+    assert len(paths["trace"].read_text().splitlines()) == 1 + m * t
+    # one more decision column no longer fits
+    with pytest.raises(ConfigError, match="the decision columns"):
+        run_to_dir(small_cfg(swarm_size=m, iterations=t, snapshot_ticks=[],
+                             decision_particles=[0, 1]), tmp_path / "more")
+    assert not (tmp_path / "more").exists()
+
+
+def raising_at_tick(monkeypatch, tick, exc=IndexError("index 6 is out of bounds")):
+    """Make every learning engine raise ``exc`` when it starts tick ``tick``."""
+    from qswarm.mql import MqlEngine
+
+    ticked = MqlEngine.tick
+
+    def tick_once(self, rows=None):
+        if self.tick_index == tick:
+            raise exc
+        return ticked(self, rows)
+
+    monkeypatch.setattr(MqlEngine, "tick", tick_once)
+
+
+def test_a_failed_run_removes_only_the_directories_it_made(monkeypatch, tmp_path):
+    raising_at_tick(monkeypatch, 5)
+    cfg = small_cfg(iterations=10, decision_particles=[0])
+    with pytest.raises(IndexError):
+        run_to_dir(cfg, tmp_path / "made" / "out")
+    assert list(tmp_path.iterdir()) == []
+    # a directory that was there stays, and holds no partial artifact
+    (tmp_path / "there").mkdir()
+    with pytest.raises(IndexError):
+        run_to_dir(cfg, tmp_path / "there")
+    assert list(tmp_path.iterdir()) == [tmp_path / "there"]
+    assert list((tmp_path / "there").iterdir()) == []
+
+
+def test_a_streamed_run_holds_no_more_memory_for_more_ticks(tmp_path):
+    import tracemalloc
+
+    def peak(t):
+        # round robin in a sparse world: most rows repeat, as in the paper's schedule
+        cfg = small_cfg(swarm_size=2000, iterations=t, seed=0, snapshot_ticks=[],
+                        world={"x_max": 1000.0, "y_max": 1000.0},
+                        mql={"schedule": "round_robin"})
+        tracemalloc.start()
+        try:
+            run_to_dir(cfg, tmp_path / str(t))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(10), peak(100)
+    # the whole (T, M) trace of the long run alone is 9.6 MB
+    assert long < 1.1 * short

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import qswarm
 import qswarm.metrics
 import qswarm.mql
 from qswarm.core import Vec2
-from qswarm.metrics import (StateId, TickRecord, Trace, as_trace, classify_decisions,
-                            connected_fraction, connectivity_components,
+from qswarm.metrics import (RunningTotals, StateId, TickRecord, Trace, as_trace,
+                            classify_decisions, connected_fraction, connectivity_components,
                             cumulative_reward, cumulative_rewards, decision_series,
                             dispersion, drift_onset, drift_onsets)
 
@@ -210,6 +211,12 @@ def test_totals_are_not_pairwise_sums():
                   np.zeros((len(values), 1)), np.zeros((len(values), 1)),
                   values[:, None], np.ones((len(values), 1)))
     assert cumulative_rewards(trace) == [sum(values.tolist())]
+    # so are the running totals, in one block and in two
+    for cuts in ([], [7]):
+        totals = RunningTotals(1)
+        for start, stop in zip([0, *cuts], [*cuts, len(values)]):
+            totals.add(trace.window(start, stop))
+        assert totals.cumulative_rewards() == [sum(values.tolist())]
 
 
 def two_tick_trace():
@@ -272,3 +279,37 @@ def test_records_must_cover_every_particle_at_every_tick():
         Trace.from_records(trace[:3])
     with pytest.raises(ValueError, match="every tick"):
         Trace.from_records(trace + trace[:2])
+
+
+@st.composite
+def reward_traces(draw):
+    """``traces`` whose rewards also hold whole NaN rows (a tick without a
+    decision anywhere), signed zeros, values whose sums round (so that any
+    other summation order shows), and magnitudes near the float limit, whose
+    sums overflow to infinity and meet infinities of both signs."""
+    trace = draw(traces())
+    t, m = trace.shape
+    values = st.sampled_from([0.0, -0.0, 0.1, 0.7, 1 / 3, 1e16, -1e16, 1e308, -1e308,
+                              1.7976931348623157e308, 5e-324, math.inf, -math.inf])
+    reward = trace.reward.copy()
+    for k, i in np.argwhere(~np.isnan(reward)).tolist():
+        if draw(st.integers(0, 3)):
+            reward[k, i] = draw(values | st.floats(allow_nan=False))
+    reward[np.array(draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))) == 0] = np.nan
+    return Trace(trace.ticks, trace.positions, trace.state, trace.action, reward,
+                 trace.neighbor_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=reward_traces(), data=st.data())
+def test_running_totals_give_the_bits_of_the_whole_trace_summary(trace, data):
+    t, m = trace.shape
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, t - 1), max_size=t)) if t > 1 else []))
+    totals = RunningTotals(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip([0, *cuts], [*cuts, t]):
+            totals.add(trace.window(start, stop))
+        expected = cumulative_rewards(trace)
+    assert bits(totals.cumulative_rewards()) == bits(expected)
+    assert totals.drift_onsets() == drift_onsets(trace)
+    assert totals.last_counts.tolist() == trace.neighbor_count[-1].tolist()
