@@ -289,15 +289,6 @@ def _row_cells(pick, xy, state, action, reward, count):
                               take(count).tolist())
 
 
-def _rendered(pick, xy, state, action, reward, count) -> list[str]:
-    """The texts of the rows of a block that ``pick`` selects (see
-    ``_row_cells``), one string each without its tick: from the comma before
-    its particle id through its line break."""
-    parts, row_cells = _row_cells(pick, xy, state, action, reward, count)
-    template = "".join([parts[i + 1] for i in np.nonzero(pick)[1].tolist()])
-    return (template % row_cells).splitlines(True)  # a row holds no other line break
-
-
 def _changed(bits: np.ndarray, carried) -> np.ndarray:
     """Which entries of the (n, w) block ``bits`` differ from the entry a row
     up, the first row from ``carried`` (w,), or all of it when that is None."""
@@ -335,15 +326,10 @@ def write_trace_csv(trace, path) -> None:
     A Trace is written a block of whole ticks (``BLOCK_ROWS``) at a time. A
     row with the bits of the same particle's row a tick earlier in every cell
     (0.0 and -0.0 differ) reuses that row's text, and so does a coordinate
-    whose bits repeat. A block whose rows all changed fills its ticks'
-    templates in one call, and its last tick is split into row texts only if
-    the next block keeps a row. In a block where most rows changed, only the
-    changed rows a later tick keeps are rendered apart, one string each, and
-    the ticks' templates are filled with the kept rows' texts baked in; where
-    most rows are kept, the changed rows are rendered one string each and
-    each tick joins its row texts, since a template would have to scan
-    every kept text again. So a block's string work grows with its changed
-    rows.
+    whose bits repeat. A block renders only its changed rows, in one call, and
+    each tick joins its row texts; a block whose rows all changed fills its
+    ticks' templates in one call instead, and its last tick is split into row
+    texts only if the next block keeps a row.
     """
     if isinstance(trace, Iterator):
         blocks = trace
@@ -397,27 +383,12 @@ def _write_block(f, block: Trace, last, row_texts):
         return last, lambda cut=len(ticks[-1]): [line[cut:] for line in tail.splitlines(True)]
     if callable(row_texts):  # needed only where the first tick keeps a row
         row_texts = None if changed[0].all() else row_texts()
-    fresh = np.count_nonzero(changed)
-    if 2 * fresh > changed.size:
-        # most rows changed: the changed rows that a later tick keeps (the
-        # last tick's, for the next block) are rendered apart, one string
-        # each, and the ticks' templates render the other changed rows with
-        # those texts and the kept rows' texts baked in (a text holds no "%")
-        apart = changed.copy()
-        apart[:-1] &= ~changed[1:]
-        texts_apart = np.empty(fresh, dtype=object)
-        texts_apart[apart[changed]] = _rendered(apart, xy, state, action, reward, count)
-        rows = _filled(changed, texts_apart, row_texts)
-        render = changed & ~apart
-        parts, row_cells = _row_cells(render, xy, state, action, reward, count)
-        templates = np.where(render, np.array(parts[1:], dtype=object), rows)
-        f.write("".join([tick.join(("", *row)) for tick, row in zip(ticks, templates.tolist())])
-                % row_cells)
-    else:
-        # most rows kept: the changed rows are rendered one string each, and
-        # each tick joins its rows' texts
-        rows = _filled(changed, _rendered(changed, xy, state, action, reward, count), row_texts)
-        f.write("".join([tick + tick.join(row) for tick, row in zip(ticks, rows.tolist())]))
+    # the changed rows' texts, one string each without its tick (a row holds no
+    # other line break), forward-filled down each particle's column
+    parts, row_cells = _row_cells(changed, xy, state, action, reward, count)
+    template = "".join([parts[i + 1] for i in np.nonzero(changed)[1].tolist()])
+    rows = _filled(changed, (template % row_cells).splitlines(True), row_texts)
+    f.write("".join([tick + tick.join(row) for tick, row in zip(ticks, rows.tolist())]))
     return last, rows[-1].copy()
 
 
