@@ -681,22 +681,17 @@ def test_run_to_dir_holds_blocks_where_run_experiment_holds_the_trace(monkeypatc
     assert not (tmp_path / "more").exists()
 
 
-def raising_at_tick(monkeypatch, tick, exc=IndexError("index 6 is out of bounds")):
-    """Make every learning engine raise ``exc`` when it starts tick ``tick``."""
+def test_a_failed_run_removes_only_the_directories_it_made(monkeypatch, tmp_path):
     from qswarm.mql import MqlEngine
 
     ticked = MqlEngine.tick
 
-    def tick_once(self, rows=None):
-        if self.tick_index == tick:
-            raise exc
+    def tick(self, rows=None):
+        if self.tick_index == 5:  # a middle tick of the 10
+            raise IndexError("index 6 is out of bounds")
         return ticked(self, rows)
 
-    monkeypatch.setattr(MqlEngine, "tick", tick_once)
-
-
-def test_a_failed_run_removes_only_the_directories_it_made(monkeypatch, tmp_path):
-    raising_at_tick(monkeypatch, 5)
+    monkeypatch.setattr(MqlEngine, "tick", tick)
     cfg = small_cfg(iterations=10, decision_particles=[0])
     with pytest.raises(IndexError):
         run_to_dir(cfg, tmp_path / "made" / "out")
