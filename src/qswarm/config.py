@@ -5,6 +5,7 @@ effective config reproduces its run byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
@@ -64,6 +65,11 @@ class SwarmConfig:
         repeated = sorted(p for p, n in Counter(self.decision_particles).items() if n > 1)
         if repeated:
             raise ConfigError(f"decision_particles must not repeat a particle, got {repeated}")
+        # judge computes n * epsilon for up to M - 1 neighbours, the same float
+        # product as this one, and an infinite one turns into NaN positions
+        if self.algorithm == "mql" and not math.isfinite((self.swarm_size - 1) * self.mql.epsilon):
+            raise ConfigError(f"(swarm_size - 1) * mql.epsilon must be finite, got swarm_size="
+                              f"{self.swarm_size} with epsilon={self.mql.epsilon!r}")
         if self.pso_target is not None and not self.world.contains(self.pso_target):
             raise ConfigError(f"pso.target {self.pso_target.as_tuple()} is outside the world")
 

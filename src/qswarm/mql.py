@@ -140,12 +140,13 @@ class MqlParams:
 # Every judgement below reduces a particle's neighbourhood to three numbers:
 # the neighbour count n, the total neighbour distance, and the smallest
 # neighbour distance. ``summarize`` computes them from any block of an
-# epsilon-query: ``sense`` for any rows (``core.neighbor_blocks``), ``booked``
-# for a whole swarm through its ``core.NeighborList``, and a round-robin tick
-# for the rows its mover can change (``MqlEngine._sense_near``). ``judge``
-# turns them into every rule's outcome (state, step scale, reward) in one
-# pass. The engine calls these on whole swarms, and the public per-particle
-# operations are one-row calls of the same functions.
+# epsilon-query, and ``judge`` turns them into every rule's outcome (state,
+# step scale, reward) in one pass. The engine runs both on each block of its
+# query and books the results to the block's rows (``MqlEngine._sense``), for
+# a whole swarm (``core.NeighborList`` or ``core.neighbor_blocks``) and for
+# the rows a round-robin mover can change (``MqlEngine._near_blocks``). The
+# public per-particle operations run them on the one-row block of their
+# particle's query.
 
 def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
@@ -167,30 +168,6 @@ def summarize(dist: np.ndarray, mask: np.ndarray):
     if len(masked) > 1:
         return n, np.add.reduce(masked.T.copy(), axis=0), lowest
     return n, np.add.accumulate(masked, axis=1, out=masked)[:, -1].copy(), lowest
-
-
-def sense(pos: np.ndarray, rows, epsilon: float):
-    """(n, total, lowest) arrays for particles ``rows`` of the swarm at
-    ``pos`` (M, 2), in the query's order, each summed over the particle's
-    neighbours in ascending peer order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n, total, lowest = np.empty(len(pos), dtype=int), np.empty(len(pos)), np.empty(len(pos))
-    for block, _, dist, mask in neighbor_blocks(pos, rows, epsilon):
-        if block is rows:  # one dense block, naming the rows as given
-            return summarize(dist, mask)
-        # the blocks may name the rows grouped by cell: book them by id
-        n[block], total[block], lowest[block] = summarize(dist, mask)
-    return n[rows], total[rows], lowest[rows]
-
-
-def booked(blocks, m: int):
-    """(n, total, lowest) arrays (M,) of all M particles, from the blocks of
-    their query in any row order (``NeighborList.blocks``): each block's
-    summary is booked to the rows it names."""
-    n, total, lowest = np.empty(m, dtype=int), np.empty(m), np.empty(m)
-    for block, _, dist, mask in blocks:
-        n[block], total[block], lowest[block] = summarize(dist, mask)
-    return n, total, lowest
 
 
 def judge(n, total, lowest, params):
@@ -229,7 +206,8 @@ def move(pos_rows: np.ndarray, steps: np.ndarray, pi, world: WorldBounds) -> np.
 
 
 def _judge_one(i: int, positions, params: MqlParams):
-    return judge(*sense(positions_array(positions), [i], params.epsilon), params)
+    (_, _, dist, mask), = neighbor_blocks(positions_array(positions), [i], params.epsilon)
+    return judge(*summarize(dist, mask), params)
 
 
 def neighborhood(i: int, positions, epsilon: float) -> set[int]:
@@ -269,7 +247,7 @@ class MqlEngine:
     positions ``pos`` (M, 2) and every utility table in ``q`` (M, states,
     actions). ``sensed`` carries the swarm's judged neighbourhoods (n, states,
     pi, rewards), each (M,): the neighbour count and the ``judge`` of every
-    particle, from one tick to the next (None before the first tick).
+    particle, from one tick to the next (zeros before the first sensing).
 
     Random draws are consumed in a documented order: first 2*M uniform draws
     for the initial positions (particle order, x then y), then per tick the
@@ -311,7 +289,7 @@ class MqlEngine:
         self.q = np.zeros((m, NUM_STATES, len(self.actions)))
         self._ids = np.arange(m)
         # (n, states, pi, rewards) of every particle, sensed on the bytes _sensed_on
-        self.sensed = None
+        self.sensed = (np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(m), np.zeros(m))
         self._sensed_on = None
         # the Verlet list of a simultaneous swarm past the dense crossover
         self._list = (NeighborList(params.epsilon)
@@ -324,19 +302,25 @@ class MqlEngine:
     def positions(self) -> list[Vec2]:
         return [Vec2(x, y) for x, y in self.pos.tolist()]
 
-    def _sense(self) -> None:
-        """Sense and judge every particle on the current positions into the
-        carried summary ``sensed``, through the swarm's neighbour list if it
-        carries one."""
-        if self._list is not None:
-            n, total, lowest = booked(self._list.blocks(self.pos), self.m)
-        else:
-            n, total, lowest = sense(self.pos, self._ids, self.params.epsilon)
-        self.sensed = (n, *judge(n, total, lowest, self._rules))
+    def _sense(self, blocks) -> None:
+        """Summarize and judge each block ``(block, cols, dist, mask)`` of an
+        epsilon-query, booking the results to the rows it names in ``sensed``."""
+        for block, _, dist, mask in blocks:
+            n, total, lowest = summarize(dist, mask)
+            for carried, values in zip(self.sensed, (n, *judge(n, total, lowest, self._rules))):
+                carried[block] = values
         self._sensed_on = self.pos.tobytes()
 
-    def _sense_near(self, before: np.ndarray, after: np.ndarray) -> None:
-        """Sense and judge again the rows a one-particle move can change, the
+    def _sense_swarm(self) -> None:
+        """Sense every particle afresh, through the neighbour list if there is
+        one, unless ``pos`` holds the bytes ``sensed`` was sensed on (the list
+        checks its own: an outside write is a displacement like any other)."""
+        if self.pos.tobytes() != self._sensed_on:
+            self._sense(self._list.blocks(self.pos) if self._list is not None
+                        else neighbor_blocks(self.pos, self._ids, self.params.epsilon))
+
+    def _near_blocks(self, before: np.ndarray, after: np.ndarray):
+        """The query blocks of the rows a one-particle move can change, the
         mover and its epsilon-peers in its (1, M) distance rows ``before`` and
         ``after`` the move, against the peers within reach (see ``core``)."""
         eps = self.params.epsilon
@@ -346,10 +330,7 @@ class MqlEngine:
         step = max(1, BLOCK_ENTRIES // cols.shape[1])
         for block in np.split(rows, range(step, len(rows), step)):
             dist = pairwise_distances(self.pos, block, cols)
-            n, total, lowest = summarize(dist, neighbor_mask(dist, cols, block, eps))
-            for carried, values in zip(self.sensed, (n, *judge(n, total, lowest, self._rules))):
-                carried[block] = values
-        self._sensed_on = self.pos.tobytes()
+            yield block, cols, dist, neighbor_mask(dist, cols, block, eps)
 
     def _select(self, states, ids) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
@@ -389,14 +370,10 @@ class MqlEngine:
         The summary is carried from tick to tick and re-sensed only in the
         rows a move can change: a row depends on a mover only through their
         distance, so it changes only if the mover was or is within epsilon of
-        it. Each sensed row is judged once (``judge``). The whole swarm is
-        sensed afresh when there is no summary yet or ``pos`` was written
-        since it was sensed."""
+        it. Each sensed row is judged once (``judge``), and every row afresh
+        after a simultaneous move or an outside write to ``pos``."""
         prm = self.params
-        # the sensing is a function of these bytes (the neighbour list checks
-        # its own: an outside write is a displacement like any other)
-        if self.sensed is None or self.pos.tobytes() != self._sensed_on:
-            self._sense()
+        self._sense_swarm()
         # the movers as a slice of the particles, and their ids
         if prm.schedule == "round_robin":
             i = self.tick_index % self.m
@@ -413,9 +390,8 @@ class MqlEngine:
         self.pos[movers] = move(self.pos[movers], self._steps[actions],
                                 self.sensed[2][movers], self.world)
         if some_stay:
-            self._sense_near(before, pairwise_distances(self.pos, ids))
-        else:
-            self._sense()
+            self._sense(self._near_blocks(before, pairwise_distances(self.pos, ids)))
+        self._sense_swarm()
 
         n1, states1, _, r1 = self.sensed
         r = r1[movers]

@@ -75,6 +75,24 @@ class PsoParams:
             raise ValueError(f"pso.constriction must be in [0, 1], got {self.constriction}")
         if not self.v_min < self.v_max:
             raise ValueError(f"pso.v_min must be < pso.v_max (got {self.v_min} >= {self.v_max})")
+        # An infinite velocity turns into NaN positions (through inf - inf or
+        # 0 * inf). The initial velocities are v_min + (v_max - v_min) * u. A
+        # pull c * r * (best - x) has r in [0, 1) and |best - x| at most W =
+        # max(width, height), since rounding is monotone, so the pulls sum to
+        # at most (c1 + c2) * W, plus w_t * |v| <= max(|v_min|, |v_max|) under
+        # canonical_velocity; inertia and constriction, at most 1, only shrink
+        # that. Each of the few roundings on the way and in this check errs by
+        # at most 2**-53 of its result, which the margin of 2**-40 covers.
+        if not math.isfinite(self.v_max - self.v_min):
+            raise ValueError(f"pso.v_max - pso.v_min must be finite, got {self.v_min} .. {self.v_max}")
+        pull = (self.c1 + self.c2) * max(self.bounds.width, self.bounds.height)
+        if self.canonical_velocity:
+            pull += max(abs(self.v_min), abs(self.v_max))
+        if not math.isfinite(pull * (1.0 + 2.0 ** -40)):
+            raise ValueError(
+                f"pso velocity may overflow: (c1 + c2) * max(world width, height)"
+                f"{' + max(|v_min|, |v_max|)' if self.canonical_velocity else ''} "
+                f"must stay below the largest float, got c1={self.c1}, c2={self.c2}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
 import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qswarm.cli import main
 from qswarm.config import (ALGORITHMS, MAX_SEED, ConfigError, SwarmConfig,
                            config_from_dict, config_to_dict, dump_config, load_config)
 from qswarm.core import Vec2
+from qswarm.harness import run_experiment
 from qswarm.mql import SCHEDULES
+
+BIGGEST = sys.float_info.max
 
 
 def write_cfg(tmp_path, text):
@@ -297,3 +304,148 @@ def test_config_dict_exposes_resolved_defaults():
     assert d["mql"]["d_min"] == pytest.approx(2.0)
     assert d["pso"]["target"] is None
     assert d["mql"]["step_set"] == [0.5, 1.0, 2.0]
+
+
+# --- configs at the loader's limits -------------------------------------------
+
+def run_finite(cfg):
+    """Run ``cfg`` with numpy's overflow and invalid-value warnings as errors,
+    and check its positions, its rewards where there are decisions and its
+    q-entries are finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace, _, summary = run_experiment(cfg)
+    assert np.isfinite(trace.positions).all()
+    assert np.isfinite(trace.reward[trace.action >= 0]).all()
+    if summary.final_q_tables is not None:
+        assert np.isfinite(summary.final_q_tables).all()
+
+
+def _wide(lo, hi):
+    """Floats anywhere in [lo, hi], or of ordinary size."""
+    return st.floats(lo, hi) | st.floats(max(lo, -10.0), min(hi, 10.0))
+
+
+# the widest world side whose squared diagonal is finite (WorldBounds' check)
+WIDEST = math.sqrt(BIGGEST / 2.0)
+
+
+@st.composite
+def limit_configs(draw):
+    """Config dicts whose values reach the loader's limits: world sides up to
+    WorldBounds' diagonal check, at offsets of their own size, mql.epsilon up
+    to 1.7e308, any step_set, v_min and v_max, c1 and c2, constriction in
+    [0, 1], both algorithms and both schedules."""
+    width, height = (draw(st.floats(1e-3, WIDEST) | st.floats(1.0, 200.0)) for _ in "xy")
+    x_min, y_min = (draw(st.floats(-2.0, 1.0)) * side for side in (width, height))
+    steps = sorted(draw(st.sets(_wide(1e-300, BIGGEST), min_size=3, max_size=3)))
+    v_min, v_max = sorted(draw(_wide(-BIGGEST, BIGGEST)) for _ in "vv")
+    return {
+        "algorithm": draw(st.sampled_from(ALGORITHMS)),
+        "swarm_size": draw(st.integers(1, 24) | st.just(160)),
+        "iterations": draw(st.integers(1, 6)),
+        "seed": draw(st.integers(0, 2**32)),
+        "world": {"x_min": x_min, "x_max": x_min + width, "y_min": y_min, "y_max": y_min + height},
+        "mql": {"epsilon": draw(_wide(1e-3, 1.7e308)), "step_set": steps,
+                "reward_max": draw(st.floats(1e-3, 1e6)),
+                "schedule": draw(st.sampled_from(SCHEDULES)),
+                "explore_rate": draw(st.sampled_from([0.0, 0.3]))},
+        "pso": {"c1": draw(_wide(0.0, BIGGEST)), "c2": draw(_wide(0.0, BIGGEST)),
+                "constriction": draw(st.floats(0.0, 1.0)),
+                "v_min": v_min, "v_max": v_max,
+                "canonical_velocity": draw(st.booleans())},
+        "snapshot_ticks": [0],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=limit_configs())
+# the overflows the loader refuses: (M - 1) * epsilon, the velocity pulls and the
+# initial velocities' span
+@example(data={"swarm_size": 3, "iterations": 5, "mql": {"epsilon": 1.7e308}})
+@example(data={"swarm_size": 20, "iterations": 5, "mql": {"epsilon": 9e307}})
+@example(data={"algorithm": "pso", "iterations": 5, "pso": {"c1": 1e308, "c2": 1e308}})
+@example(data={"algorithm": "pso", "iterations": 5,
+               "pso": {"c1": 1e307, "c2": 1e307, "constriction": 0.0}})
+@example(data={"algorithm": "pso", "iterations": 5,
+               "pso": {"v_min": -1e308, "v_max": 1e308, "canonical_velocity": True,
+                       "constriction": 0.0}})
+def test_every_config_the_loader_accepts_runs_finite(data):
+    """Every config the loader accepts runs without an overflow or an
+    invalid value. mql.reward_max stays at most 1e6: a table updated k times
+    holds up to k * reward_max, and refusing the reward_max that would
+    overflow changes the golden digests of the ``mql-overflow`` case, which
+    waits for the owner's decision (ROADMAP item 3(b))."""
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    run_finite(cfg)
+
+
+def boundary(predicate):
+    """The largest positive float x with predicate(x), for a predicate that
+    holds at 1.0, fails at the largest float and changes once between: a
+    bisection of the bit patterns, which positive floats share the order of."""
+    low, high = (int(np.float64(x).view(np.int64)) for x in (1.0, BIGGEST))
+    while high - low > 1:
+        mid = (low + high) // 2
+        if predicate(float(np.int64(mid).view(np.float64))):
+            low = mid
+        else:
+            high = mid
+    return float(np.int64(low).view(np.float64))
+
+
+@pytest.mark.parametrize("m", [3, 20])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_a_learning_swarm_whose_summed_epsilon_overflows_is_refused(m, schedule):
+    epsilon = boundary(lambda e: math.isfinite((m - 1) * e))
+    data = {"swarm_size": m, "iterations": 2 * m, "mql": {"schedule": schedule}}
+    run_finite(config_from_dict({**data, "mql": {**data["mql"], "epsilon": epsilon}}))
+    over = {**data, "mql": {**data["mql"], "epsilon": math.nextafter(epsilon, math.inf)}}
+    with pytest.raises(ConfigError, match=r"^\(swarm_size - 1\) \* mql\.epsilon must be finite"
+                                          r", got swarm_size=\d+ with epsilon=[-+.e\d]+$"):
+        config_from_dict(over)
+    # the baseline only counts neighbours within epsilon: no product to overflow
+    run_finite(config_from_dict({**over, "algorithm": "pso"}))
+
+
+def test_validate_reports_an_overflowing_config_in_one_line(tmp_path, capsys):
+    for text in ("swarm_size: 3\nmql: {epsilon: 1.7e+308}\n",
+                 "algorithm: pso\npso: {c1: 1.0e+308, c2: 1.0e+308}\n"):
+        path = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pso", [
+    {}, {"constriction": 0.0}, {"canonical_velocity": True},
+    {"canonical_velocity": True, "constriction": 0.0, "v_min": -1e307, "v_max": 1e307},
+])
+def test_a_baseline_whose_velocity_pull_overflows_is_refused(pso):
+    def config(c):
+        return config_from_dict({"algorithm": "pso", "iterations": 30, "swarm_size": 10,
+                                 "pso": {**pso, "c1": c, "c2": c}})
+
+    def accepted(c):
+        try:
+            config(c)
+        except ConfigError:
+            return False
+        return True
+
+    c = boundary(accepted)
+    # the bound is (c1 + c2) * 100 (+ max(|v_min|, |v_max|)) with a small margin
+    assert 0.999 < c * 200.0 / (BIGGEST - max(abs(pso.get("v_min", 0.0)),
+                                             abs(pso.get("v_max", 0.0)))) < 1.0
+    run_finite(config(c))
+    with pytest.raises(ConfigError, match=r"^pso velocity may overflow: "):
+        config(math.nextafter(c, math.inf))
+
+
+def test_a_baseline_whose_initial_velocity_span_overflows_is_refused():
+    with pytest.raises(ConfigError, match=r"^pso\.v_max - pso\.v_min must be finite"):
+        config_from_dict({"pso": {"v_min": -1e308, "v_max": 1e308}})
+    config_from_dict({"pso": {"v_min": -8e307, "v_max": 8e307}})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qswarm.core as core
 from qswarm.core import Vec2, WorldBounds, clamp, euclidean_distance, pairwise_distances
 from qswarm.metrics import connected_fraction, connectivity_components
-from qswarm.mql import MqlEngine, MqlParams, booked, neighborhood, sense
+from qswarm.mql import MqlEngine, MqlParams, neighborhood, summarize
 from qswarm.pso import Objective, PsoEngine, PsoParams
 
 
@@ -135,7 +135,7 @@ def test_every_neighbour_query_follows_one_rule(points, epsilon):
 
     mql = MqlEngine(m, MqlParams(epsilon=eps), WorldBounds(), np.random.default_rng(0),
                     initial_positions=pos)
-    mql._sense()
+    mql._sense_swarm()
     assert mql.sensed[0].tolist() == counts
 
     assert [sorted(neighborhood(i, pos, eps)) for i in range(m)] == neighbors
@@ -151,6 +151,23 @@ def dense_neighbors(arr, rows, epsilon):
     the particle itself."""
     dist = pairwise_distances(arr, rows)
     return dist, (dist < epsilon) & (np.arange(len(arr))[None] != np.asarray(rows)[:, None])
+
+
+def booked(blocks, m):
+    """(n, total, lowest) arrays (M,) of all M particles from the blocks of
+    their query in any row order: each block's summary is booked to the rows
+    it names."""
+    n, total, lowest = np.empty(m, dtype=int), np.empty(m), np.empty(m)
+    for block, _, dist, mask in blocks:
+        n[block], total[block], lowest[block] = summarize(dist, mask)
+    return n, total, lowest
+
+
+def sense(arr, rows, epsilon):
+    """(n, total, lowest) of particles ``rows`` (distinct ids) in the given
+    order, booked from the blocks of their query."""
+    n, total, lowest = booked(core.neighbor_blocks(arr, rows, epsilon), len(arr))
+    return n[rows], total[rows], lowest[rows]
 
 
 def dense_sense(arr, rows, epsilon):

@@ -12,7 +12,7 @@ from qswarm.core import (NeighborList, Vec2, WorldBounds, neighbor_blocks, neigh
                          positions_array)
 from qswarm.mql import (SCHEDULES, ActionSpec, MqlEngine, MqlParams, StateId,
                         apply_action, build_actions, encode_state, judge,
-                        move, neighborhood, reward, sense, step_scale_pi, summarize)
+                        move, neighborhood, reward, step_scale_pi, summarize)
 from qswarm.qlearning import LearningParams
 
 
@@ -24,7 +24,8 @@ def make_params(**over):
 
 def deviation_of_first(positions, epsilon):
     """(D, n) of particle 0 from the sensing kernel, D = total - n * epsilon."""
-    n, total, _ = sense(positions_array(positions), [0], epsilon)
+    (_, _, dist, mask), = neighbor_blocks(positions_array(positions), [0], epsilon)
+    n, total, _ = summarize(dist, mask)
     return float(total[0] - n[0] * epsilon), int(n[0])
 
 
@@ -226,7 +227,7 @@ def judged_params(draw):
 
 @st.composite
 def neighbourhoods(draw, params):
-    """(n, total, lowest) as ``sense`` gives them, drawn anywhere or at a
+    """(n, total, lowest) as ``summarize`` gives them, drawn anywhere or at a
     boundary of a rule: D = 0, rho at +-tau_s, |D| at tau_r * n * epsilon, and
     lowest at d_min, each with the floats next to it on either side."""
     n = draw(st.integers(0, 40))
@@ -612,21 +613,20 @@ def engines(draw):
 
 
 def assert_carries_a_fresh_sensing(engine):
-    m = engine.m
-    n, total, lowest = sense(engine.pos, np.arange(m), engine.params.epsilon)
-    fresh = (n, *judge(n, total, lowest, engine.params))
-    for carried, expected in zip(engine.sensed, fresh, strict=True):
-        assert carried.dtype == expected.dtype and carried.shape == (m,)
+    for carried, expected in zip(engine.sensed, dense_judged(engine), strict=True):
+        assert carried.dtype == expected.dtype and carried.shape == (engine.m,)
         assert carried.tobytes() == expected.tobytes()  # bit for bit
 
 
 @settings(max_examples=150, deadline=None)
 @given(engine=engines(), ticks=st.integers(1, 40))
 def test_carried_summary_equals_a_fresh_sensing_after_every_tick(engine, ticks):
+    allocated = engine.sensed  # once, with the engine: each sensing books into it
     for _ in range(ticks):
         rows = engine.tick()
         assert_carries_a_fresh_sensing(engine)
         assert np.array_equal(rows.neighbor_count[0], engine.sensed[0])
+        assert all(now is then for now, then in zip(engine.sensed, allocated, strict=True))
 
 
 @settings(max_examples=80, deadline=None)
