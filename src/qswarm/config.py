@@ -1,17 +1,17 @@
 """Run configuration: one dataclass holding every tunable, strict YAML loading
 (unknown keys are rejected by name), and an exact round-trip echo so a dumped
-effective config reproduces its run byte-for-byte.
+effective config reproduces its run byte-for-byte. Only loading needs PyYAML;
+the echo writes PyYAML's bytes itself.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
-
-import yaml
 
 from .core import Vec2, WorldBounds
 from .mql import MqlParams
@@ -113,7 +113,7 @@ def _real(value, key: str, nullable: bool = False):
         hint = ""
         try:  # PyYAML reads 1.7e308, whose exponent has no sign, as a string
             if isinstance(value, str):
-                hint = f" (YAML read it as text: write {yaml.safe_dump(float(value)).split()[0]})"
+                hint = f" (YAML read it as text: write {_float_text(float(value))})"
         except ValueError:
             pass
         raise ConfigError(f"{key} must be a number, got {value!r}{hint}")
@@ -221,6 +221,8 @@ def config_from_dict(data: dict) -> SwarmConfig:
 
 def load_config(path) -> SwarmConfig:
     """Parse and validate a YAML config file; errors name the offending key."""
+    import yaml  # only reading a file needs PyYAML
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -281,11 +283,75 @@ def config_to_dict(cfg: SwarmConfig) -> dict:
 _KNOWN_KEYS = config_to_dict(SwarmConfig())
 
 
+# A string PyYAML writes plain, as it stands: one that starts with a letter, "_"
+# or "/" and holds only [A-Za-z0-9_./-] has no indicator, comment, space to fold
+# at, or digit to read as a number or date, so only its resolver's boolean and
+# null words (in any case, to be safe) would need quotes
+_PLAIN = re.compile(r"[A-Za-z_/][A-Za-z0-9_./-]*")
+_RESOLVED_WORDS = frozenset(("yes", "no", "true", "false", "on", "off", "null"))
+
+
+class _NotPlain(Exception):
+    """A value whose YAML spelling the emitter does not vouch for."""
+
+
+def _float_text(x: float) -> str:
+    """PyYAML's spelling of a float (its SafeRepresenter.represent_float)."""
+    if x != x:
+        return ".nan"
+    if math.isinf(x):
+        return ".inf" if x > 0 else "-.inf"
+    text = repr(x).lower()
+    # YAML 1.1 reads 1e+17 as text, so PyYAML writes 1.0e+17
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)
+    return text
+
+
+def _scalar(value) -> str:
+    kind = type(value)  # exact types: bool is an int, and PyYAML refuses subclasses
+    if kind is float:
+        return _float_text(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if kind is str and _PLAIN.fullmatch(value) and value.lower() not in _RESOLVED_WORDS:
+        return value
+    raise _NotPlain
+
+
+def _emit(mapping: dict, indent: str, lines: list) -> None:
+    for key, value in mapping.items():
+        if type(value) is dict:
+            lines.append(f"{indent}{key}:\n")
+            _emit(value, indent + "  ", lines)
+        elif type(value) is list:
+            if not value:
+                lines.append(f"{indent}{key}: []\n")
+                continue
+            lines.append(f"{indent}{key}:\n")
+            lines.extend(f"{indent}- {_scalar(v)}\n" for v in value)
+        else:
+            lines.append(f"{indent}{key}: {_scalar(value)}\n")
+
+
 def dump_config(cfg: SwarmConfig) -> str:
     """YAML text of the effective config; load_config on it reproduces ``cfg``
     exactly (floats round-trip via repr)."""
-    # PyYAML's pure-Python dumper: libyaml's yaml.CSafeDumper is about 3.5x
-    # faster on the default config, but folds long double-quoted strings
-    # differently, so effective_config.yaml would change bytes (13,687 of
-    # 20,000 random output_dir strings of 0-200 characters did).
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False, default_flow_style=False)
+    # The bytes of yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
+    # for the closed schema of config_to_dict: block mappings at a two-space
+    # indent, block sequences at their key's indent ("[]" when empty), and
+    # scalars as its representer spells them. A value outside that (a string
+    # that is not plainly safe, a number of another type) leaves the whole
+    # document to PyYAML, which is then imported.
+    data = config_to_dict(cfg)
+    lines = []
+    try:
+        _emit(data, "", lines)
+    except _NotPlain:
+        import yaml
+        return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
+    return "".join(lines)

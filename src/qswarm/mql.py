@@ -260,6 +260,11 @@ class MqlEngine:
                  initial_positions: list[Vec2] | None = None):
         if m < 1:
             raise ValueError(f"swarm size must be >= 1, got {m}")
+        # judge computes n * epsilon for up to m - 1 neighbours; an infinite
+        # product turns into NaN positions
+        if not math.isfinite((m - 1) * params.epsilon):
+            raise ValueError(f"(swarm size - 1) * mql.epsilon must be finite, got swarm size "
+                             f"{m} with epsilon={params.epsilon!r}")
         self.params = params
         # judge's scalars as 0-d arrays, which numpy need not convert on each call
         self._rules = SimpleNamespace(**{name: np.array(getattr(params, name)) for name in

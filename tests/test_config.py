@@ -162,6 +162,8 @@ def test_a_number_yaml_reads_as_text_names_its_spelling(tmp_path):
         load_config(write_cfg(tmp_path, "mql: {epsilon: abc}\n"))
     with pytest.raises(ConfigError, match=r"got '2\.5E3' \(YAML read it as text: write 2500\.0\)$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: '2.5E3'}\n"))
+    with pytest.raises(ConfigError, match=r"got 'inf' \(YAML read it as text: write \.inf\)$"):
+        load_config(write_cfg(tmp_path, "mql: {epsilon: inf}\n"))
     # a YAML boolean is no number written as text, though float(True) is 1.0
     with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got True$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: true}\n"))
@@ -269,7 +271,10 @@ def valid_configs(draw):
     data = draw(_sections([
         ("algorithm", st.sampled_from(ALGORITHMS)),
         ("seed", st.integers(0, MAX_SEED)),
-        ("output_dir", st.text(min_size=1, max_size=20)),
+        # any text, and paths the echo writes itself rather than through PyYAML
+        ("output_dir", st.one_of(st.text(min_size=1, max_size=20),
+                                 st.from_regex(r"[A-Za-z_/][A-Za-z0-9_./-]{0,19}",
+                                               fullmatch=True))),
         ("snapshot_ticks", st.lists(st.integers(0, iterations), max_size=5)),
         ("decision_particles", st.lists(st.integers(0, swarm_size - 1), max_size=5,
                                        unique=True)),
@@ -282,9 +287,41 @@ def valid_configs(draw):
 @given(cfg=valid_configs())
 def test_every_valid_config_round_trips_through_its_dump(cfg):
     text = dump_config(cfg)
+    assert text == pyyaml_dump(cfg)
     echoed = config_from_dict(yaml.safe_load(text))
     assert echoed == cfg
     assert dump_config(echoed) == text
+
+
+def pyyaml_dump(cfg):
+    """The reference the echo matches byte for byte."""
+    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False, default_flow_style=False)
+
+
+@pytest.mark.parametrize("output_dir", [
+    "", "yes", "No", "null", "~", "1.0", "0x1F", "2001-12-14", " lead", "trail ", "a: b",
+    "a #b", "- x", "é", "a\nb", "w" * 100, "a b " * 30,
+    "out", "runs/fig3-compare/mql", "/tmp/out_2.d", "_x", "n", "Y", "yEs",
+])
+def test_the_echo_writes_pyyamls_bytes_for_any_output_dir(tmp_path, output_dir):
+    cfg = SwarmConfig(output_dir=output_dir)
+    assert dump_config(cfg) == pyyaml_dump(cfg)
+    assert load_config(write_cfg(tmp_path, dump_config(cfg))) == cfg
+
+
+@pytest.mark.parametrize("text, spelling", [
+    ("mql: {reward_max: 1.0e+17}", "reward_max: 1.0e+17\n"),
+    ("world: {x_min: -0.0}", "x_min: -0.0\n"),
+    ("mql: {tau_r: 5.0e-324}", "tau_r: 5.0e-324\n"),
+    ("mql: {epsilon: 12}", "epsilon: 12\n"),
+])
+def test_the_echo_spells_floats_as_pyyaml_does(tmp_path, text, spelling):
+    cfg = load_config(write_cfg(tmp_path, text + "\n"))
+    assert spelling in dump_config(cfg)
+    assert dump_config(cfg) == pyyaml_dump(cfg)
+    echoed = load_config(write_cfg(tmp_path, dump_config(cfg)))
+    assert echoed == cfg
+    assert math.copysign(1.0, echoed.world.x_min) == math.copysign(1.0, cfg.world.x_min)
 
 
 def test_objective_defaults_to_world_center():

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -722,3 +726,28 @@ def test_a_streamed_run_holds_no_more_memory_for_more_ticks(tmp_path):
     short, long = peak(10), peak(100)
     # the whole (T, M) trace of the long run alone is 9.6 MB
     assert long < 1.1 * short
+
+
+def test_running_and_echoing_never_import_pyyaml(tmp_path):
+    # only reading a config file needs PyYAML: a fresh interpreter that runs,
+    # echoes and runs a preset through the CLI has not imported it
+    script = """
+import sys
+
+from qswarm import config_from_dict, load_config, run_to_dir
+from qswarm.cli import main
+
+cfg = config_from_dict({"swarm_size": 6, "iterations": 5, "seed": 3, "output_dir": "run"})
+run_to_dir(cfg, "run")
+assert main(["preset", "fig4-individuals", "--out", "preset"]) == 0
+assert "yaml" not in sys.modules, "PyYAML was imported"
+assert load_config("run/effective_config.yaml") == cfg
+assert load_config("preset/effective_config.yaml").output_dir == "preset"
+assert "yaml" in sys.modules
+"""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

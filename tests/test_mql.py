@@ -533,6 +533,20 @@ def test_initial_positions_must_be_finite():
                       initial_positions=np.array([[bad, 1.0], [2.0, 3.0]]))
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_an_overflowing_neighbour_radius_is_refused_by_the_engine(schedule):
+    # judge computes n * epsilon for up to m - 1 neighbours, as the loader checks
+    params = MqlParams(epsilon=1.7e308, schedule=schedule)
+    with pytest.raises(ValueError, match=r"^\(swarm size - 1\) \* mql\.epsilon must be finite, "
+                                         r"got swarm size 3 with epsilon=1\.7e\+308$"):
+        MqlEngine(3, params, WorldBounds(), np.random.default_rng(0))
+    with np.errstate(all="raise"):
+        engine = MqlEngine(2, params, WorldBounds(), np.random.default_rng(0))
+        for _ in range(3):
+            engine.tick()
+    assert np.isfinite(engine.pos).all()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MqlParams(epsilon=10.0, d_min=12.0)
