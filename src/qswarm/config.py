@@ -99,7 +99,7 @@ def _integer(value, key: str) -> int:
     # bools are ints to Python and int() truncates, so both would be echoed
     # back as a different value than the one written
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+            or not float(_real(value, key)).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -111,12 +111,17 @@ def _real(value, key: str, nullable: bool = False):
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
         hint = ""
-        try:  # PyYAML reads 1.7e308, whose exponent has no sign, as a string
-            if isinstance(value, str):
+        try:  # PyYAML reads 1.7e308, whose exponent has no sign, as a string;
+            # every key refuses inf and nan, so only a finite value gets the hint
+            if isinstance(value, str) and math.isfinite(float(value)):
                 hint = f" (YAML read it as text: write {_float_text(float(value))})"
         except ValueError:
             pass
         raise ConfigError(f"{key} must be a number, got {value!r}{hint}")
+    try:  # every number is checked as a float, which an int past the largest cannot become
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is an integer too large for a float (over 1.8e+308)") from None
     return value
 
 

@@ -24,9 +24,10 @@ ascending id order, so a left-to-right running sum over a row in which
 non-neighbours add 0.0 has the bits of the same sum over the full (M,)
 distance row; the rows of one cell share one candidate list, sorted once. A
 one-particle move changes only the rows whose computed distance to the mover
-p was or is below epsilon, and such a row r's neighbours q lie below 2 *
-epsilon * CELL_WIDTH from p in the same distance row: the exact d(q, p) <=
-d(q, r) + d(r, p) is below 2 * epsilon * (1 + 2**-53)**3, so the computed
+p was or is below epsilon (a row depends on p only through that distance),
+and such a row r's neighbours q lie below 2 * epsilon * CELL_WIDTH from p in
+the same distance row, the candidates of ``mover_blocks``: the exact d(q, p)
+<= d(q, r) + d(r, p) is below 2 * epsilon * (1 + 2**-53)**3, so the computed
 one is below 2 * epsilon * (1 + 8 * 2**-53), as in the argument above.
 
 The count-only query (``neighbor_pairs``) measures each pair once: rounded to
@@ -196,11 +197,11 @@ MAX_CELLS = 1 << 30
 
 def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     """Yield ``(block, cols, dist, mask)`` for successive blocks of the query
-    ``rows`` (ids into ``arr``): ``block`` names its rows, ``cols`` (k, C)
-    holds each one's candidate peers in ascending id order, ``dist`` their
-    ``pairwise_distances`` and ``mask`` their ``neighbor_mask``, which picks
-    exactly the row's epsilon-neighbours. Padding columns repeat the row's own
-    id, which the mask never picks.
+    ``rows`` (ids into ``arr``): ``block`` names its rows, ``cols`` (k, C), or
+    (1, C) shared by them all, holds each one's candidate peers in ascending
+    id order, ``dist`` their ``pairwise_distances`` and ``mask`` their
+    ``neighbor_mask``, which picks exactly the row's epsilon-neighbours.
+    Padding columns repeat the row's own id, which the mask never picks.
 
     The candidates are the particles in the 3 x 3 cells around the row's own,
     and the blocks then name the rows grouped by cell; or every particle (C =
@@ -211,21 +212,36 @@ def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     in ascending id order (see the module docstring)."""
     rows = np.asarray(rows, dtype=np.int64)
     plan = _cell_plan(arr, rows, epsilon) if len(rows) * len(arr) >= DENSE_PAIRS else None
-    return _query_blocks(arr, rows, epsilon, plan)
-
-
-def _query_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, plan):
-    # the blocks of neighbor_blocks, given its _cell_plan (None: every
-    # particle is a candidate)
-    m = len(arr)
     if plan is None:
-        step = max(1, BLOCK_ENTRIES // m)
-        tiled = _tiled_ids(m, step)
-        for block in [rows] if len(rows) <= step else np.split(rows, range(step, len(rows), step)):
-            cols = tiled[:len(block)]
-            dist = pairwise_distances(arr, block)
-            yield block, cols, dist, neighbor_mask(dist, cols, block.astype(cols.dtype), epsilon)
-        return
+        return _dense_blocks(arr, rows, epsilon)
+    return _query_blocks(arr, epsilon, plan)
+
+
+def mover_blocks(arr: np.ndarray, before: np.ndarray, after: np.ndarray, epsilon: float):
+    """The ``neighbor_blocks`` of the rows a one-particle move can change, the
+    mover and its epsilon-peers in its (1, M) distance rows ``before`` and
+    ``after`` the move, against the one (1, C) list of the peers within reach
+    of it in either row (see the module docstring)."""
+    rows = np.flatnonzero((before < epsilon) | (after < epsilon))
+    reach = 2.0 * epsilon * CELL_WIDTH
+    cols = np.flatnonzero((before < reach) | (after < reach))[None]
+    return _dense_blocks(arr, rows, epsilon, cols)
+
+
+def _dense_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, cols=None):
+    # the blocks of the int64 rows against one (1, C) row of ascending peer
+    # ids ``cols``; by default every particle, measured by the outer product
+    ids = _id_row(len(arr)) if cols is None else cols
+    step = max(1, BLOCK_ENTRIES // ids.shape[1])
+    for block in [rows] if len(rows) <= step else np.split(rows, range(step, len(rows), step)):
+        dist = pairwise_distances(arr, block, cols)
+        own = block.astype(ids.dtype, copy=False)  # compared in the ids' narrow type
+        yield block, ids, dist, neighbor_mask(dist, ids, own, epsilon)
+
+
+def _query_blocks(arr: np.ndarray, epsilon: float, plan):
+    # the blocks of neighbor_blocks on the cells, given its _cell_plan
+    m = len(arr)
     order, rows, cell, first, size = plan
     lengths = size.sum(axis=1).tolist()
     s = 0
@@ -259,15 +275,13 @@ def _gather(block: np.ndarray, first: np.ndarray, size: np.ndarray, source: np.n
 
 
 @lru_cache(maxsize=8)
-def _tiled_ids(m: int, k: int) -> np.ndarray:
-    """Read-only (k, M) array whose every row is the ids 0..M-1, in the
-    narrowest unsigned type that holds them: the mask compares ids over all
-    K * M pairs, six times faster in 16 bits than in 64. Shared by every
-    dense query on M particles."""
-    ids = np.arange(m, dtype=np.min_scalar_type(m))
-    tiled = np.repeat(ids[None], k, axis=0)
-    tiled.flags.writeable = False
-    return tiled
+def _id_row(m: int) -> np.ndarray:
+    """Read-only (1, M) row of the ids 0..M-1, in the narrowest unsigned type
+    that holds them: the mask compares ids over all K * M pairs, six times
+    faster in 16 bits than in 64. Shared by every dense query on M particles."""
+    ids = np.arange(m, dtype=np.min_scalar_type(m))[None]
+    ids.flags.writeable = False
+    return ids
 
 
 def _cells(arr: np.ndarray, epsilon: float):
@@ -383,7 +397,7 @@ class NeighborList:
             yield from neighbor_blocks(arr, ids, self.epsilon)
             return
         listed = []
-        for block, cols, dist, within in _query_blocks(arr, ids, radius, plan):
+        for block, cols, dist, within in _query_blocks(arr, radius, plan):
             counts = np.add.reduce(within, axis=1)
             first = np.cumsum(counts) - counts
             listed.append((block, _gather(block, first[:, None], counts[:, None], cols[within])))

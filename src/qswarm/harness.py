@@ -328,8 +328,8 @@ def write_trace_csv(trace, path) -> None:
     (0.0 and -0.0 differ) reuses that row's text, and so does a coordinate
     whose bits repeat. A block renders only its changed rows, in one call, and
     each tick joins its row texts; a block whose rows all changed fills its
-    ticks' templates in one call instead, and its last tick is split into row
-    texts only if the next block keeps a row.
+    ticks' templates in one call instead, and splits its last tick into the
+    row texts the next block may reuse.
     """
     if isinstance(trace, Iterator):
         blocks = trace
@@ -349,9 +349,9 @@ def _write_block(f, block: Trace, last, row_texts):
     """Write the rows of one block of whole ticks to ``f`` (see
     ``write_trace_csv``) and return what the next block reuses: ``last``,
     the last tick's cells and coordinate texts (copies: a streamed block is
-    overwritten), and ``row_texts``, its row texts (after a block whose rows
-    all changed, a function splitting them off its text). Its other
-    temporaries die with the call, before the next block's ticks run."""
+    overwritten), and ``row_texts``, the list of its row texts, each without
+    its tick. Its other temporaries die with the call, before the next
+    block's ticks run."""
     n, m = block.shape
     state, action, reward, count = (block.state, block.action, block.reward,
                                     block.neighbor_count)
@@ -377,19 +377,17 @@ def _write_block(f, block: Trace, last, row_texts):
     if changed.all():
         parts, row_cells = _row_cells(None, xy, state, action, reward, count)
         text = "".join([tick.join(parts) for tick in ticks]) % row_cells
-        # the lines of its last tick, split off if the next block needs them
-        tail = text[text.rfind(f"\n{ticks[-1]},0,") + 1:]
         f.write(text)
-        return last, lambda cut=len(ticks[-1]): [line[cut:] for line in tail.splitlines(True)]
-    if callable(row_texts):  # needed only where the first tick keeps a row
-        row_texts = None if changed[0].all() else row_texts()
+        # the lines of its last tick, each without its tick
+        cut, tail = len(ticks[-1]), text[text.rfind(f"\n{ticks[-1]},0,") + 1:]
+        return last, [line[cut:] for line in tail.splitlines(True)]
     # the changed rows' texts, one string each without its tick (a row holds no
     # other line break), forward-filled down each particle's column
     parts, row_cells = _row_cells(changed, xy, state, action, reward, count)
     template = "".join([parts[i + 1] for i in np.nonzero(changed)[1].tolist()])
     rows = _filled(changed, (template % row_cells).splitlines(True), row_texts)
     f.write("".join([tick + tick.join(row) for tick, row in zip(ticks, rows.tolist())]))
-    return last, rows[-1].copy()
+    return last, rows[-1].tolist()
 
 
 def read_trace_csv(path) -> Trace:

@@ -251,43 +251,20 @@ def dispersion(positions) -> float:
     return float(np.sqrt(((arr - centroid) ** 2).sum(axis=1)).mean())
 
 
-def drift_onsets(trace) -> list[int | None]:
-    """Per particle, the first tick from which it stays neighbourless to the
-    end of the trace (counted in rows from the trace's first tick); None if
-    it ends the trace connected."""
-    tr = as_trace(trace)
-    rows = np.arange(tr.shape[0])[:, None]
-    last_connected = np.where(tr.neighbor_count > 0, rows, -1).max(axis=0, initial=-1)
-    return [None if k == tr.shape[0] - 1 else k + 1 for k in last_connected.tolist()]
-
-
-def cumulative_rewards(trace) -> list[float]:
-    """Per particle, the sum of its rewards in tick order (0.0 if none).
-
-    A running sum from 0.0 in which rows without a reward add 0.0, so each
-    total equals the left-to-right ``sum`` of the particle's rewards bit for
-    bit (a pairwise ``.sum()`` would not).
-    """
-    tr = as_trace(trace)
-    steps = np.where(np.isnan(tr.reward), 0.0, tr.reward)
-    return np.cumsum(np.vstack([np.zeros((1, tr.shape[1])), steps]), axis=0)[-1].tolist()
-
-
 class RunningTotals:
-    """``cumulative_rewards``, ``drift_onsets`` and the last tick's neighbour
+    """Per-particle reward totals, drift onsets and the last tick's neighbour
     counts of a trace fed to ``add`` a block of whole consecutive ticks at a
-    time, in tick order, holding (M,) arrays only.
+    time, in tick order, holding (M,) arrays only; ``cumulative_rewards`` and
+    ``drift_onsets`` feed it a whole trace as one block.
 
-    The reward sums give the bits of ``cumulative_rewards`` on the whole
-    trace. That is ``np.cumsum`` over axis 0, which is ``np.add.accumulate``:
-    row k of its output is row k - 1 plus row k of its input, one IEEE
-    addition per entry, never reassociated, from a first row of 0.0. ``add``
-    runs the same recurrence a block at a time: it adds the carried sums into
-    the block's first row (x + y and y + x are the same float), then sums the
-    block down each column, so each column adds the same operands in the same
-    order and ends on the same bits. numpy reduces a non-fast axis a row at a
-    time, summing pairwise only along the fast axis (see ``numpy.sum`` and
-    ``mql.summarize``), so a block of M >= 2 columns is one reduction over
+    A reward total is a running sum from 0.0 in tick order, a row without a
+    reward adding 0.0, so it has the bits of adding the particle's rewards one
+    at a time (a pairwise ``.sum()`` would not), however the ticks are cut
+    into blocks. ``add`` adds the carried sums into the block's first
+    row (x + y and y + x are the same float), then sums the block down each
+    column. numpy reduces a non-fast axis a row at a time, one IEEE addition
+    an entry, summing pairwise only along the fast axis (see ``numpy.sum``
+    and ``mql.summarize``), so a block of M >= 2 columns is one reduction over
     axis 0; a one-column block keeps the running sum, since there axis 0 is
     the fast axis.
     """
@@ -299,6 +276,8 @@ class RunningTotals:
         self.ticks = 0
 
     def add(self, block: Trace) -> None:
+        if block.shape[0] == 0:
+            return
         steps = np.where(np.isnan(block.reward), 0.0, block.reward)
         steps[0] += self.rewards
         if steps.shape[1] > 1:
@@ -318,6 +297,26 @@ class RunningTotals:
     def drift_onsets(self) -> list[int | None]:
         """``drift_onsets`` of the ticks added so far."""
         return [None if k == self.ticks - 1 else k + 1 for k in self.last_connected.tolist()]
+
+
+def _totals(trace) -> RunningTotals:
+    tr = as_trace(trace)
+    totals = RunningTotals(tr.shape[1])
+    totals.add(tr)
+    return totals
+
+
+def drift_onsets(trace) -> list[int | None]:
+    """Per particle, the first tick from which it stays neighbourless to the
+    end of the trace (counted in rows from the trace's first tick); None if
+    it ends the trace connected."""
+    return _totals(trace).drift_onsets()
+
+
+def cumulative_rewards(trace) -> list[float]:
+    """Per particle, the sum of its rewards in tick order (0.0 if none),
+    added one at a time from 0.0 (see ``RunningTotals``)."""
+    return _totals(trace).cumulative_rewards()
 
 
 def decision_series(trace) -> list[list[str]]:

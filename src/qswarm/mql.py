@@ -33,8 +33,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (BLOCK_ENTRIES, CELL_WIDTH, DENSE_PAIRS, NeighborList, Vec2, WorldBounds,
-                   clamp, neighbor_blocks, neighbor_mask, pairwise_distances, positions_array)
+from .core import (DENSE_PAIRS, NeighborList, Vec2, WorldBounds, clamp, mover_blocks,
+                   neighbor_blocks, pairwise_distances, positions_array)
 from .metrics import StateId, Trace
 from .qlearning import LearningParams, epsilon_greedy_actions, td_update
 
@@ -144,9 +144,9 @@ class MqlParams:
 # step scale, reward) in one pass. The engine runs both on each block of its
 # query and books the results to the block's rows (``MqlEngine._sense``), for
 # a whole swarm (``core.NeighborList`` or ``core.neighbor_blocks``) and for
-# the rows a round-robin mover can change (``MqlEngine._near_blocks``). The
-# public per-particle operations run them on the one-row block of their
-# particle's query.
+# the rows a round-robin mover can change (``core.mover_blocks``). The public
+# per-particle operations run them on the one-row block of their particle's
+# query.
 
 def summarize(dist: np.ndarray, mask: np.ndarray):
     """(n, total, lowest) arrays over the rows of ``dist`` (K, C), counting
@@ -324,19 +324,6 @@ class MqlEngine:
             self._sense(self._list.blocks(self.pos) if self._list is not None
                         else neighbor_blocks(self.pos, self._ids, self.params.epsilon))
 
-    def _near_blocks(self, before: np.ndarray, after: np.ndarray):
-        """The query blocks of the rows a one-particle move can change, the
-        mover and its epsilon-peers in its (1, M) distance rows ``before`` and
-        ``after`` the move, against the peers within reach (see ``core``)."""
-        eps = self.params.epsilon
-        rows = np.flatnonzero((before < eps) | (after < eps))
-        reach = 2.0 * eps * CELL_WIDTH
-        cols = np.flatnonzero((before < reach) | (after < reach))[None]
-        step = max(1, BLOCK_ENTRIES // cols.shape[1])
-        for block in np.split(rows, range(step, len(rows), step)):
-            dist = pairwise_distances(self.pos, block, cols)
-            yield block, cols, dist, neighbor_mask(dist, cols, block, eps)
-
     def _select(self, states, ids) -> np.ndarray:
         explore_rate = self.params.learning.explore_rate
         if not self.params.recover_lost:
@@ -373,10 +360,9 @@ class MqlEngine:
         the rest their current state and no decision.
 
         The summary is carried from tick to tick and re-sensed only in the
-        rows a move can change: a row depends on a mover only through their
-        distance, so it changes only if the mover was or is within epsilon of
-        it. Each sensed row is judged once (``judge``), and every row afresh
-        after a simultaneous move or an outside write to ``pos``."""
+        rows a move can change (``core.mover_blocks``). Each sensed row is
+        judged once (``judge``), and every row afresh after a simultaneous
+        move or an outside write to ``pos``."""
         prm = self.params
         self._sense_swarm()
         # the movers as a slice of the particles, and their ids
@@ -395,7 +381,8 @@ class MqlEngine:
         self.pos[movers] = move(self.pos[movers], self._steps[actions],
                                 self.sensed[2][movers], self.world)
         if some_stay:
-            self._sense(self._near_blocks(before, pairwise_distances(self.pos, ids)))
+            self._sense(mover_blocks(self.pos, before, pairwise_distances(self.pos, ids),
+                                     prm.epsilon))
         self._sense_swarm()
 
         n1, states1, _, r1 = self.sensed

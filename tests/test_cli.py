@@ -56,6 +56,14 @@ def test_validate_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_names_an_integer_too_large_for_a_float(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, f"swarm_size: 1{'0' * 400}\n")
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: swarm_size is an integer too large for a float")
+    assert err.count("\n") == 1
+
+
 def test_preset_fig4_runs_single_arm(tmp_path, capsys):
     out = tmp_path / "fig4"
     assert main(["preset", "fig4-individuals", "--out", str(out), "--seed", "3"]) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -162,7 +163,8 @@ def test_a_number_yaml_reads_as_text_names_its_spelling(tmp_path):
         load_config(write_cfg(tmp_path, "mql: {epsilon: abc}\n"))
     with pytest.raises(ConfigError, match=r"got '2\.5E3' \(YAML read it as text: write 2500\.0\)$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: '2.5E3'}\n"))
-    with pytest.raises(ConfigError, match=r"got 'inf' \(YAML read it as text: write \.inf\)$"):
+    # no hint leads to a spelling the key then refuses: every number key is finite
+    with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got 'inf'$"):
         load_config(write_cfg(tmp_path, "mql: {epsilon: inf}\n"))
     # a YAML boolean is no number written as text, though float(True) is 1.0
     with pytest.raises(ConfigError, match=r"^mql\.epsilon must be a number, got True$"):
@@ -455,6 +457,27 @@ def test_validate_reports_an_overflowing_config_in_one_line(tmp_path, capsys):
         assert main(["validate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# an int past the largest float, as YAML reads a 401-digit number
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"swarm_size": HUGE}, "swarm_size"),
+    ({"seed": HUGE}, "seed"),
+    ({"snapshot_ticks": [1, HUGE]}, "snapshot_ticks"),
+    ({"world": {"x_max": HUGE}}, "world.x_max"),
+    ({"mql": {"epsilon": HUGE}}, "mql.epsilon"),
+    ({"mql": {"step_set": [0.5, 1.0, HUGE]}}, "mql.step_set entry"),
+    ({"pso": {"c1": HUGE}}, "pso.c1"),
+    ({"pso": {"target": [50.0, -HUGE]}}, "pso.target entry"),
+])
+def test_an_integer_too_large_for_a_float_is_refused_by_name(data, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} is an integer too large "
+                                          rf"for a float") as err:
+        config_from_dict(data)
+    assert "\n" not in str(err.value) and "0000" not in str(err.value)
 
 
 @pytest.mark.parametrize("pso", [

@@ -276,6 +276,62 @@ def test_neighbour_query_senses_the_bits_of_the_dense_rows(swarm, path, small_bl
     assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
 
 
+def stepped(x, ulps):
+    """``x`` moved ``|ulps|`` floating-point steps, up for ulps > 0, else down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def mover_rims(draw):
+    """(before, after, epsilon): a swarm before and after its particle 0 moves
+    from the origin, with peers a few ulps either side of epsilon, 2 * epsilon
+    and 2 * epsilon * CELL_WIDTH from the origin or from the mover's new
+    position, in rays from it (so peers near epsilon neighbour peers near 2
+    epsilon), among a scatter within 3 epsilon of the origin. On the axes a
+    peer's computed distance from the ray's centre is its radius exactly."""
+    epsilon = draw(st.floats(1.0, 10.0))
+    axis, size = draw(st.integers(0, 1)), draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, epsilon]))
+    to = [0.0, 0.0]
+    to[axis] = size * draw(st.sampled_from([-1.0, 1.0]))
+    pos = [(0.0, 0.0)]
+    for centre in ((0.0, 0.0), tuple(to)):
+        for _ in range(draw(st.integers(0, 3))):
+            angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0))
+            unit = {0.0: (1.0, 0.0), 0.5: (0.0, 1.0), 1.0: (-1.0, 0.0), 1.5: (0.0, -1.0)}.get(
+                angle, (math.cos(angle * math.pi), math.sin(angle * math.pi)))
+            for radius in (epsilon, 2.0 * epsilon, 2.0 * epsilon * core.CELL_WIDTH):
+                for _ in range(draw(st.integers(0, 3))):
+                    r = stepped(radius, draw(st.integers(-4, 4)))
+                    pos.append((centre[0] + r * unit[0], centre[1] + r * unit[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos += ((rng.random((draw(st.integers(0, 20)), 2)) - 0.5) * 6.0 * epsilon).tolist()
+    before = np.array(pos)
+    after = before.copy()
+    after[0] = to
+    return before, after, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(swarm=mover_rims(), small_blocks=st.booleans())
+def test_mover_blocks_sense_the_bits_of_the_dense_rows(swarm, small_blocks):
+    before, after, epsilon = swarm
+    rows_before, rows_after = (pairwise_distances(arr, [0]) for arr in (before, after))
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(core, "BLOCK_ENTRIES", 97)
+        blocks = list(core.mover_blocks(after, rows_before, rows_after, epsilon))
+    rows = np.concatenate([block for block, *_ in blocks])
+    # the mover and every peer within epsilon of it before or after the move,
+    # each once and in ascending id order
+    expected = np.flatnonzero((rows_before[0] < epsilon) | (rows_after[0] < epsilon))
+    assert rows.tolist() == expected.tolist() and rows[0] == 0
+    got = booked(blocks, len(after))
+    for g, want in zip(got, dense_sense(after, rows, epsilon), strict=True):
+        assert g[rows].dtype == want.dtype and g[rows].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("side", [-1, 0, 1])
 def test_counts_on_the_rim_of_the_bounding_box_bound(side):
     # the far corners are exactly at the diagonal: out of contact unless

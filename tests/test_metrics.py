@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,21 @@ def two_tick_trace():
                  [[100.0, np.nan], [-100.0, 0.5]], [[1, 0], [0, 2]])
 
 
+def test_a_trace_of_no_ticks_has_no_reward_and_no_drift():
+    empty = Trace.empty(0, 2)
+    assert cumulative_rewards(empty) == [0.0, 0.0]
+    assert drift_onsets(empty) == [None, None]
+    # an empty block changes no total, fresh or carried
+    totals = RunningTotals(2)
+    for block, expected in ((empty, ([0.0, 0.0], [None, None], 0)),
+                            (two_tick_trace(), ([0.0, 0.5], [1, None], 2))):
+        totals.add(block)
+        last_counts = totals.last_counts
+        totals.add(empty)
+        assert (totals.cumulative_rewards(), totals.drift_onsets(), totals.ticks) == expected
+        assert totals.last_counts is last_counts
+
+
 def test_trace_is_a_sequence_of_records_in_tick_particle_order():
     trace = two_tick_trace()
     assert len(trace) == 4 and trace.shape == (2, 2)
@@ -309,7 +326,11 @@ def test_running_totals_give_the_bits_of_the_whole_trace_summary(trace, data):
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip([0, *cuts], [*cuts, t]):
             totals.add(trace.window(start, stop))
-        expected = cumulative_rewards(trace)
+        # drift_onsets sums the rewards too, on the way to its onsets
+        expected, onsets = cumulative_rewards(trace), drift_onsets(trace)
     assert bits(totals.cumulative_rewards()) == bits(expected)
-    assert totals.drift_onsets() == drift_onsets(trace)
+    # the running sum spelled out: from 0.0 in tick order, a row without a reward adding 0.0
+    steps = np.where(np.isnan(trace.reward), 0.0, trace.reward).T.tolist()
+    assert bits(expected) == bits([functools.reduce(operator.add, col, 0.0) for col in steps])
+    assert totals.drift_onsets() == onsets
     assert totals.last_counts.tolist() == trace.neighbor_count[-1].tolist()

@@ -697,8 +697,10 @@ def test_only_the_rows_a_move_can_change_are_sensed_again(monkeypatch, schedule)
     monkeypatch.setattr(NeighborList, "blocks",
                         lambda self, arr: queried.append(len(arr)) or listed_blocks(self, arr))
     distances, cells = core.pairwise_distances, core._cells
-    monkeypatch.setattr(qswarm.mql, "pairwise_distances", lambda arr, rows=None, cols=None: (
-        measured.append(np.array(rows)) or distances(arr, rows, cols)))
+    # the engine measures the mover's rows itself, and core the rows it re-senses
+    for module in (qswarm.mql, core):
+        monkeypatch.setattr(module, "pairwise_distances", lambda arr, rows=None, cols=None: (
+            measured.append(np.array(rows)) or distances(arr, rows, cols)))
     monkeypatch.setattr(core, "_cells", lambda arr, epsilon: (
         binned.append(len(arr)) or cells(arr, epsilon)))
     # at M=300 a whole-swarm sensing is above the dense crossover, on the cells
