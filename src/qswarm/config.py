@@ -65,9 +65,10 @@ class SwarmConfig:
         repeated = sorted(p for p, n in Counter(self.decision_particles).items() if n > 1)
         if repeated:
             raise ConfigError(f"decision_particles must not repeat a particle, got {repeated}")
-        # judge computes n * epsilon for up to M - 1 neighbours, the same float
-        # product as this one, and an infinite one turns into NaN positions
-        if self.algorithm == "mql" and not math.isfinite((self.swarm_size - 1) * self.mql.epsilon):
+        # judge computes n * epsilon in floats for up to M - 1 neighbours, the
+        # same product as this one, and an infinite one turns into NaN positions
+        if self.algorithm == "mql" and not math.isfinite((self.swarm_size - 1)
+                                                         * float(self.mql.epsilon)):
             raise ConfigError(f"(swarm_size - 1) * mql.epsilon must be finite, got swarm_size="
                               f"{self.swarm_size} with epsilon={self.mql.epsilon!r}")
         if self.pso_target is not None and not self.world.contains(self.pso_target):

@@ -348,18 +348,16 @@ class NeighborList:
     id order and padded with the row's own id. The skin is SKIN * epsilon.
 
     ``blocks`` rebuilds the list first when it was never built or is
-    ``stale``, and then yields the build's own blocks, masked at epsilon, so a
-    rebuild measures each distance once. Otherwise it yields the listed
-    blocks, without binning, gathering or sorting: the build's blocks, whose
-    rows have candidate lists of about one length, each padded to its longest
-    list of peers. A swarm whose cells would not prune at the list's radius (a
-    collapsed swarm) lists nothing, and its queries run ``neighbor_blocks`` on
-    every particle instead."""
+    ``stale``, and then yields the listed blocks, without binning, gathering
+    or sorting: the build's blocks, whose rows have candidate lists of about
+    one length, each padded to its longest list of peers. A swarm whose cells
+    would not prune at the list's radius (a collapsed swarm) lists nothing,
+    and its queries run ``neighbor_blocks`` on every particle instead."""
 
     def __init__(self, epsilon: float):
         self.epsilon, self.skin = epsilon, SKIN * epsilon
         self.built_on = None
-        self._blocks = None
+        self._blocks = []
 
     def stale(self, arr: np.ndarray) -> bool:
         """Whether ``arr`` may hold a pair within epsilon that the list lacks:
@@ -373,36 +371,28 @@ class NeighborList:
         return not moved.sum() < self.skin
 
     def blocks(self, arr: np.ndarray):
-        """``neighbor_blocks`` of every particle of ``arr``: each block names
-        its rows, which come in cell order on a rebuild, else in the list's."""
+        """``neighbor_blocks`` of every particle of ``arr``, through the list
+        when it lists any: each block names its rows."""
         if self.built_on is None or self.stale(arr):
-            yield from self._rebuild(arr)
-        elif self._blocks is None:
+            self._rebuild(arr)
+        if not self._blocks:  # nothing listed: the cells would not prune
             yield from neighbor_blocks(arr, np.arange(len(arr)), self.epsilon)
-        else:
-            for block, cols in self._blocks:
-                dist = pairwise_distances(arr, block, cols)
-                yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
-
-    def _rebuild(self, arr: np.ndarray):
-        # the query's blocks on arr, from the cells at the list's radius
-        # masked at epsilon; their peers within the radius are listed once
-        # all are yielded, and until then an empty list takes neighbor_blocks
-        self.built_on, self._blocks = arr.copy(), None
-        m = len(arr)
-        ids = np.arange(m)
-        radius = (self.epsilon + self.skin) * CELL_WIDTH
-        plan = _cell_plan(arr, ids, radius)
-        if plan is None:
-            yield from neighbor_blocks(arr, ids, self.epsilon)
-            return
-        listed = []
-        for block, cols, dist, within in _query_blocks(arr, radius, plan):
-            counts = np.add.reduce(within, axis=1)
-            first = np.cumsum(counts) - counts
-            listed.append((block, _gather(block, first[:, None], counts[:, None], cols[within])))
+        for block, cols in self._blocks:
+            dist = pairwise_distances(arr, block, cols)
             yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
-        self._blocks = listed
+
+    def _rebuild(self, arr: np.ndarray) -> None:
+        # list each row's peers within the radius among its cell candidates
+        # at that radius; nothing when the cells would not prune
+        self.built_on, self._blocks = arr.copy(), []
+        radius = (self.epsilon + self.skin) * CELL_WIDTH
+        plan = _cell_plan(arr, np.arange(len(arr)), radius)
+        if plan is None:
+            return
+        for block, cols, _, within in _query_blocks(arr, radius, plan):
+            counts = np.add.reduce(within, axis=1, keepdims=True)
+            first = np.cumsum(counts, axis=0) - counts
+            self._blocks.append((block, _gather(block, first, counts, cols[within])))
 
 
 def neighbor_pairs(arr: np.ndarray, epsilon: float):

@@ -177,7 +177,7 @@ def judge(n, total, lowest, params):
     pi = min(1, |rho|), 1 when neighbourless (|D| / x and |D / x| round alike
     for x > 0), and the reward (-reward_max for lost contact or any overlap,
     +reward_max inside the band |D| <= tau_r * n * epsilon, else -|D| capped
-    at reward_max). ``params`` is an MqlParams or holds its scalars as 0-d arrays."""
+    at reward_max). ``params`` holds float scalars or 0-d float64 arrays (``_judged``)."""
     eps = params.epsilon
     x = n * eps
     dev = total - x
@@ -205,9 +205,16 @@ def move(pos_rows: np.ndarray, steps: np.ndarray, pi, world: WorldBounds) -> np.
     return clamp(pos_rows + pi[:, None] * steps, world.lo, world.hi)
 
 
+def _judged(params: MqlParams) -> SimpleNamespace:
+    # judge's scalars as 0-d float64 arrays: numpy need not convert them on each
+    # call, and an integer epsilon as written would wrap n * epsilon in int64
+    return SimpleNamespace(**{name: np.array(float(getattr(params, name))) for name in
+                              ("epsilon", "tau_s", "d_min", "reward_max", "tau_r")})
+
+
 def _judge_one(i: int, positions, params: MqlParams):
     (_, _, dist, mask), = neighbor_blocks(positions_array(positions), [i], params.epsilon)
-    return judge(*summarize(dist, mask), params)
+    return judge(*summarize(dist, mask), _judged(params))
 
 
 def neighborhood(i: int, positions, epsilon: float) -> set[int]:
@@ -260,15 +267,13 @@ class MqlEngine:
                  initial_positions: list[Vec2] | None = None):
         if m < 1:
             raise ValueError(f"swarm size must be >= 1, got {m}")
-        # judge computes n * epsilon for up to m - 1 neighbours; an infinite
-        # product turns into NaN positions
-        if not math.isfinite((m - 1) * params.epsilon):
+        # judge computes n * epsilon in floats for up to m - 1 neighbours; an
+        # infinite product turns into NaN positions
+        if not math.isfinite((m - 1) * float(params.epsilon)):
             raise ValueError(f"(swarm size - 1) * mql.epsilon must be finite, got swarm size "
                              f"{m} with epsilon={params.epsilon!r}")
         self.params = params
-        # judge's scalars as 0-d arrays, which numpy need not convert on each call
-        self._rules = SimpleNamespace(**{name: np.array(getattr(params, name)) for name in
-                                         ("epsilon", "tau_s", "d_min", "reward_max", "tau_r")})
+        self._rules = _judged(params)
         self.world = world
         self.rng = rng
         self.actions, self._steps = _action_table(params.step_set)

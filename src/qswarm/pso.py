@@ -83,9 +83,10 @@ class PsoParams:
         # canonical_velocity; inertia and constriction, at most 1, only shrink
         # that. Each of the few roundings on the way and in this check errs by
         # at most 2**-53 of its result, which the margin of 2**-40 covers.
-        if not math.isfinite(self.v_max - self.v_min):
+        # in floats, as the engine computes: a large integer gives inf, not OverflowError
+        if not math.isfinite(float(self.v_max) - float(self.v_min)):
             raise ValueError(f"pso.v_max - pso.v_min must be finite, got {self.v_min} .. {self.v_max}")
-        pull = (self.c1 + self.c2) * max(self.bounds.width, self.bounds.height)
+        pull = (float(self.c1) + float(self.c2)) * max(self.bounds.width, self.bounds.height)
         if self.canonical_velocity:
             pull += max(abs(self.v_min), abs(self.v_max))
         if not math.isfinite(pull * (1.0 + 2.0 ** -40)):

@@ -64,6 +64,15 @@ def test_validate_names_an_integer_too_large_for_a_float(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_validate_names_the_check_an_integer_overflows(tmp_path, capsys):
+    big = "1" + "0" * 308
+    cfg = write_cfg(tmp_path, f"algorithm: pso\npso: {{v_min: -{big}, v_max: {big}}}\n")
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pso.v_max - pso.v_min must be finite, got ")
+    assert err.count("\n") == 1
+
+
 def test_preset_fig4_runs_single_arm(tmp_path, capsys):
     out = tmp_path / "fig4"
     assert main(["preset", "fig4-individuals", "--out", str(out), "--seed", "3"]) == 0

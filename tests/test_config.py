@@ -409,6 +409,16 @@ def limit_configs(draw):
 @example(data={"algorithm": "pso", "iterations": 5,
                "pso": {"v_min": -1e308, "v_max": 1e308, "canonical_velocity": True,
                        "constriction": 0.0}})
+# integers kept as written for the echo: the checks and the engines compute in floats
+@example(data={"swarm_size": 3, "iterations": 5, "mql": {"epsilon": 10 ** 308}})
+@example(data={"swarm_size": 3, "iterations": 5, "mql": {"epsilon": 10 ** 20, "d_min": 1}})
+@example(data={"swarm_size": 3, "iterations": 5, "mql": {"epsilon": 2 ** 62, "d_min": 1}})
+@example(data={"algorithm": "pso", "iterations": 5, "pso": {"c1": 10 ** 308, "c2": 10 ** 308}})
+@example(data={"algorithm": "pso", "iterations": 5,
+               "pso": {"c1": 10 ** 305, "c2": 10 ** 305, "v_min": -10 ** 307, "v_max": 10 ** 307,
+                       "canonical_velocity": True, "constriction": 0}})
+@example(data={"algorithm": "pso", "iterations": 5,
+               "pso": {"v_min": -10 ** 308, "v_max": 10 ** 308}})
 def test_every_config_the_loader_accepts_runs_finite(data):
     """Every config the loader accepts runs without an overflow or an
     invalid value. mql.reward_max stays at most 1e6: a table updated k times
@@ -457,6 +467,21 @@ def test_validate_reports_an_overflowing_config_in_one_line(tmp_path, capsys):
         assert main(["validate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"swarm_size": 3, "mql": {"epsilon": 10 ** 308}},
+     r"\(swarm_size - 1\) \* mql\.epsilon must be finite, got swarm_size=3 with epsilon=10{308}$"),
+    ({"algorithm": "pso", "pso": {"v_min": -10 ** 308, "v_max": 10 ** 308}},
+     r"pso\.v_max - pso\.v_min must be finite, got -10{308} \.\. 10{308}$"),
+    ({"algorithm": "pso", "pso": {"c1": 10 ** 308, "c2": 10 ** 308}},
+     r"pso velocity may overflow: \(c1 \+ c2\) \* max\(world width, height\) must stay "
+     r"below the largest float, got c1=10{308}, c2=10{308}$"),
+], ids=["epsilon", "velocity-span", "velocity-pull"])
+def test_an_integer_whose_float_product_overflows_is_refused(data, message):
+    # an integer is kept as written for the echo, but checked in floats
+    with pytest.raises(ConfigError, match="^" + message):
+        config_from_dict(data)
 
 
 # an int past the largest float, as YAML reads a 401-digit number

@@ -210,6 +210,13 @@ def test_run_to_dir_writes_byte_identical_outputs(tmp_path):
     assert paths_a["snapshot_t5"].read_bytes() == paths_b["snapshot_t5"].read_bytes()
 
 
+def test_an_integer_epsilon_writes_the_trace_of_its_float_spelling(tmp_path):
+    # n * epsilon at 2 * 2**62 wraps in int64; the engine judges in floats
+    traces = [run_to_dir(small_cfg(mql={"epsilon": e, "d_min": 1}), tmp_path / str(k))["trace"]
+              .read_bytes() for k, e in enumerate((2 ** 62, 4.611686018427388e18))]
+    assert traces[0] == traces[1] and b",NEAR," in traces[0]
+
+
 def test_run_to_dir_effective_config_reproduces_run(tmp_path):
     from qswarm.config import load_config
 

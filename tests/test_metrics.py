@@ -149,7 +149,8 @@ def _particle_rows(records, particle):
 
 def reference_cumulative_reward(records, particle):
     rows = _particle_rows(records, particle)
-    return float(sum(r.reward for r in rows if r.reward is not None))
+    # one addition at a time: from Python 3.12 the builtin sum of floats is compensated
+    return functools.reduce(operator.add, (r.reward for r in rows if r.reward is not None), 0.0)
 
 
 def reference_decisions(records, particle):
@@ -212,13 +213,17 @@ def test_totals_are_not_pairwise_sums():
     trace = Trace(np.arange(len(values)), np.zeros((len(values), 1, 2)),
                   np.zeros((len(values), 1)), np.zeros((len(values), 1)),
                   values[:, None], np.ones((len(values), 1)))
-    assert cumulative_rewards(trace) == [sum(values.tolist())]
+    # the running sum, one addition at a time (from Python 3.12 the builtin sum
+    # of floats is compensated, and gives the exact 46.0 here)
+    running = functools.reduce(operator.add, values.tolist(), 0.0)
+    assert running == 37.0 != math.fsum(values.tolist())
+    assert cumulative_rewards(trace) == [running]
     # so are the running totals, in one block and in two
     for cuts in ([], [7]):
         totals = RunningTotals(1)
         for start, stop in zip([0, *cuts], [*cuts, len(values)]):
             totals.add(trace.window(start, stop))
-        assert totals.cumulative_rewards() == [sum(values.tolist())]
+        assert totals.cumulative_rewards() == [running]
 
 
 def two_tick_trace():

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,12 +534,27 @@ def test_initial_positions_must_be_finite():
                       initial_positions=np.array([[bad, 1.0], [2.0, 3.0]]))
 
 
+@pytest.mark.parametrize("epsilon", [2 ** 62, 10 ** 20])
+def test_an_integer_epsilon_is_judged_as_its_float(epsilon):
+    # 2 * 2**62 wraps in int64 and 10**20 does not fit one: judged in floats,
+    # an integer radius gives the rules of its float spelling
+    positions = [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0)]
+    as_int, as_float = (MqlParams(epsilon=e, d_min=0.5) for e in (epsilon, float(epsilon)))
+    for i in range(3):
+        for rule in (encode_state, step_scale_pi, reward):
+            assert rule(i, positions, as_int) == rule(i, positions, as_float)
+    assert encode_state(1, positions, as_int) is StateId.NEAR
+
+
+@pytest.mark.parametrize("epsilon", [1.7e308, 10 ** 308], ids=["float", "int"])
 @pytest.mark.parametrize("schedule", SCHEDULES)
-def test_an_overflowing_neighbour_radius_is_refused_by_the_engine(schedule):
-    # judge computes n * epsilon for up to m - 1 neighbours, as the loader checks
-    params = MqlParams(epsilon=1.7e308, schedule=schedule)
-    with pytest.raises(ValueError, match=r"^\(swarm size - 1\) \* mql\.epsilon must be finite, "
-                                         r"got swarm size 3 with epsilon=1\.7e\+308$"):
+def test_an_overflowing_neighbour_radius_is_refused_by_the_engine(schedule, epsilon):
+    # judge computes n * epsilon in floats for up to m - 1 neighbours, as the
+    # loader checks; an integer as written is checked as its float
+    params = MqlParams(epsilon=epsilon, schedule=schedule)
+    message = (r"^\(swarm size - 1\) \* mql\.epsilon must be finite, "
+               rf"got swarm size 3 with epsilon={re.escape(repr(epsilon))}$")
+    with pytest.raises(ValueError, match=message):
         MqlEngine(3, params, WorldBounds(), np.random.default_rng(0))
     with np.errstate(all="raise"):
         engine = MqlEngine(2, params, WorldBounds(), np.random.default_rng(0))
@@ -849,10 +865,10 @@ def test_a_list_rebuilt_every_tick_gives_the_same_run(monkeypatch):
     assert_carries_a_fresh_sensing(kept_engine)
 
 
-def test_a_rebuild_tick_measures_each_distance_once(monkeypatch):
-    # a skin of 0 rebuilds the list before every sensing; the tick's
-    # distances are then the build's own blocks: every particle's row once,
-    # against its cell candidates at the list's radius, and no listed pass
+def test_a_rebuild_tick_measures_each_row_at_the_build_then_on_its_list(monkeypatch):
+    # a skin of 0 rebuilds the list before every sensing; the build measures
+    # every particle's row once against its cell candidates at the list's
+    # radius, and the sensing then measures it once against its listed peers
     monkeypatch.setattr(core, "SKIN", 0.0)
     engine = MqlEngine(300, MqlParams(), WorldBounds(), np.random.default_rng(44))
     engine.tick()
@@ -869,17 +885,24 @@ def test_a_rebuild_tick_measures_each_distance_once(monkeypatch):
         measured.clear()
         builds.clear()
         engine.tick()
-        rows = np.concatenate([r for r, _ in measured])
-        assert np.array_equal(np.sort(rows), np.arange(engine.m))
         assert len(builds) == 1
-        # each block as wide as its rows' longest candidate list: the
+        # the build's blocks, then the listed blocks of the same rows
+        built, listed = measured[:len(measured) // 2], measured[len(measured) // 2:]
+        assert [r.tolist() for r, _ in built] == [r.tolist() for r, _ in listed]
+        rows = np.concatenate([r for r, _ in built])
+        assert np.array_equal(np.sort(rows), np.arange(engine.m))
+        # each build block as wide as its rows' longest candidate list: the
         # particles in the 3 x 3 cells around the row's own at the list's radius
         radius = (engine.params.epsilon + engine._list.skin) * core.CELL_WIDTH
         _, key, stride = core._cells(builds[0], radius)
         column, row = np.divmod(key, stride)
         around = ((np.abs(column[:, None] - column) <= 1) & (np.abs(row[:, None] - row) <= 1))
         candidates = around.sum(axis=1)
-        assert [c.shape[1] for _, c in measured] == [int(candidates[r].max()) for r, _ in measured]
+        assert [c.shape[1] for _, c in built] == [int(candidates[r].max()) for r, _ in built]
+        # each listed block as wide as its rows' longest list of peers within
+        # the radius at the build (at least one column, of the row's own id)
+        peers = (distances(builds[0]) < radius).sum(axis=1) - 1
+        assert [c.shape[1] for _, c in listed] == [max(int(peers[r].max()), 1) for r, _ in listed]
     assert_carries_a_fresh_sensing(engine)
 
 

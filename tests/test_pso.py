@@ -400,3 +400,12 @@ def test_array_engine_matches_the_scalar_rules_bit_for_bit(config, m, ticks, see
             assert got.tobytes() == expected.tobytes()  # signed zeros count
         assert engine.inertia == w
         assert engine.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"v_min": -10 ** 308, "v_max": 10 ** 308}, r"pso\.v_max - pso\.v_min must be finite"),
+    ({"c1": 10 ** 308, "c2": 10 ** 308}, r"pso velocity may overflow"),
+], ids=["velocity-span", "velocity-pull"])
+def test_integer_params_whose_float_sums_overflow_are_refused(over, message):
+    with pytest.raises(ValueError, match="^" + message):
+        PsoParams(bounds=WorldBounds(), **over)
