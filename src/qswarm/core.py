@@ -19,10 +19,13 @@ distance at the build below (epsilon + skin) * (1 + 8 * 2**-53), which is
 below (epsilon + skin) * CELL_WIDTH however that product rounds: the list
 holds it. A NaN or infinite sum is never below the skin, so it rebuilds.
 
-The epsilon-query (``neighbor_blocks``) gives each row its neighbours in
-ascending id order, so a left-to-right running sum over a row in which
-non-neighbours add 0.0 has the bits of the same sum over the full (M,)
-distance row; the rows of one cell share one candidate list, sorted once. A
+The epsilon-query (``neighbor_blocks``) lays a block of K query rows out
+column-major, as (C, K) arrays: column k holds row k's C candidates in
+ascending id order. So a running sum down a column in which non-neighbours
+add 0.0 has the bits of the same sum over the full (M,) distance row, and
+numpy takes it for all K rows at once, one (K,) line of the block at a time;
+reductions along each row's short candidate list ran four to five times
+slower. The rows of one cell share one candidate list, sorted once. A
 one-particle move changes only the rows whose computed distance to the mover
 p was or is below epsilon (a row depends on p only through that distance),
 and such a row r's neighbours q lie below 2 * epsilon * CELL_WIDTH from p in
@@ -44,6 +47,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+def is_finite(value) -> bool:
+    """``math.isfinite``, and False for an integer past the largest float,
+    which ``math.isfinite`` refuses with an OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class WorldBounds:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"world.{name} must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"world.x_min must be < world.x_max (got {self.x_min} >= {self.x_max})")
@@ -143,16 +155,27 @@ def positions_array(positions) -> np.ndarray:
 def pairwise_distances(arr: np.ndarray, rows=None, cols=None) -> np.ndarray:
     """sqrt(dx*dx + dy*dy) from each particle in ``rows`` (default: all) to
     every particle, giving the (M, M) matrix with zero diagonal by default;
-    or, given ``cols`` (K, C) of peer ids, from each of the K rows to its own
-    C peers. Built one axis at a time in place, so it holds two arrays of the
-    result's shape and nothing larger."""
-    src = arr if rows is None else arr[rows]
+    or, given ``cols`` (C, K) of peer ids, or (C, 1) shared by all K rows,
+    the (C, K) distances from each of the K rows to the C peers of its column.
+    Built one axis at a time in place, so it holds two arrays of the result's
+    shape and nothing larger."""
     if cols is None:
+        src = arr if rows is None else arr[rows]
         dx = np.subtract.outer(src[:, 0], arr[:, 0])
         dy = np.subtract.outer(src[:, 1], arr[:, 1])
     else:
-        dx = src[:, :1] - arr[:, 0].take(cols)
-        dy = src[:, 1:] - arr[:, 1].take(cols)
+        # peer minus row: the negated difference, whose square has the same
+        # bits. Each axis's rows are one contiguous (K,) line, subtracted in
+        # place from a (C, K) take (a tenth off the distances of a
+        # 400-particle list sensing) and broadcast from a shared (C, 1) one
+        x, y = arr[:, 0], arr[:, 1]
+        dx, dy = x.take(cols), y.take(cols)
+        sx, sy = (x, y) if rows is None else (x.take(rows), y.take(rows))
+        if dx.shape[1] == len(sx):
+            dx -= sx
+            dy -= sy
+        else:  # a (C, 1) column shared by the rows
+            dx, dy = dx - sx, dy - sy
     dx *= dx
     dy *= dy
     dx += dy
@@ -160,11 +183,11 @@ def pairwise_distances(arr: np.ndarray, rows=None, cols=None) -> np.ndarray:
 
 
 def neighbor_mask(dist: np.ndarray, cols: np.ndarray, rows, epsilon: float) -> np.ndarray:
-    """(K, C) mask of the neighbours of particles ``rows`` among their peers
-    ``cols`` (K, C) at distances ``dist`` (K, C): the peers strictly within
-    ``epsilon``. A peer at exactly epsilon is out of contact, and a particle
-    never neighbours itself."""
-    return (dist < epsilon) & (cols != np.asarray(rows)[:, None])
+    """(C, K) mask of the neighbours of particles ``rows`` (K,) among the
+    peers ``cols`` (C, K) or (C, 1) of their columns at distances ``dist``
+    (C, K): the peers strictly within ``epsilon``. A peer at exactly epsilon
+    is out of contact, and a particle never neighbours itself."""
+    return (dist < epsilon) & (cols != np.asarray(rows))
 
 
 # --- the epsilon-neighbour query ------------------------------------------------
@@ -197,11 +220,14 @@ MAX_CELLS = 1 << 30
 
 def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     """Yield ``(block, cols, dist, mask)`` for successive blocks of the query
-    ``rows`` (ids into ``arr``): ``block`` names its rows, ``cols`` (k, C), or
-    (1, C) shared by them all, holds each one's candidate peers in ascending
-    id order, ``dist`` their ``pairwise_distances`` and ``mask`` their
+    ``rows`` (ids into ``arr``), laid out column-major: ``block`` names its K
+    rows, and column k of ``cols`` (C, K), or of one (C, 1) shared by them
+    all, holds row k's candidate peers in ascending id order. ``dist`` (C, K)
+    holds their ``pairwise_distances`` and ``mask`` (C, K) their
     ``neighbor_mask``, which picks exactly the row's epsilon-neighbours.
-    Padding columns repeat the row's own id, which the mask never picks.
+    Padding repeats the row's own id, which the mask never picks. Every array
+    is C-contiguous, so a row's summary is a reduction over axis 0, which
+    numpy takes one (K,) line at a time (see ``mql.summarize``).
 
     The candidates are the particles in the 3 x 3 cells around the row's own,
     and the blocks then name the rows grouped by cell; or every particle (C =
@@ -213,34 +239,34 @@ def neighbor_blocks(arr: np.ndarray, rows, epsilon: float):
     rows = np.asarray(rows, dtype=np.int64)
     plan = _cell_plan(arr, rows, epsilon) if len(rows) * len(arr) >= DENSE_PAIRS else None
     if plan is None:
-        return _dense_blocks(arr, rows, epsilon)
-    return _query_blocks(arr, epsilon, plan)
+        return _dense_blocks(arr, rows, epsilon, _id_col(len(arr)))
+    return _query_blocks(arr, epsilon, plan, BLOCK_ENTRIES)
 
 
 def mover_blocks(arr: np.ndarray, before: np.ndarray, after: np.ndarray, epsilon: float):
     """The ``neighbor_blocks`` of the rows a one-particle move can change, the
     mover and its epsilon-peers in its (1, M) distance rows ``before`` and
-    ``after`` the move, against the one (1, C) list of the peers within reach
+    ``after`` the move, against the one (C, 1) list of the peers within reach
     of it in either row (see the module docstring)."""
     rows = np.flatnonzero((before < epsilon) | (after < epsilon))
     reach = 2.0 * epsilon * CELL_WIDTH
-    cols = np.flatnonzero((before < reach) | (after < reach))[None]
+    cols = np.flatnonzero((before < reach) | (after < reach))[:, None]
     return _dense_blocks(arr, rows, epsilon, cols)
 
 
-def _dense_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, cols=None):
-    # the blocks of the int64 rows against one (1, C) row of ascending peer
-    # ids ``cols``; by default every particle, measured by the outer product
-    ids = _id_row(len(arr)) if cols is None else cols
-    step = max(1, BLOCK_ENTRIES // ids.shape[1])
+def _dense_blocks(arr: np.ndarray, rows: np.ndarray, epsilon: float, cols: np.ndarray):
+    # the blocks of the int64 rows against one (C, 1) column of ascending
+    # peer ids ``cols``
+    step = max(1, BLOCK_ENTRIES // len(cols))
     for block in [rows] if len(rows) <= step else np.split(rows, range(step, len(rows), step)):
         dist = pairwise_distances(arr, block, cols)
-        own = block.astype(ids.dtype, copy=False)  # compared in the ids' narrow type
-        yield block, ids, dist, neighbor_mask(dist, ids, own, epsilon)
+        own = block.astype(cols.dtype, copy=False)  # compared in the ids' narrow type
+        yield block, cols, dist, neighbor_mask(dist, cols, own, epsilon)
 
 
-def _query_blocks(arr: np.ndarray, epsilon: float, plan):
-    # the blocks of neighbor_blocks on the cells, given its _cell_plan
+def _query_blocks(arr: np.ndarray, epsilon: float, plan, entries: int):
+    # the blocks of neighbor_blocks on the cells, given its _cell_plan, of
+    # about ``entries`` candidates each
     m = len(arr)
     order, rows, cell, first, size = plan
     lengths = size.sum(axis=1).tolist()
@@ -248,38 +274,47 @@ def _query_blocks(arr: np.ndarray, epsilon: float, plan):
     while s < len(rows):
         # a block of rows whose first cell's list is the longest, so its lists
         # are of about one length: each cell's candidates once, sorted, padded
-        # with M (which sorts last); past the shortest, each row's own id
-        e = s + max(1, BLOCK_ENTRIES // lengths[cell[s]])
+        # with M (which sorts last), and repeated for each of the cell's rows
+        # (grouped, in ascending cell order); past the shortest list, the
+        # padding becomes each row's own id
+        e = s + max(1, entries // lengths[cell[s]])
         block, own = rows[s:e], cell[s:e]
         c0, c1 = int(own[0]), int(own[-1]) + 1
         lists = _gather(np.full(c1 - c0, m), first[c0:c1], size[c0:c1], order)
-        lists.sort(axis=1)
-        cols = lists[own - c0]
-        pad = cols[:, lengths[c1 - 1]:]
-        np.copyto(pad, block[:, None], where=pad == m)
+        lists.sort(axis=0)
+        cols = np.repeat(lists, np.bincount(own - c0), axis=1)
+        pad = cols[lengths[c1 - 1]:]
+        np.copyto(pad, block, where=pad == m)
         dist = pairwise_distances(arr, block, cols)
         yield block, cols, dist, neighbor_mask(dist, cols, block, epsilon)
         s = e
 
 
 def _gather(block: np.ndarray, first: np.ndarray, size: np.ndarray, source: np.ndarray):
-    """(k, C) ids: for each entry of ``block``, the entries of ``source`` in
-    its runs first .. first + size (``first`` and ``size`` (k, r), r runs an
-    entry, taken in order), padded with the entry itself up to the longest."""
+    """(C, k) ids: for each entry of ``block``, a column of the entries of
+    ``source`` in its runs first .. first + size (``first`` and ``size`` (k,
+    r), r runs an entry, taken in order), padded with the entry itself up to
+    the longest."""
     lens = size.ravel()
     flat = np.arange(lens.sum()) + np.repeat(first.ravel() - (np.cumsum(lens) - lens), lens)
-    n_cols = size.sum(axis=1)
-    cols = np.repeat(block[:, None], max(int(n_cols.max()), 1), axis=1)
-    cols[np.arange(cols.shape[1]) < n_cols[:, None]] = source[flat]
+    return _padded(block, size.sum(axis=1), source[flat])
+
+
+def _padded(block: np.ndarray, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(C, k) ids: column j holds the next ``counts[j]`` of ``values``, taken
+    in order, then ``block[j]`` down to the longest column (C >= 1)."""
+    cols = np.repeat(block[None], max(int(counts.max()), 1), axis=0)
+    cols.T[np.arange(len(cols)) < counts[:, None]] = values
     return cols
 
 
 @lru_cache(maxsize=8)
-def _id_row(m: int) -> np.ndarray:
-    """Read-only (1, M) row of the ids 0..M-1, in the narrowest unsigned type
-    that holds them: the mask compares ids over all K * M pairs, six times
-    faster in 16 bits than in 64. Shared by every dense query on M particles."""
-    ids = np.arange(m, dtype=np.min_scalar_type(m))[None]
+def _id_col(m: int) -> np.ndarray:
+    """Read-only (M, 1) column of the ids 0..M-1, in the narrowest unsigned
+    type that holds them: the mask compares ids over all M * K pairs, six
+    times faster in 16 bits than in 64. Shared by every dense query on M
+    particles."""
+    ids = np.arange(m, dtype=np.min_scalar_type(m))[:, None]
     ids.flags.writeable = False
     return ids
 
@@ -345,14 +380,17 @@ class NeighborList:
     """The Verlet list the epsilon-query of every particle of a moving swarm
     runs on: each row's peers whose computed distance is below
     (epsilon + skin) * CELL_WIDTH at the positions ``built_on``, in ascending
-    id order and padded with the row's own id. The skin is SKIN * epsilon.
+    id order and padded with the row's own id, one column a row as in
+    ``neighbor_blocks``. The skin is SKIN * epsilon.
 
     ``blocks`` rebuilds the list first when it was never built or is
     ``stale``, and then yields the listed blocks, without binning, gathering
-    or sorting: the build's blocks, whose rows have candidate lists of about
-    one length, each padded to its longest list of peers. A swarm whose cells
-    would not prune at the list's radius (a collapsed swarm) lists nothing,
-    and its queries run ``neighbor_blocks`` on every particle instead."""
+    or sorting. The list is one (C, M) block, C being the longest list of
+    peers, whenever it holds at most BLOCK_ENTRIES ids; otherwise it is the
+    build's blocks, whose rows have candidate lists of about one length, each
+    padded to its own longest list. A swarm whose cells would not prune at the
+    list's radius (a collapsed swarm) lists nothing, and its queries run
+    ``neighbor_blocks`` on every particle instead."""
 
     def __init__(self, epsilon: float):
         self.epsilon, self.skin = epsilon, SKIN * epsilon
@@ -383,16 +421,33 @@ class NeighborList:
 
     def _rebuild(self, arr: np.ndarray) -> None:
         # list each row's peers within the radius among its cell candidates
-        # at that radius; nothing when the cells would not prune
+        # at that radius, all in one block until the longest list says they
+        # do not fit; nothing when the cells would not prune
         self.built_on, self._blocks = arr.copy(), []
         radius = (self.epsilon + self.skin) * CELL_WIDTH
         plan = _cell_plan(arr, np.arange(len(arr)), radius)
         if plan is None:
             return
-        for block, cols, _, within in _query_blocks(arr, radius, plan):
-            counts = np.add.reduce(within, axis=1, keepdims=True)
-            first = np.cumsum(counts, axis=0) - counts
-            self._blocks.append((block, _gather(block, first, counts, cols[within])))
+        # measured in blocks of half BLOCK_ENTRIES candidates: such a block
+        # holds about twice the arrays of a sensing block (the candidates'
+        # ids, distances and mask, and the peers kept), and at full size they
+        # pass the 128 KB above which glibc's malloc may map fresh pages,
+        # whose first writes fault. The 13 builds of a 400-particle run took
+        # 12.1 ms in half-size blocks against 13.7 ms in full-size ones (1310
+        # page faults against 1935), the minimum of 40 on a 2-CPU x86 VM.
+        found, longest = [], 1
+        for block, cols, _, within in _query_blocks(arr, radius, plan, BLOCK_ENTRIES // 2):
+            counts = np.add.reduce(within, axis=0)
+            # each row's peers within the radius, row after row: flatnonzero
+            # picks them without the branches of a boolean index
+            found.append((block, counts, cols.T.ravel().take(np.flatnonzero(within.T))))
+            longest = max(longest, int(counts.max()))
+            if longest * len(arr) > BLOCK_ENTRIES:
+                self._blocks += [(rows, _padded(rows, n, peers)) for rows, n, peers in found]
+                found = []
+        if found:
+            rows, n, peers = (np.concatenate(parts) for parts in zip(*found))
+            self._blocks.append((rows, _padded(rows, n, peers)))
 
 
 def neighbor_pairs(arr: np.ndarray, epsilon: float):

@@ -3,8 +3,10 @@
 A run is fully determined by its SwarmConfig: one ``numpy`` generator is
 seeded from ``cfg.seed`` and consumed in a documented order, so re-running any
 config reproduces the trace CSV and summary JSON byte-for-byte. Floats in CSV
-output are rendered with 9 significant digits; the summary is recomputable
-from the trace plus the echoed config.
+output are rendered with 9 significant digits. A summary is checked by
+rerunning its echoed config, not from the trace: the trace does not hold the
+learning swarm's final q-tables, and its 9-digit rewards need not sum to the
+summary's cumulative rewards in the last bits.
 
 A run streams. The engine ticks into one reused block of whole ticks
 (``BLOCK_ROWS`` rows), and each filled block goes to the trace writer, to
@@ -56,10 +58,11 @@ PRESETS = ("fig3-compare", "fig4-individuals")
 # per cell of a block, are no larger than the block, and a round-robin tick
 # adds its mover's two (1, M) distance rows. The exception is the neighbour
 # list a simultaneous swarm carries: about M x C ids of 8 bytes, C being the
-# longest list of peers within epsilon * (1 + core.SKIN) in a particle's
-# build block (43 and 32 in the two blocks at M = 400 and the default seeding
-# density, well inside PARTICLE_BYTES). The list is built only where the
-# cells prune, where candidates average below core.DENSE_SHARE x M a particle.
+# longest list of peers within epsilon * (1 + core.SKIN) in its block (36 to
+# 43 at M = 400 and the default seeding density, where the whole list is one
+# block of at most core.BLOCK_ENTRIES ids; well inside PARTICLE_BYTES). The
+# list is built only where the cells prune, where candidates average below
+# core.DENSE_SHARE x M a particle.
 PARTICLE_BYTES = 4 * 1024
 TRACE_BYTES_PER_ROW = 48
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Vec2, WorldBounds, clamp, neighbor_counts
+from .core import Vec2, WorldBounds, clamp, is_finite, neighbor_counts
 from .metrics import Trace
 
 
@@ -63,7 +63,7 @@ class PsoParams:
     def __post_init__(self):
         for name in ("c1", "c2", "inertia_w0", "inertia_decrement", "constriction",
                      "v_min", "v_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"pso.{name} must be finite")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError(f"pso.c1/pso.c2 must be >= 0, got ({self.c1}, {self.c2})")

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_finite
+
 
 @dataclass(frozen=True)
 class LearningParams:
@@ -28,7 +30,7 @@ class LearningParams:
     def __post_init__(self):
         for name in ("learning_rate", "discount", "explore_rate"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            if not (is_finite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
 
 
@@ -40,16 +42,21 @@ def greedy_actions(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     values and leaves the generator in the same state as one scalar
     ``rng.integers(ties)`` call per tied row. With no tied row there is no
     call, as an empty bound draws nothing.
+
+    Each row's max and tie count are reductions over axis 0 of the (A, K)
+    transpose, one (K,) line at a time, several times faster than along the
+    A-long rows (see ``mql.summarize``).
     """
-    ties = rows == np.maximum.reduce(rows, axis=1, keepdims=True)
-    counts = np.add.reduce(ties, axis=1)
-    # the row's first tied column in the row-major nonzero list: a row's
-    # tied columns are consecutive there, in ascending order
+    cols = rows.T.copy()
+    ties = cols == np.maximum.reduce(cols, axis=0)
+    counts = np.add.reduce(ties, axis=0)
+    # the row's first tied column in the row-major list of (row, column)
+    # ties: a row's tied columns are consecutive there, in ascending order
     pick = np.add.accumulate(counts) - counts
     tied = counts > 1
     if np.count_nonzero(tied):
         pick[tied] += rng.integers(counts[tied])
-    return ties.nonzero()[1][pick]
+    return ties.T.ravel().nonzero()[0][pick] % len(cols)
 
 
 def epsilon_greedy_actions(rows: np.ndarray, explore_rate: float,
@@ -73,8 +80,9 @@ def td_update(q: np.ndarray, rows, states, actions, rewards,
               next_states, params: LearningParams) -> np.ndarray:
     """Apply the temporal-difference update to cell (states[k], actions[k]) of
     table q[rows[k]] for every k and return the new values. Each lookahead
-    reads its table as it was before the write."""
-    best_next = np.maximum.reduce(q[rows, next_states], axis=1)
+    reads its table as it was before the write; each lookahead's max is a
+    reduction over axis 0 of the (A, K) transpose, as in ``greedy_actions``."""
+    best_next = np.maximum.reduce(q[rows, next_states].T.copy(), axis=0)
     old = q[rows, states, actions]
     new = old + params.learning_rate * (rewards + params.discount * best_next - old)
     q[rows, states, actions] = new

@@ -14,7 +14,9 @@ from qswarm.config import (ALGORITHMS, MAX_SEED, ConfigError, SwarmConfig,
                            config_from_dict, config_to_dict, dump_config, load_config)
 from qswarm.core import Vec2
 from qswarm.harness import run_experiment
-from qswarm.mql import SCHEDULES
+from qswarm.mql import SCHEDULES, MqlParams
+from qswarm.pso import PsoParams
+from qswarm.qlearning import LearningParams
 
 BIGGEST = sys.float_info.max
 
@@ -503,6 +505,19 @@ def test_an_integer_too_large_for_a_float_is_refused_by_name(data, key):
                                           rf"for a float") as err:
         config_from_dict(data)
     assert "\n" not in str(err.value) and "0000" not in str(err.value)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: MqlParams(epsilon=HUGE), "mql.epsilon"),
+    (lambda: MqlParams(init_span=HUGE), "mql.init_span"),
+    (lambda: PsoParams(c1=HUGE), "pso.c1"),
+    (lambda: LearningParams(learning_rate=HUGE), "learning_rate"),
+], ids=["epsilon", "init_span", "c1", "learning_rate"])
+def test_parameters_built_without_the_loader_refuse_a_huge_integer_by_name(make, field):
+    # math.isfinite raises OverflowError on such an integer; the parameter
+    # classes say which field is out of range instead
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be"):
+        make()
 
 
 @pytest.mark.parametrize("pso", [

@@ -332,6 +332,47 @@ def test_mover_blocks_sense_the_bits_of_the_dense_rows(swarm, small_blocks):
         assert g[rows].dtype == want.dtype and g[rows].tobytes() == want.tobytes()
 
 
+def one_row_blocks(producer, arr, epsilon):
+    """Every block a producer yields for particle 0's row of ``arr``, with
+    the blocks cut to one row each where the producer would take more."""
+    with pytest.MonkeyPatch.context() as mp:
+        if producer == "dense":
+            return list(core.neighbor_blocks(arr, [0], epsilon))
+        if producer == "cells":
+            mp.setattr(core, "DENSE_PAIRS", 0)
+            return list(core.neighbor_blocks(arr, [0], epsilon))
+        mp.setattr(core, "BLOCK_ENTRIES", 1)
+        if producer == "mover":
+            row = pairwise_distances(arr, [0])
+            return list(core.mover_blocks(arr, row, row, epsilon))
+        return list(core.NeighborList(epsilon).blocks(arr))
+
+
+@pytest.mark.parametrize("producer", ["dense", "cells", "mover", "list"])
+def test_a_one_row_block_sums_its_row_left_to_right(producer):
+    # numpy sums a contiguous run of 8 or more entries pairwise, and a (C, 1)
+    # block's axis 0 is such a run: its total must still be the running sum
+    rng = np.random.default_rng(23)  # a seed whose pairwise sums differ
+    epsilon = 10.0
+    # particle 0 with 12 peers within epsilon, in a scatter the cells prune
+    near = 50.0 + (rng.random((12, 2)) - 0.5) * 12.0
+    arr = np.vstack([[50.0, 50.0], near, rng.random((60, 2)) * 400.0])
+    row = pairwise_distances(arr, [0])[0].tolist()
+    peers = [d for j, d in enumerate(row) if j != 0 and d < epsilon]
+    running = 0.0
+    for d in peers:
+        running += d
+    assert len(peers) >= 9
+    blocks = one_row_blocks(producer, arr, epsilon)
+    (block, cols, dist, mask), = [b for b in blocks if 0 in b[0].tolist()]
+    assert block.tolist() == [0] and dist.shape == mask.shape == (len(cols), 1)
+    # the block's column, non-neighbours at 0.0, sums pairwise to other bits
+    assert np.add.reduce(np.where(mask, dist, 0.0)[:, 0]) != running
+    n, total, lowest = summarize(dist, mask)
+    assert n.tolist() == [len(peers)] and lowest.tolist() == [min(peers)]
+    assert total.tobytes() == np.array([running]).tobytes()
+
+
 @pytest.mark.parametrize("side", [-1, 0, 1])
 def test_counts_on_the_rim_of_the_bounding_box_bound(side):
     # the far corners are exactly at the diagonal: out of contact unless

@@ -35,9 +35,9 @@ def rim_summary(dists):
     at ``dists``. Sensed with a radius one ulp wider than the farthest peer,
     so peers at exactly the rules' radius count; raw positions under the
     strict neighbourhood cannot reach these formula-level cases."""
-    row = np.array([[0.0, *dists]])
-    peers = np.arange(row.shape[1])[None]
-    return summarize(row, neighbor_mask(row, peers, [0], np.nextafter(max(dists), np.inf)))
+    column = np.array([[0.0, *dists]]).T
+    peers = np.arange(len(column))[:, None]
+    return summarize(column, neighbor_mask(column, peers, [0], np.nextafter(max(dists), np.inf)))
 
 
 # --- action catalogue ----------------------------------------------------------
@@ -92,16 +92,18 @@ def test_neighborhood_never_contains_self_and_is_symmetric():
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 17, 64, 131])
 def test_summarize_sums_each_row_left_to_right(k):
     # numpy sums pairwise along a fast axis of 8 or more entries, so a total
-    # taken along one (a one-row block reduced over axis 0) differs in its bits
+    # taken along one (a one-row (c, 1) block reduced over axis 0) differs in
+    # its bits
     rng = np.random.default_rng(k)
     for c in (1, 8, 9, 17, 129, 300):
-        dist = rng.random((k, c)) * 10.0 ** rng.integers(-6, 7, (k, c))
-        mask = rng.random((k, c)) < 0.7
+        # column-major: query row j's peers are column j of the (c, k) block
+        dist = rng.random((c, k)) * 10.0 ** rng.integers(-6, 7, (c, k))
+        mask = rng.random((c, k)) < 0.7
         # masked-out cells change no total, whatever they hold
-        dist[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e308], (k, c))[~mask]
+        dist[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e308], (c, k))[~mask]
         n, total, lowest = summarize(dist, mask)
         rows = [[d for d, picked in zip(row, picks) if picked]
-                for row, picks in zip(dist.tolist(), mask.tolist())]
+                for row, picks in zip(dist.T.tolist(), mask.T.tolist())]
         expected = []
         for row in rows:
             running = 0.0
@@ -869,6 +871,7 @@ def test_a_rebuild_tick_measures_each_row_at_the_build_then_on_its_list(monkeypa
     # a skin of 0 rebuilds the list before every sensing; the build measures
     # every particle's row once against its cell candidates at the list's
     # radius, and the sensing then measures it once against its listed peers
+    # (column-major blocks: a (C, K) block's K rows each list C peers)
     monkeypatch.setattr(core, "SKIN", 0.0)
     engine = MqlEngine(300, MqlParams(), WorldBounds(), np.random.default_rng(44))
     engine.tick()
@@ -886,23 +889,27 @@ def test_a_rebuild_tick_measures_each_row_at_the_build_then_on_its_list(monkeypa
         builds.clear()
         engine.tick()
         assert len(builds) == 1
-        # the build's blocks, then the listed blocks of the same rows
-        built, listed = measured[:len(measured) // 2], measured[len(measured) // 2:]
-        assert [r.tolist() for r, _ in built] == [r.tolist() for r, _ in listed]
+        # the build's blocks, then the list: at M = 300 its ids fit in
+        # BLOCK_ENTRIES, so it is one block of the build's rows in turn
+        listed = [(r, c) for r, c in measured if any(c is ids for _, ids in engine._list._blocks)]
+        built = measured[:len(measured) - len(listed)]
+        assert len(listed) == 1 and measured[-1][1] is listed[0][1]
         rows = np.concatenate([r for r, _ in built])
+        assert listed[0][0].tolist() == rows.tolist()
         assert np.array_equal(np.sort(rows), np.arange(engine.m))
-        # each build block as wide as its rows' longest candidate list: the
+        # each build block as long as its rows' longest candidate list: the
         # particles in the 3 x 3 cells around the row's own at the list's radius
         radius = (engine.params.epsilon + engine._list.skin) * core.CELL_WIDTH
         _, key, stride = core._cells(builds[0], radius)
         column, row = np.divmod(key, stride)
         around = ((np.abs(column[:, None] - column) <= 1) & (np.abs(row[:, None] - row) <= 1))
         candidates = around.sum(axis=1)
-        assert [c.shape[1] for _, c in built] == [int(candidates[r].max()) for r, _ in built]
-        # each listed block as wide as its rows' longest list of peers within
-        # the radius at the build (at least one column, of the row's own id)
+        assert [c.shape for _, c in built] == [(int(candidates[r].max()), len(r)) for r, _ in built]
+        # the list as long as the longest list of peers within the radius at
+        # the build (at least one row, of each column's own id)
         peers = (distances(builds[0]) < radius).sum(axis=1) - 1
-        assert [c.shape[1] for _, c in listed] == [max(int(peers[r].max()), 1) for r, _ in listed]
+        assert listed[0][1].shape == (max(int(peers.max()), 1), engine.m)
+        assert listed[0][1].size <= core.BLOCK_ENTRIES
     assert_carries_a_fresh_sensing(engine)
 
 
