@@ -38,13 +38,20 @@ nearest, fl(a - b) = -fl(b - a) and squaring drops the sign, so a distance
 has the same bits both ways. Taken in cell order, column by column, a
 particle's later peers within epsilon lie in the rest of its own cell, the
 cell after it and the three cells beside it in the next column, since no such
-pair is two cells apart on either axis (the cell list's argument below)."""
+pair is two cells apart on either axis (the cell list's argument below). It
+takes no square root: a pair's computed square is below ``squared_radius``
+exactly when its computed distance is below epsilon, sqrt being correctly
+rounded and so monotone. ``neighbor_counts`` first tries two bounds that
+measure no pair, by the monotone rounding of the subtractions, squares and
+sum: the swarm's bounding-box diagonal, and each particle's reach to the far
+corner of that box. A swarm's extents are the least and greatest of its x and
+y lines (``_extents``), taken one axis at a time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -126,8 +133,10 @@ def _read_only(*values) -> np.ndarray:
 
 
 def euclidean_distance(a: Vec2, b: Vec2) -> float:
-    """Straight-line distance sqrt((ax-bx)^2 + (ay-by)^2)."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
+    """Straight-line distance sqrt(dx*dx + dy*dy), squared by multiplication
+    in the order ``pairwise_distances`` takes."""
+    dx, dy = a.x - b.x, a.y - b.y
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def clamp(v, lo, hi) -> np.ndarray:
@@ -152,13 +161,14 @@ def positions_array(positions) -> np.ndarray:
     return arr
 
 
-def pairwise_distances(arr: np.ndarray, rows=None, cols=None) -> np.ndarray:
+def pairwise_distances(arr: np.ndarray, rows=None, cols=None, squared=False) -> np.ndarray:
     """sqrt(dx*dx + dy*dy) from each particle in ``rows`` (default: all) to
     every particle, giving the (M, M) matrix with zero diagonal by default;
     or, given ``cols`` (C, K) of peer ids, or (C, 1) shared by all K rows,
     the (C, K) distances from each of the K rows to the C peers of its column.
     Built one axis at a time in place, so it holds two arrays of the result's
-    shape and nothing larger."""
+    shape and nothing larger. With ``squared``, the squares dx*dx + dy*dy
+    themselves, whose square root the distances are (``_squares``)."""
     if cols is None:
         src = arr if rows is None else arr[rows]
         dx = np.subtract.outer(src[:, 0], arr[:, 0])
@@ -179,7 +189,45 @@ def pairwise_distances(arr: np.ndarray, rows=None, cols=None) -> np.ndarray:
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx, out=dx)
+    return dx if squared else np.sqrt(dx, out=dx)
+
+
+# the count-only queries' squared distances, compared with ``squared_radius``;
+# bound to the kernel itself, so a wrapper of the public name (perfbench's
+# tracer) sees distances only
+_squares = partial(pairwise_distances, squared=True)
+
+
+@lru_cache(maxsize=64)
+def squared_radius(epsilon: float) -> float:
+    """s*(epsilon), the least float whose ``math.sqrt`` is not below
+    ``epsilon`` (for epsilon = 10, 100 less one ulp): a computed square q =
+    dx*dx + dy*dy is below s* exactly when its computed distance sqrt(q) is
+    below epsilon. Every float below s* has its sqrt below epsilon, s* being
+    the least that has not; and every float from s* up has a sqrt of at
+    least sqrt(s*) >= epsilon, since IEEE sqrt (numpy's as ``math``'s) is
+    correctly rounded and so monotone. A NaN or infinite q is below neither.
+    s* is 0.0 for an epsilon of 0 or less (no square is below it), NaN for a
+    NaN epsilon and inf where no finite float's sqrt reaches epsilon; it is
+    found from fl(epsilon * epsilon) in a few steps of one float."""
+    epsilon = float(epsilon)
+    if not epsilon > 0.0:
+        return 0.0 if epsilon <= 0.0 else epsilon
+    s = epsilon * epsilon
+    while s > 0.0 and math.sqrt(math.nextafter(s, 0.0)) >= epsilon:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(s) < epsilon:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _extents(arr: np.ndarray) -> tuple[float, float, float, float]:
+    """(x0, x1, y0, y1): the least and greatest x and y of the (M, 2)
+    ``arr``, NaN when a coordinate is NaN. Taken along each axis's (M,)
+    line: the same values as ``arr.min(axis=0)`` and ``arr.max(axis=0)``,
+    which reduce (M, 2) one short row at a time, five times slower at M = 400."""
+    x, y = arr[:, 0], arr[:, 1]
+    return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
 def neighbor_mask(dist: np.ndarray, cols: np.ndarray, rows, epsilon: float) -> np.ndarray:
@@ -323,8 +371,9 @@ def _cells(arr: np.ndarray, epsilon: float):
     """Bin ``arr`` into the cell list. Returns (order, key, stride): the
     particle ids sorted by cell, each particle's cell key, and the keys a
     column of cells takes; or None when the cells would not prune."""
-    low, width = arr.min(axis=0), epsilon * CELL_WIDTH
-    span = np.floor((arr.max(axis=0) - low) / width) + 1
+    x0, x1, y0, y1 = _extents(arr)
+    low, width = np.array((x0, y0)), epsilon * CELL_WIDTH
+    span = np.floor((np.array((x1, y1)) - low) / width) + 1
     if not 2 < span.max() < MAX_CELLS:
         # every particle's 3 x 3 cells hold the whole swarm, or the cells are
         # too many to number
@@ -415,9 +464,12 @@ class NeighborList:
             self._rebuild(arr)
         if not self._blocks:  # nothing listed: the cells would not prune
             yield from neighbor_blocks(arr, np.arange(len(arr)), self.epsilon)
-        for block, cols in self._blocks:
+        for block, cols, peer in self._blocks:
             dist = pairwise_distances(arr, block, cols)
-            yield block, cols, dist, neighbor_mask(dist, cols, block, self.epsilon)
+            # neighbor_mask, with its id compare taken once a build
+            mask = dist < self.epsilon
+            mask &= peer
+            yield block, cols, dist, mask
 
     def _rebuild(self, arr: np.ndarray) -> None:
         # list each row's peers within the radius among its cell candidates
@@ -443,24 +495,35 @@ class NeighborList:
             found.append((block, counts, cols.T.ravel().take(np.flatnonzero(within.T))))
             longest = max(longest, int(counts.max()))
             if longest * len(arr) > BLOCK_ENTRIES:
-                self._blocks += [(rows, _padded(rows, n, peers)) for rows, n, peers in found]
+                self._blocks += [_listed(*part) for part in found]
                 found = []
         if found:
-            rows, n, peers = (np.concatenate(parts) for parts in zip(*found))
-            self._blocks.append((rows, _padded(rows, n, peers)))
+            self._blocks.append(_listed(*(np.concatenate(parts) for parts in zip(*found))))
+
+
+def _listed(rows: np.ndarray, counts: np.ndarray, peers: np.ndarray):
+    """A list block (rows, cols, peer): the ``_padded`` columns of the rows'
+    listed ``peers`` and the (C, K) mask ``cols != rows`` of the listed ids,
+    which every sensing through the list shares until its next build."""
+    cols = _padded(rows, counts, peers)
+    return rows, cols, cols != rows
 
 
 def neighbor_pairs(arr: np.ndarray, epsilon: float):
     """Yield ``(rows, cols, mask)`` blocks whose masks (k, C) pick each pair
     (rows[r], cols[c]) strictly within ``epsilon`` once, never a particle with
-    itself (see the module docstring). A block of rows in cell order measures
-    the later particles up to the cell after its last row's, then the next
-    column's cells beside its rows. A small swarm (M * M below DENSE_PAIRS) is
-    one block, and one that the cells would not prune is one cell."""
-    m = len(arr)
+    itself (see the module docstring). A pair is picked by its squared
+    distance, computed as ``pairwise_distances`` computes it before the
+    sqrt, being below ``squared_radius(epsilon)``: exactly the pairs whose
+    distance is below epsilon, and no sqrt taken. A block of rows in cell
+    order measures the later particles up to the cell after its last row's,
+    then the next column's cells beside its rows. A small swarm (M * M below
+    DENSE_PAIRS) is one block, and one that the cells would not prune is one
+    cell."""
+    m, below = len(arr), squared_radius(epsilon)
     if m * m < DENSE_PAIRS:
         ids = np.arange(m)
-        yield ids, ids, (pairwise_distances(arr) < epsilon) & _later(m)
+        yield ids, ids, (_squares(arr) < below) & _later(m)
         return
     order, key, stride = _cells(arr, epsilon) or (np.arange(m), np.zeros(m, dtype=np.int64), 3)
     key, arr = key[order], arr[order]
@@ -480,7 +543,7 @@ def neighbor_pairs(arr: np.ndarray, epsilon: float):
         # one slice (a view) where the next column's cells follow on
         cand = (slice(s, n1) if n0 <= mid
                 else np.concatenate((np.arange(s, mid), np.arange(n0, n1))))
-        mask = pairwise_distances(arr[cand], slice(0, e - s)) < epsilon
+        mask = _squares(arr[cand], slice(0, e - s)) < below
         mask[:, :e - s] &= later[:e - s, :e - s]
         yield order[s:e], order[cand], mask
 
@@ -494,21 +557,52 @@ def _later(k: int) -> np.ndarray:
 
 
 def neighbor_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
-    """(M,) number of epsilon-neighbours of every particle.
+    """(M,) number of epsilon-neighbours of every particle: the query's
+    counts exactly, with two bounds that measure no pair they decide.
 
-    A swarm whose bounding-box diagonal sqrt(wx*wx + wy*wy) is below epsilon
-    (a collapsed PSO swarm) counts M - 1 for every particle and measures no
-    distance. That is exactly what the query would count: every pair's
-    |xi - xj| and |yi - yj| are at most the box's extents wx and wy, and
-    subtraction, squaring, addition and sqrt, each rounded to nearest, are
-    monotone, so every distance ``pairwise_distances`` computes is at most the
-    diagonal computed in the same order, and so strictly within epsilon.
-    (``math.hypot`` rounds differently and would break the argument.)
-    Otherwise ``neighbor_pairs`` measures each pair once, booked to both ends:
+    Each compares a square with ``squared_radius(epsilon)``, as the pairs do,
+    and rests on one rounding argument. Let (x0, x1) and (y0, y1) be the
+    swarm's extents along each axis (``_extents``). For particles i and j,
+    |xi - xj| is at most particle i's reach along x, max(xi - x0, x1 - xi),
+    and the same for y; subtraction, squaring and addition, each rounded to
+    nearest, are monotone (and fl(a - b) = -fl(b - a)), so the square
+    ``pairwise_distances`` computes for the pair is at most i's reach computed
+    in the same order, rx*rx + ry*ry. (``math.hypot`` rounds differently and
+    would break the argument.)
+
+    - A swarm whose bounding-box diagonal has its square wx*wx + wy*wy below
+      s* (a collapsed PSO swarm) counts M - 1 for every particle: every
+      particle's reach is at most the diagonal.
+    - Otherwise each particle whose reach has its square below s* is within
+      epsilon of every peer and counts M - 1; if k particles are, each other
+      particle counts those k and its neighbours among the others, which
+      ``neighbor_pairs`` measures on those others alone. A NaN coordinate
+      makes every reach NaN, which no bound takes.
+
+    ``neighbor_pairs`` measures each remaining pair once, booked to both ends:
     a distance has the same bits either way (see the module docstring)."""
-    wx, wy = (arr.max(axis=0) - arr.min(axis=0)).tolist()
-    if math.sqrt(wx * wx + wy * wy) < epsilon:
-        return np.full(len(arr), len(arr) - 1)
+    m, below = len(arr), squared_radius(epsilon)
+    x0, x1, y0, y1 = _extents(arr)
+    wx, wy = x1 - x0, y1 - y0
+    if wx * wx + wy * wy < below:
+        return np.full(m, m - 1)
+    x, y = arr[:, 0], arr[:, 1]
+    reach, ry = np.maximum(x - x0, x1 - x), np.maximum(y - y0, y1 - y)
+    reach *= reach
+    ry *= ry
+    reach += ry
+    near = reach < below
+    if not near.any():
+        return _pair_counts(arr, epsilon)
+    counts = np.full(m, m - 1)
+    rest = np.flatnonzero(~near)
+    if len(rest):
+        counts[rest] = _pair_counts(arr[rest], epsilon) + (m - len(rest))
+    return counts
+
+
+def _pair_counts(arr: np.ndarray, epsilon: float) -> np.ndarray:
+    # each particle's neighbours from the pairs neighbor_pairs yields
     counts = np.zeros(len(arr), dtype=int)
     for rows, cols, mask in neighbor_pairs(arr, epsilon):
         # summed in 32 bits, about twice as fast as in 64: a sum is at most M

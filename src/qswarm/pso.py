@@ -17,11 +17,9 @@ The swarm is held as arrays (see ``PsoEngine``) and each rule is one array
 function over its rows: ``Objective.fitness``, ``velocity_update`` and the
 clamp (``core.clamp``, shared with the learning swarm), which ``pso_step``
 applies to the whole swarm once per tick. They give the same bits as
-evaluating the rules one particle at a time in Python floats: squares are
-taken with ``np.float_power(d, 2.0)``, which is libm ``pow`` like Python's
-``d ** 2`` (``d * d`` differs from it in the last bit on some floats), and the
-clamp keeps the tie rule of ``min(max(v, lo), hi)``, so a bound of -0.0
-leaves the same signed zero.
+evaluating the rules one particle at a time in Python floats: the clamp keeps
+the tie rule of ``min(max(v, lo), hi)``, so a bound of -0.0 leaves the same
+signed zero.
 """
 
 from __future__ import annotations
@@ -43,9 +41,13 @@ class Objective:
 
     def fitness(self, pos: np.ndarray) -> np.ndarray:
         """(K,) distances from the rows of ``pos`` (K, 2) to the target,
-        bit-identical to ``core.euclidean_distance`` row by row."""
+        sqrt(dx*dx + dy*dy) as ``core.pairwise_distances`` computes a
+        distance, so bit-identical to ``core.euclidean_distance`` row by row.
+        The two squares are added as columns, the bits of ``sum(axis=1)``
+        over two terms."""
         d = pos - self.target.as_tuple()
-        return np.sqrt(np.float_power(d, 2.0).sum(axis=1))
+        d *= d
+        return np.sqrt(d[:, 0] + d[:, 1])
 
 
 @dataclass(frozen=True)

@@ -202,18 +202,41 @@ def rim_swarm(rng, m, low, extent, side):
     return arr[rng.permutation(m)], epsilon
 
 
+def reach(arr, k):
+    """Particle k's reach: its distance to the far corner of the swarm's
+    bounding box, computed as ``pairwise_distances`` computes a distance."""
+    (x0, y0), (x1, y1) = arr.min(axis=0), arr.max(axis=0)
+    x, y = arr[k].tolist()
+    rx, ry = max(x - x0, x1 - x), max(y - y0, y1 - y)
+    return math.sqrt(rx * rx + ry * ry)
+
+
+def reach_rim_swarm(rng, m, low, extent, side):
+    """``m`` >= 3 particles in the box from ``low`` to ``low + extent``, two
+    of them at its corners and particle 0 in its lower-left quarter, so its
+    far corner is the particle at ``low + extent``; with epsilon one step
+    below particle 0's reach (side -1), at it (0) or one step above it (+1)."""
+    high = low + extent
+    arr = np.vstack([low + rng.random(2) * (high - low) * 0.5, low, high,
+                     core.clamp(low + rng.random((m - 3, 2)) * (high - low), low, high)])
+    r = reach(arr, 0)
+    epsilon = r if side == 0 else float(np.nextafter(r, side * np.inf))
+    return arr, epsilon
+
+
 @st.composite
 def swarms(draw):
     """(positions, epsilon) on both sides of the dense crossover: uniform
     scatters at several densities, integer lattices with an integer epsilon
     (peers at exactly epsilon, coincident particles), clusters of very
     different density, a whole swarm collapsed into one cell or onto one
-    point, and swarms on the rim of the bounding-box bound of
-    ``neighbor_counts`` (epsilon within one step of the box's diagonal)."""
+    point, swarms on the rim of the bounding-box bound of ``neighbor_counts``
+    (epsilon within one step of the box's diagonal), and swarms on the rim of
+    its reach bound (epsilon within one step of a particle's reach)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.just(1) | st.integers(1, 600))
     kind = draw(st.sampled_from(["uniform", "lattice", "clusters", "collapsed", "coincident",
-                                 "rim"]))
+                                 "rim", "reach rim"]))
     if kind == "lattice":
         epsilon = float(draw(st.integers(1, 6)))
         side = draw(st.integers(1, 60))
@@ -225,6 +248,10 @@ def swarms(draw):
             low = rng.random(2) * 100.0
             extent = rng.random(2) * draw(st.sampled_from([1.0, 20.0, 300.0]))
         return rim_swarm(rng, max(m, 2), low, extent, draw(st.sampled_from([-1, 0, 1])))
+    if kind == "reach rim":
+        low = rng.random(2) * 100.0
+        extent = rng.random(2) * draw(st.sampled_from([1.0, 20.0, 300.0]))
+        return reach_rim_swarm(rng, max(m, 3), low, extent, draw(st.sampled_from([-1, 0, 1])))
     epsilon = draw(st.floats(0.5, 20.0))
     if kind == "uniform":
         return rng.random((m, 2)) * draw(st.floats(1.0, 500.0)), epsilon
@@ -385,6 +412,62 @@ def test_counts_on_the_rim_of_the_bounding_box_bound(side):
     counts = core.neighbor_counts(arr, epsilon)
     assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
     assert (counts == len(arr) - 1).all() == (side == 1)
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_counts_on_the_rim_of_the_reach_bound(side):
+    # particle 0 and its far corner's particle are exactly at its reach: in
+    # contact only when epsilon is a step above it, and then particle 0
+    # counts every peer without measuring one; a seed whose reach has the
+    # square squared_radius(epsilon) at side 0, so a comparison that took
+    # the radius itself would count them in contact
+    arr, epsilon = reach_rim_swarm(np.random.default_rng(0), 50, np.zeros(2),
+                                   np.array([3.0, 4.0]), side)
+    r = reach(arr, 0)
+    assert epsilon == (r if side == 0 else np.nextafter(r, side * np.inf))
+    (x0, y0), (x1, y1) = arr.min(axis=0), arr.max(axis=0)
+    rx, ry = x1 - arr[0, 0], y1 - arr[0, 1]
+    assert arr[2].tolist() == [x1, y1] and r == math.sqrt(rx * rx + ry * ry)
+    assert side != 0 or rx * rx + ry * ry == core.squared_radius(epsilon)
+    counts = core.neighbor_counts(arr, epsilon)
+    assert counts.tobytes() == dense_sense(arr, np.arange(len(arr)), epsilon)[0].tobytes()
+    assert (counts[0] == len(arr) - 1) == (side == 1)
+    # some particles, but not all, are within epsilon of every peer
+    assert 0 < (counts == len(arr) - 1).sum() < len(arr)
+
+
+# squared radii: 10 (whose square 100 is not the least float whose sqrt is
+# 10), integers, a square that rounds and one that is exact, squares that are
+# subnormal or 0, and squares that overflow to inf
+RADII = [10.0, 1.0, 2.0, 3.0, 5.0, 7.0, 12.0, 100.0, 12345.0, 2.0 ** 40 + 1.0, 0.1, 2.5,
+         math.pi, 1e-160, 3e-162, 1e-170, 5e-324, 1e155, np.nextafter(2.0 ** 512, 0.0),
+         1.7976931348623157e308, math.inf]
+
+
+def assert_the_squared_radius_is_least(epsilon):
+    s = core.squared_radius(epsilon)
+    assert math.sqrt(s) >= epsilon
+    assert s == 0.0 or math.sqrt(math.nextafter(s, 0.0)) < epsilon
+    # a computed square is below it exactly when its root is below epsilon
+    for q in [stepped(s, k) for k in range(-6, 7)] + [0.0, math.inf, math.nan]:
+        if q >= 0.0 or math.isnan(q):
+            assert (q < s) == (math.sqrt(q) < epsilon), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(epsilon=st.integers(1, 10**6).map(float)
+       | st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_the_squared_radius_is_the_least_float_whose_root_reaches_epsilon(epsilon):
+    assert_the_squared_radius_is_least(epsilon)
+
+
+def test_the_squared_radius_at_its_edges():
+    for epsilon in RADII:
+        assert_the_squared_radius_is_least(epsilon)
+    for epsilon in (0.0, -0.0, -1.0, -math.inf):
+        assert core.squared_radius(epsilon) == 0.0
+    assert math.isnan(core.squared_radius(math.nan))
+    assert core.squared_radius(10) == core.squared_radius(10.0) == math.nextafter(100.0, 0.0)
 
 
 @settings(max_examples=150, deadline=None)

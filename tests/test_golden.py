@@ -43,6 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qswarm.config import config_from_dict
@@ -312,6 +313,18 @@ RUNS = _configs()
 
 @pytest.mark.parametrize("run_id", sorted(RUNS))
 def test_artifacts_match_golden_digests(run_id, tmp_path):
+    assert _digests(RUNS[run_id], tmp_path) == GOLDEN[run_id]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("np.float_power called: libm pow may round a square differently")
+
+
+@pytest.mark.parametrize("run_id", sorted(r for r, cfg in RUNS.items() if cfg.algorithm == "pso"))
+def test_pso_artifacts_keep_their_digests_without_libm_pow(run_id, tmp_path, monkeypatch):
+    # IEEE 754 requires x * x to be correctly rounded but only recommends it
+    # for pow, so a square taken with pow could give other bytes on another host
+    monkeypatch.setattr(np, "float_power", _refuse)
     assert _digests(RUNS[run_id], tmp_path) == GOLDEN[run_id]
 
 

@@ -891,7 +891,7 @@ def test_a_rebuild_tick_measures_each_row_at_the_build_then_on_its_list(monkeypa
         assert len(builds) == 1
         # the build's blocks, then the list: at M = 300 its ids fit in
         # BLOCK_ENTRIES, so it is one block of the build's rows in turn
-        listed = [(r, c) for r, c in measured if any(c is ids for _, ids in engine._list._blocks)]
+        listed = [(r, c) for r, c in measured if any(c is ids for _, ids, _ in engine._list._blocks)]
         built = measured[:len(measured) - len(listed)]
         assert len(listed) == 1 and measured[-1][1] is listed[0][1]
         rows = np.concatenate([r for r, _ in built])
